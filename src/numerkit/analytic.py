@@ -3,8 +3,11 @@
 Every formula here is the one-dimensional Black-Scholes-type expression the
 corresponding two-factor problem collapses to once prices are quoted in the
 natural numeraire (the employer stock at the reset date, the foreign bank
-account, the zero-coupon bond, the diluted firm value).  The finite-difference
-and Monte Carlo engines exist to verify these against the full dynamics.
+account, the zero-coupon bond, the diluted firm value).  In that numeraire
+each claim is one exchange option (Margrabe), so every pricer below reduces
+to its input checks plus one call of the shared kernel ``_exchange``.  The
+finite-difference and Monte Carlo engines exist to verify these against the
+full dynamics.
 """
 
 from __future__ import annotations
@@ -25,12 +28,34 @@ def norm_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
+def _exchange(a: float, b: float, var: float) -> float:
+    """Value of max(A_T - B_T, 0) in units where A and B are martingales.
+
+    ``a`` and ``b`` are today's values of the two legs and ``var`` the
+    integrated variance of ln(A/B) to expiry.  The only degenerate-variance
+    policy of the module lives here: a worthless second leg leaves ``a``, and
+    a vanishing spread volatility leaves the intrinsic value.
+    """
+    if b == 0.0:
+        return a
+    sv = math.sqrt(max(var, 0.0))
+    if sv < _EPS_VOL:
+        return max(a - b, 0.0)
+    d1 = (math.log(a / b) + 0.5 * sv * sv) / sv
+    return a * norm_cdf(d1) - b * norm_cdf(d1 - sv)
+
+
+def _check_time(t: float, lo: float, hi: float, window: str = "") -> None:
+    if not lo <= t <= hi:
+        raise TimeDomainError(f"t={t} outside {window}[{lo}, {hi}]")
+
+
 def bs_call(spot: float, strike: float, rate: float, carry: float,
             vol: float, tau: float) -> float:
     """European call, cost-of-carry form.
 
-    Forward = spot * exp(carry * tau), discounting at ``rate``.  Handles the
-    strike = 0 and vol * sqrt(tau) = 0 limits explicitly.
+    Forward = spot * exp(carry * tau), discounting at ``rate``.  The
+    strike = 0 and vol * sqrt(tau) = 0 limits come from the kernel.
     """
     if spot <= 0.0:
         raise ValueError("spot must be positive")
@@ -38,16 +63,8 @@ def bs_call(spot: float, strike: float, rate: float, carry: float,
         raise ValueError("strike must be non-negative")
     if vol < 0.0 or tau < 0.0:
         raise ValueError("vol and tau must be non-negative")
-    growth = math.exp((carry - rate) * tau)
-    if strike == 0.0:
-        return spot * growth
-    disc = math.exp(-rate * tau)
-    sv = vol * math.sqrt(tau)
-    if sv < _EPS_VOL:
-        return max(spot * growth - strike * disc, 0.0)
-    d1 = (math.log(spot / strike) + (carry + 0.5 * vol * vol) * tau) / sv
-    d2 = d1 - sv
-    return spot * growth * norm_cdf(d1) - strike * disc * norm_cdf(d2)
+    return _exchange(spot * math.exp((carry - rate) * tau),
+                     strike * math.exp(-rate * tau), vol * vol * tau)
 
 
 # ---------------------------------------------------------------------------
@@ -61,26 +78,15 @@ def esop_price(spec: Esop, t: float = 0.0) -> float:
     calendar-spread option struck at the reset-date price; the spot drops out
     of the moneyness, so the price is proportional to the current stock.
     """
-    if not 0.0 <= t <= spec.t_reset:
-        raise TimeDomainError(
-            f"t={t} outside the pre-reset window [0, {spec.t_reset}]")
+    _check_time(t, 0.0, spec.t_reset, "the pre-reset window ")
     gap = spec.maturity - spec.t_reset
-    s = spec.sigma * math.sqrt(gap)
-    if s < _EPS_VOL:
-        intrinsic = max(-math.expm1(-spec.rate * gap), 0.0)
-        return spec.spot * (1.0 - spec.beta + spec.beta * intrinsic)
-    d1 = spec.rate / spec.sigma * math.sqrt(gap) + 0.5 * s
-    d2 = d1 - s
-    factor = (1.0 - spec.beta + spec.beta * norm_cdf(d1)
-              - spec.beta * math.exp(-spec.rate * gap) * norm_cdf(d2))
-    return spec.spot * factor
+    option = _exchange(1.0, math.exp(-spec.rate * gap), spec.sigma ** 2 * gap)
+    return spec.spot * (1.0 - spec.beta + spec.beta * option)
 
 
 def esop_price_after_reset(spec: Esop, s_reset: float, s: float, t: float) -> float:
     """Plan value after the strike has been fixed at the reset-date stock price."""
-    if not spec.t_reset <= t <= spec.maturity:
-        raise TimeDomainError(
-            f"t={t} outside the post-reset window [{spec.t_reset}, {spec.maturity}]")
+    _check_time(t, spec.t_reset, spec.maturity, "the post-reset window ")
     if s_reset <= 0.0 or s <= 0.0:
         raise ValueError("stock prices must be positive")
     tau = spec.maturity - t
@@ -94,24 +100,25 @@ def esop_price_generalized(spec: Esop, s: float, s0: float, t: float) -> float:
     ``s0`` is the coordinate that becomes the reset price; on the diagonal
     s0 = s this agrees with ``esop_price``.
     """
-    if not 0.0 <= t <= spec.t_reset:
-        raise TimeDomainError(
-            f"t={t} outside the pre-reset window [0, {spec.t_reset}]")
+    _check_time(t, 0.0, spec.t_reset, "the pre-reset window ")
     if s <= 0.0 or s0 <= 0.0:
         raise ValueError("stock prices must be positive")
     gap = spec.maturity - spec.t_reset
     strike = s0 * math.exp(-spec.rate * gap)
-    sv = spec.sigma * math.sqrt(gap)
-    if sv < _EPS_VOL:
-        return (1.0 - spec.beta) * s + spec.beta * max(s - strike, 0.0)
-    d1 = (math.log(s / strike) + 0.5 * sv * sv) / sv
-    d2 = d1 - sv
-    return (1.0 - spec.beta) * s + spec.beta * (
-        s * norm_cdf(d1) - strike * norm_cdf(d2))
+    option = _exchange(s, strike, spec.sigma ** 2 * gap)
+    return (1.0 - spec.beta) * s + spec.beta * option
 
 
 # ---------------------------------------------------------------------------
 # equity option with a currency-translated strike
+
+
+def _fx_strike_and_var(spec: FxStrike, t: float) -> tuple:
+    """Dollar strike S0*X0 discounted to t, and the variance of ln(S X)."""
+    tau = spec.maturity - t
+    var_rate = (spec.sigma_s ** 2 + 2.0 * spec.rho * spec.sigma_s * spec.sigma_x
+                + spec.sigma_x ** 2)
+    return spec.spot * spec.fx * math.exp(-spec.r_d * tau), var_rate * tau
 
 
 def fx_option_usd(spec: FxStrike, s: float, x: float, t: float = 0.0) -> float:
@@ -119,21 +126,11 @@ def fx_option_usd(spec: FxStrike, s: float, x: float, t: float = 0.0) -> float:
 
     ``s`` is the stock in pounds, ``x`` the dollar price of one pound.
     """
-    if not 0.0 <= t <= spec.maturity:
-        raise TimeDomainError(f"t={t} outside [0, {spec.maturity}]")
+    _check_time(t, 0.0, spec.maturity)
     if s <= 0.0 or x <= 0.0:
         raise ValueError("stock and exchange rate must be positive")
-    tau = spec.maturity - t
-    strike = spec.spot * spec.fx
-    var_rate = (spec.sigma_s ** 2 + 2.0 * spec.rho * spec.sigma_s * spec.sigma_x
-                + spec.sigma_x ** 2)
-    sv = math.sqrt(var_rate * tau)
-    disc = math.exp(-spec.r_d * tau)
-    if sv < _EPS_VOL:
-        return max(s * x - strike * disc, 0.0)
-    d1 = (math.log(s * x / strike) + (spec.r_d + 0.5 * var_rate) * tau) / sv
-    d2 = d1 - sv
-    return s * x * norm_cdf(d1) - strike * disc * norm_cdf(d2)
+    strike, var = _fx_strike_and_var(spec, t)
+    return _exchange(s * x, strike, var)
 
 
 def fx_option_gbp(spec: FxStrike, s: float, y: float, t: float = 0.0) -> float:
@@ -141,21 +138,11 @@ def fx_option_gbp(spec: FxStrike, s: float, y: float, t: float = 0.0) -> float:
 
     Satisfies x * fx_option_gbp(s, 1/x) = fx_option_usd(s, x) identically.
     """
-    if not 0.0 <= t <= spec.maturity:
-        raise TimeDomainError(f"t={t} outside [0, {spec.maturity}]")
+    _check_time(t, 0.0, spec.maturity)
     if s <= 0.0 or y <= 0.0:
         raise ValueError("stock and exchange rate must be positive")
-    tau = spec.maturity - t
-    strike = spec.spot * spec.fx
-    var_rate = (spec.sigma_s ** 2 + 2.0 * spec.rho * spec.sigma_s * spec.sigma_x
-                + spec.sigma_x ** 2)
-    sv = math.sqrt(var_rate * tau)
-    disc = math.exp(-spec.r_d * tau)
-    if sv < _EPS_VOL:
-        return max(s - strike * y * disc, 0.0)
-    d1 = (math.log(s / (y * strike)) + (spec.r_d + 0.5 * var_rate) * tau) / sv
-    d2 = d1 - sv
-    return s * norm_cdf(d1) - strike * y * disc * norm_cdf(d2)
+    strike, var = _fx_strike_and_var(spec, t)
+    return _exchange(s, strike * y, var)
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +156,14 @@ def savings_domestic(spec: Savings, x: float, i: float, t: float = 0.0) -> float
     Terminal claim: the better of the domestically compounded deposit and the
     foreign-compounded deposit translated at maturity.
     """
-    if not 0.0 <= t <= spec.maturity:
-        raise TimeDomainError(f"t={t} outside [0, {spec.maturity}]")
+    _check_time(t, 0.0, spec.maturity)
     if x <= 0.0 or i <= 0.0:
         raise ValueError("exchange rate and price level must be positive")
-    y0 = spec.fx
     lead_i = i * math.exp(spec.r_d * t)
-    lead_x = x * y0 * math.exp(spec.r_f * t)
+    lead_x = x * spec.fx * math.exp(spec.r_f * t)
     var_rate = (spec.sigma_x ** 2 + 2.0 * spec.rho * spec.sigma_x * spec.sigma_i
                 + spec.sigma_i ** 2)
-    sv = math.sqrt(var_rate * (spec.maturity - t))
-    if sv < _EPS_VOL:
-        return max(lead_i, lead_x)
-    d1 = (math.log(lead_i / lead_x) + 0.5 * sv * sv) / sv
-    d2 = d1 - sv
-    return lead_i * norm_cdf(d1) + lead_x * norm_cdf(-d2)
+    return lead_x + _exchange(lead_i, lead_x, var_rate * (spec.maturity - t))
 
 
 def savings_foreign(spec: Savings, y: float, i: float, t: float = 0.0) -> float:
@@ -208,20 +188,13 @@ def convertible_price(spec: Convertible, s: float, r_short: float,
     is the bond plus an exchange option, priced with the variance of the
     stock/bond ratio integrated over the remaining life.
     """
-    if not 0.0 <= t <= spec.conv_date:
-        raise TimeDomainError(
-            f"t={t} outside the pre-conversion window [0, {spec.conv_date}]")
+    _check_time(t, 0.0, spec.conv_date, "the pre-conversion window ")
     if s <= 0.0:
         raise ValueError("stock price must be positive")
     p = ratecurve.bond_price(spec.vasicek, r_short, t, spec.bond_maturity)
     var = ratecurve.integrated_variance(
         spec.vasicek, spec.sigma_s, spec.rho, t, spec.conv_date, spec.bond_maturity)
-    sv = math.sqrt(max(var, 0.0))
-    if sv < _EPS_VOL:
-        return p + max(s - p, 0.0)
-    d1 = (math.log(s / p) + 0.5 * sv * sv) / sv
-    d2 = d1 - sv
-    return p + s * norm_cdf(d1) - p * norm_cdf(d2)
+    return p + _exchange(s, p, var)
 
 
 def corporate_convertible_price(spec: Corporate, v: float, r_short: float,
@@ -232,20 +205,11 @@ def corporate_convertible_price(spec: Corporate, v: float, r_short: float,
     bondholders take the better of the face amount and the diluted share of
     the firm.  ``spec.dilution`` is conv_rate / (shares + bonds * conv_rate).
     """
-    if not 0.0 <= t <= spec.maturity:
-        raise TimeDomainError(f"t={t} outside [0, {spec.maturity}]")
+    _check_time(t, 0.0, spec.maturity)
     if v <= 0.0:
         raise ValueError("firm value must be positive")
-    c = spec.dilution
-    if spec.face == 0.0:
-        return c * v
-    p = ratecurve.bond_price(spec.vasicek, r_short, t, spec.maturity)
+    strike = spec.face * ratecurve.bond_price(spec.vasicek, r_short, t,
+                                              spec.maturity)
     var = ratecurve.integrated_variance(
         spec.vasicek, spec.sigma_v, spec.rho, t, spec.maturity, spec.maturity)
-    sv = math.sqrt(max(var, 0.0))
-    strike = spec.face * p
-    if sv < _EPS_VOL:
-        return strike + max(c * v - strike, 0.0)
-    d1 = (math.log(c * v / strike) + 0.5 * sv * sv) / sv
-    d2 = d1 - sv
-    return strike + c * v * norm_cdf(d1) - strike * norm_cdf(d2)
+    return strike + _exchange(spec.dilution * v, strike, var)

@@ -27,12 +27,10 @@ from .model import (
     CovarianceMatrix,
     HomogeneousPayoff,
     MultiAssetProblem,
-    PriceQuote,
     covariance_from_loadings,
     product_from_dict,
     product_to_dict,
     quote_to_dict,
-    validate,
 )
 from .montecarlo import McSpec
 from .numeraire import certify_psd, reduce as reduce_problem
@@ -84,27 +82,21 @@ def _load_json(path: Optional[str]) -> dict:
     if path is None:
         raise ValueError("--input is required for this command")
     with open(path) as fh:
-        return json.load(fh)
-
-
-def _quote_csv(label: str, quote: PriceQuote) -> str:
-    std = "" if quote.std_error is None else "%.17g" % quote.std_error
-    seed = "" if quote.seed is None else str(quote.seed)
-    return ("product,method,value,std_error,seed\n"
-            "%s,%s,%.17g,%s,%s\n" % (label, quote.method, quote.value, std, seed))
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ValueError(f"input must be a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _cmd_price(args) -> int:
     product = product_from_dict(_load_json(args.input))
-    violations = validate(product)
-    if violations:
-        raise ValidationFailure(violations)
     grid = GridSpec(nodes_per_axis=args.grid_nodes, time_steps=args.time_steps)
     mc = McSpec(paths=args.paths, seed=args.seed)
     quote = price_with_method(product, args.method, grid=grid, mc=mc)
-    label = build_engines(product)[0].label
     if args.format == "csv":
-        _emit(_quote_csv(label, quote), args.output)
+        report = {"label": build_engines(product)[0].label,
+                  "quotes": {quote.method: quote_to_dict(quote)}}
+        _emit(suite_to_csv({"reports": [report]}), args.output)
     else:
         payload = {"product": product_to_dict(product),
                    "quote": quote_to_dict(quote)}
@@ -115,11 +107,7 @@ def _cmd_price(args) -> int:
 def _cmd_verify(args) -> int:
     products = None
     if args.input is not None:
-        product = product_from_dict(_load_json(args.input))
-        violations = validate(product)
-        if violations:
-            raise ValidationFailure(violations)
-        products = [product]
+        products = [product_from_dict(_load_json(args.input))]
     grid = GridSpec(nodes_per_axis=args.grid_nodes, time_steps=args.time_steps)
     mc = McSpec(paths=args.paths, seed=args.seed)
     suite = run_suite(products, grid=grid, mc=mc, tol=args.tol)

@@ -14,7 +14,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, ValidationFailure
 from .ratecurve import VasicekModel
 
 SYMMETRY_RTOL = 1e-12
@@ -98,7 +98,6 @@ class MultiAssetProblem:
     covariance: CovarianceMatrix
     payoff: HomogeneousPayoff
     maturity: float
-    short_rate: Callable[[float], float] = lambda t: 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "assets", tuple(self.assets))
@@ -108,10 +107,6 @@ class MultiAssetProblem:
             raise DimensionError("covariance dimension must match the asset count")
         if not (self.maturity > 0.0):
             raise ValueError("maturity must be positive")
-
-    @property
-    def spots(self) -> np.ndarray:
-        return np.array([a.spot for a in self.assets])
 
 
 def covariance_from_loadings(assets: Sequence[AssetDynamics]) -> CovarianceMatrix:
@@ -239,76 +234,69 @@ def _positive(name, value, out):
         out.append(f"{name} must be positive")
 
 
+def _nonnegative(name, value, out):
+    if _finite(name, value, out) and value < 0.0:
+        out.append(f"{name} must be nonnegative")
+
+
+def _unit(name, value, out):
+    if _finite(name, value, out) and not 0.0 <= value <= 1.0:
+        out.append(f"{name} must lie in [0, 1]")
+
+
 def _open_rho(name, value, out):
     if _finite(name, value, out) and not (-1.0 < value < 1.0):
         out.append(f"{name} must lie in the open interval (-1, 1)")
 
 
-def _vasicek_violations(v: VasicekModel, out):
-    _positive("vasicek.theta", v.theta, out)
-    _finite("vasicek.mu_r", v.mu_r, out)
-    if _finite("vasicek.sigma_r", v.sigma_r, out) and v.sigma_r < 0.0:
-        out.append("vasicek.sigma_r must be nonnegative")
-    _finite("vasicek.lambda", v.lam, out)
-    _finite("vasicek.r0", v.r0, out)
+def _count(least: int, kind: str):
+    def rule(name, value, out):
+        if not (math.isfinite(value) and value == int(value) and value >= least):
+            out.append(f"{name} must be a {kind} integer")
+    return rule
+
+
+def _vasicek(name, v: VasicekModel, out):
+    _positive(f"{name}.theta", v.theta, out)
+    _finite(f"{name}.mu_r", v.mu_r, out)
+    _nonnegative(f"{name}.sigma_r", v.sigma_r, out)
+    _finite(f"{name}.lambda", v.lam, out)
+    _finite(f"{name}.r0", v.r0, out)
+
+
+# the rule of each field, by name; every other field must be positive
+_RULES = {
+    "beta": _unit, "rho": _open_rho, "face": _nonnegative, "vasicek": _vasicek,
+    "rate": _finite, "r_d": _finite, "r_p": _finite, "r_f": _finite,
+    "shares": _count(1, "positive"), "bonds": _count(0, "nonnegative"),
+}
+# date field -> the date that must precede it
+_PRECEDES = {"maturity": "t_reset", "bond_maturity": "conv_date"}
 
 
 def validate(spec: ProductSpec) -> list[str]:
-    """Return all constraint violations for a product spec (empty if valid)."""
-    out: list[str] = []
-    if isinstance(spec, Esop):
-        if _finite("beta", spec.beta, out) and not (0.0 <= spec.beta <= 1.0):
-            out.append("beta must lie in [0, 1]")
-        _positive("t_reset", spec.t_reset, out)
-        _positive("maturity", spec.maturity, out)
-        if spec.t_reset >= spec.maturity:
-            out.append("t_reset must precede maturity")
-        _positive("sigma", spec.sigma, out)
-        _finite("rate", spec.rate, out)
-        _positive("spot", spec.spot, out)
-    elif isinstance(spec, FxStrike):
-        _positive("sigma_s", spec.sigma_s, out)
-        _positive("sigma_x", spec.sigma_x, out)
-        _open_rho("rho", spec.rho, out)
-        _finite("r_d", spec.r_d, out)
-        _finite("r_p", spec.r_p, out)
-        _positive("spot", spec.spot, out)
-        _positive("fx", spec.fx, out)
-        _positive("maturity", spec.maturity, out)
-    elif isinstance(spec, Savings):
-        _positive("sigma_x", spec.sigma_x, out)
-        _positive("sigma_i", spec.sigma_i, out)
-        _open_rho("rho", spec.rho, out)
-        _finite("r_d", spec.r_d, out)
-        _finite("r_f", spec.r_f, out)
-        _positive("fx", spec.fx, out)
-        _positive("price_level", spec.price_level, out)
-        _positive("maturity", spec.maturity, out)
-    elif isinstance(spec, Convertible):
-        _positive("sigma_s", spec.sigma_s, out)
-        _open_rho("rho", spec.rho, out)
-        _positive("conv_date", spec.conv_date, out)
-        _positive("bond_maturity", spec.bond_maturity, out)
-        if spec.conv_date >= spec.bond_maturity:
-            out.append("conv_date must precede bond_maturity")
-        _positive("spot", spec.spot, out)
-        _vasicek_violations(spec.vasicek, out)
-    elif isinstance(spec, Corporate):
-        if spec.shares != int(spec.shares) or spec.shares < 1:
-            out.append("shares must be a positive integer")
-        if spec.bonds != int(spec.bonds) or spec.bonds < 0:
-            out.append("bonds must be a nonnegative integer")
-        _positive("conv_rate", spec.conv_rate, out)
-        if _finite("face", spec.face, out) and spec.face < 0.0:
-            out.append("face must be nonnegative")
-        _positive("sigma_v", spec.sigma_v, out)
-        _open_rho("rho", spec.rho, out)
-        _positive("maturity", spec.maturity, out)
-        _positive("firm_value", spec.firm_value, out)
-        _vasicek_violations(spec.vasicek, out)
-    else:
+    """Return all constraint violations for a product spec (empty if valid).
+
+    Fields are checked in declaration order, each by its rule in ``_RULES``.
+    """
+    if type(spec) not in _TYPE_TAGS:
         raise TypeError(f"not a product spec: {type(spec).__name__}")
+    out: list[str] = []
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        _RULES.get(f.name, _positive)(f.name, value, out)
+        earlier = _PRECEDES.get(f.name)
+        if earlier is not None and hasattr(spec, earlier) \
+                and getattr(spec, earlier) >= value:
+            out.append(f"{earlier} must precede {f.name}")
     return out
+
+
+def require_valid(spec: ProductSpec) -> None:
+    """Raise ValidationFailure carrying every violation of ``spec``."""
+    violations = validate(spec)
+    if violations:
+        raise ValidationFailure(violations)
 
 
 # ---------------------------------------------------------------------------
@@ -336,21 +324,46 @@ def product_to_dict(spec: ProductSpec) -> dict:
     return out
 
 
+def _number(name: str, value, integral: bool = False):
+    """A JSON number as float, or as int when ``integral``.
+
+    Booleans, strings and nulls are rejected, and so are fractional counts.
+    """
+    kind = "an integer" if integral else "a number"
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} is out of the floating-point range") from None
+    if integral and not number.is_integer():
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(number) if integral else number
+
+
 def product_from_dict(data: dict) -> ProductSpec:
-    """Inverse of product_to_dict; raises KeyError/TypeError on bad shapes."""
+    """Inverse of product_to_dict; raises ValueError or KeyError on bad shapes.
+
+    Decoding is strict: numeric fields take JSON numbers only (not booleans
+    or strings), and ``shares`` and ``bonds`` take integral values only.
+    """
+    if not isinstance(data, dict):
+        raise ValueError(f"product must be a JSON object, got {type(data).__name__}")
     d = dict(data)
     tag = d.pop("type", None)
-    cls = _TAG_TYPES.get(tag)
+    cls = _TAG_TYPES.get(tag) if isinstance(tag, str) else None
     if cls is None:
         raise ValueError(f"unknown product type: {tag!r}")
     if "vasicek" in d:
-        vd = dict(d["vasicek"])
+        vd = d["vasicek"]
+        if not isinstance(vd, dict):
+            raise ValueError(f"vasicek must be a JSON object, got {type(vd).__name__}")
         d["vasicek"] = VasicekModel(
-            theta=float(vd["theta"]),
-            mu_r=float(vd["mu_r"]),
-            sigma_r=float(vd["sigma_r"]),
-            lam=float(vd.get("lambda", 0.0)),
-            r0=float(vd["r0"]),
+            theta=_number("vasicek.theta", vd["theta"]),
+            mu_r=_number("vasicek.mu_r", vd["mu_r"]),
+            sigma_r=_number("vasicek.sigma_r", vd["sigma_r"]),
+            lam=_number("vasicek.lambda", vd.get("lambda", 0.0)),
+            r0=_number("vasicek.r0", vd["r0"]),
         )
     kwargs = {}
     for f in fields(cls):
@@ -358,11 +371,11 @@ def product_from_dict(data: dict) -> ProductSpec:
             raise ValueError(f"missing field {f.name!r} for product {tag!r}")
         v = d.pop(f.name)
         if f.name in ("shares", "bonds"):
-            kwargs[f.name] = int(v)
+            kwargs[f.name] = _number(f.name, v, integral=True)
         elif f.name == "vasicek":
             kwargs[f.name] = v
         else:
-            kwargs[f.name] = float(v)
+            kwargs[f.name] = _number(f.name, v)
     if d:
         raise ValueError(f"unexpected fields for product {tag!r}: {sorted(d)}")
     return cls(**kwargs)

@@ -24,24 +24,29 @@ import numpy as np
 
 from . import ratecurve
 from .errors import PricingError
-from .model import Convertible, Corporate, Esop, FxStrike, Savings
+from .model import (
+    Convertible,
+    Corporate,
+    Esop,
+    FxStrike,
+    Savings,
+    require_valid,
+)
 
 _BLOCK_EXACT = 65536
 _BLOCK_PATH = 8192
+_STEPS_PER_YEAR = 256  # short-rate walk resolution of the rate products
 
 
 @dataclass(frozen=True)
 class McSpec:
     paths: int = 100_000
     seed: int = 0
-    steps_per_year: int = 256
     antithetic: bool = True
 
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("paths must be positive")
-        if self.steps_per_year < 2:
-            raise ValueError("steps_per_year must be at least 2")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -57,36 +62,29 @@ def _rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, block]))
 
 
-def _accumulate(block_fn, paths: int, block_size: int, seed: int) -> McResult:
+def _accumulate(payoff, shape: tuple, mc: McSpec, block_size: int) -> McResult:
+    """Mean and standard error of ``payoff`` over ``mc.paths`` normal draws
+    of ``shape``, block k from the (seed, k) stream, each draw averaged with
+    its mirror -z under antithetic sampling."""
     total = 0.0
     total_sq = 0.0
-    done = 0
-    block = 0
-    while done < paths:
-        m = min(block_size, paths - done)
-        vals = block_fn(_rng(seed, block), m)
+    for block, done in enumerate(range(0, mc.paths, block_size)):
+        z = _rng(mc.seed, block).standard_normal(
+            (min(block_size, mc.paths - done),) + shape)
+        vals = 0.5 * (payoff(z) + payoff(-z)) if mc.antithetic else payoff(z)
         total += float(vals.sum())
         total_sq += float(np.dot(vals, vals))
-        done += m
-        block += 1
-    mean = total / paths
-    var = max(total_sq / paths - mean * mean, 0.0)
-    stderr = math.sqrt(var / paths)
-    return McResult(estimate=mean, std_error=stderr, paths_used=paths)
-
-
-def _pairize(fn, antithetic: bool):
-    """Wrap a +/-shock payoff map into the averaged antithetic estimator."""
-    if antithetic:
-        return lambda z: 0.5 * (fn(z) + fn(-z))
-    return fn
+    mean = total / mc.paths
+    var = max(total_sq / mc.paths - mean * mean, 0.0)
+    return McResult(estimate=mean, std_error=math.sqrt(var / mc.paths),
+                    paths_used=mc.paths)
 
 
 # ---------------------------------------------------------------------------
 # exact-terminal samplers
 
 
-def _esop_block(spec: Esop, mc: McSpec):
+def _esop_sampler(spec: Esop):
     t0, t1 = spec.t_reset, spec.maturity
     gap = t1 - t0
     r, sig = spec.rate, spec.sigma
@@ -103,15 +101,10 @@ def _esop_block(spec: Esop, mc: McSpec):
             s_final - s_reset, 0.0)
         return disc * plan
 
-    paired = _pairize(payoff, mc.antithetic)
-
-    def block(rng, m):
-        return paired(rng.standard_normal((m, 2)))
-
-    return block
+    return payoff, (2,)
 
 
-def _fx_block(spec: FxStrike, mc: McSpec):
+def _fx_sampler(spec: FxStrike):
     tau = spec.maturity
     ss, sx, rho = spec.sigma_s, spec.sigma_x, spec.rho
     strike = spec.spot * spec.fx
@@ -127,15 +120,10 @@ def _fx_block(spec: FxStrike, mc: McSpec):
         x = spec.fx * np.exp(drift_x + vx * (rho * z[:, 0] + rbar * z[:, 1]))
         return disc * np.maximum(s * x - strike, 0.0)
 
-    paired = _pairize(payoff, mc.antithetic)
-
-    def block(rng, m):
-        return paired(rng.standard_normal((m, 2)))
-
-    return block
+    return payoff, (2,)
 
 
-def _savings_block(spec: Savings, mc: McSpec):
+def _savings_sampler(spec: Savings):
     tau = spec.maturity
     sx, si, rho = spec.sigma_x, spec.sigma_i, spec.rho
     y0 = spec.fx
@@ -155,12 +143,7 @@ def _savings_block(spec: Savings, mc: McSpec):
         x_t = x0 * np.exp(drift_x + vx * (-rho * z[:, 0] + rbar * z[:, 1]))
         return disc * np.maximum(lead_i * i_t, lead_x * x_t)
 
-    paired = _pairize(payoff, mc.antithetic)
-
-    def block(rng, m):
-        return paired(rng.standard_normal((m, 2)))
-
-    return block
+    return payoff, (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +169,35 @@ def sample_vasicek(model: ratecurve.VasicekModel, times, seed: int,
     if m < 1:
         raise ValueError("paths must be positive")
     rng = _rng(seed, 0)
-    theta, mu = model.theta, model.mu_r
+    mu = model.mu_r
     out = np.empty((m, times.size))
     level = np.full(m, model.r0)
     prev = 0.0
     for k, t in enumerate(times):
         dt = t - prev
         if dt > 0.0:
-            decay = math.exp(-theta * dt)
-            sd = model.sigma_r * math.sqrt(
-                -math.expm1(-2.0 * theta * dt) / (2.0 * theta))
+            decay, sd = _ou_transition(model, dt)
             level = mu + (level - mu) * decay + sd * rng.standard_normal(m)
         out[:, k] = level
         prev = t
     return out[0] if paths is None else out
 
 
+def _ou_transition(model: ratecurve.VasicekModel, dt: float) -> tuple:
+    """Decay factor and innovation sd of the exact OU transition over dt."""
+    theta = model.theta
+    return math.exp(-theta * dt), model.sigma_r * math.sqrt(
+        -math.expm1(-2.0 * theta * dt) / (2.0 * theta))
+
+
 def _ou_walk(model: ratecurve.VasicekModel, z_rate, steps: int, dt: float):
     """Exact transition walk of the pricing-measure short rate.
 
-    Returns the path array (m, steps + 1) including the initial level.
+    Returns the trapezoid integral of the rate over the walk and its final
+    level, one entry per path.
     """
-    theta = model.theta
     mean = ratecurve.risk_neutral_level(model)
-    decay = math.exp(-theta * dt)
-    sd = model.sigma_r * math.sqrt(-math.expm1(-2.0 * theta * dt) / (2.0 * theta))
+    decay, sd = _ou_transition(model, dt)
     m = z_rate.shape[0]
     path = np.empty((m, steps + 1))
     path[:, 0] = model.r0
@@ -218,10 +205,12 @@ def _ou_walk(model: ratecurve.VasicekModel, z_rate, steps: int, dt: float):
     for k in range(steps):
         level = mean + (level - mean) * decay + sd * z_rate[:, k]
         path[:, k + 1] = level
-    return path
+    rate_int = dt * (0.5 * path[:, 0] + path[:, 1:-1].sum(axis=1)
+                     + 0.5 * path[:, -1])
+    return rate_int, path[:, -1]
 
 
-def _rate_asset_block(model, sigma_a, rho, spot, horizon, mc, payoff_fn):
+def _rate_asset_sampler(model, sigma_a, rho, spot, horizon, payoff_fn):
     """Joint (short rate, lognormal asset) walk to ``horizon``.
 
     The asset's Brownian increment is reconstructed so that its correlation
@@ -229,11 +218,10 @@ def _rate_asset_block(model, sigma_a, rho, spot, horizon, mc, payoff_fn):
     over a step, and its drift uses the same trapezoid rate average as the
     discount factor.
     """
-    steps = max(8, int(math.ceil(mc.steps_per_year * horizon)))
+    steps = max(8, int(math.ceil(_STEPS_PER_YEAR * horizon)))
     dt = horizon / steps
-    theta = model.theta
-    sd_r = model.sigma_r * math.sqrt(-math.expm1(-2.0 * theta * dt) / (2.0 * theta))
-    b_dt = -math.expm1(-theta * dt) / theta
+    sd_r = _ou_transition(model, dt)[1]
+    b_dt = -math.expm1(-model.theta * dt) / model.theta
     rho_eff = 0.0
     if sd_r > 0.0:
         rho_eff = rho * model.sigma_r * b_dt / (math.sqrt(dt) * sd_r)
@@ -243,25 +231,17 @@ def _rate_asset_block(model, sigma_a, rho, spot, horizon, mc, payoff_fn):
 
     def payoff(z):
         z_rate = z[:, :, 0]
-        z_perp = z[:, :, 1]
-        path = _ou_walk(model, z_rate, steps, dt)
-        rate_int = dt * (0.5 * path[:, 0] + path[:, 1:-1].sum(axis=1)
-                         + 0.5 * path[:, -1])
-        w = rho_eff * z_rate + rbar * z_perp
+        rate_int, r_end = _ou_walk(model, z_rate, steps, dt)
+        w = rho_eff * z_rate + rbar * z[:, :, 1]
         log_a = (rate_int - 0.5 * sigma_a * sigma_a * horizon
                  + sigma_a * sq_dt * w.sum(axis=1))
         asset = spot * np.exp(log_a)
-        return np.exp(-rate_int) * payoff_fn(asset, path[:, -1])
+        return np.exp(-rate_int) * payoff_fn(asset, r_end)
 
-    paired = _pairize(payoff, mc.antithetic)
-
-    def block(rng, m):
-        return paired(rng.standard_normal((m, steps, 2)))
-
-    return block
+    return payoff, (steps, 2)
 
 
-def _convertible_block(spec: Convertible, mc: McSpec):
+def _convertible_sampler(spec: Convertible):
     model = spec.vasicek
     a_fac = ratecurve.a_factor(model, spec.conv_date, spec.bond_maturity)
     b_fac = ratecurve.b_factor(model, spec.conv_date, spec.bond_maturity)
@@ -270,37 +250,46 @@ def _convertible_block(spec: Convertible, mc: McSpec):
         bond = a_fac * np.exp(-b_fac * r_end)
         return np.maximum(stock, bond)
 
-    return _rate_asset_block(model, spec.sigma_s, spec.rho, spec.spot,
-                             spec.conv_date, mc, payoff_fn)
+    return _rate_asset_sampler(model, spec.sigma_s, spec.rho, spec.spot,
+                               spec.conv_date, payoff_fn)
 
 
-def _corporate_block(spec: Corporate, mc: McSpec):
+def _corporate_sampler(spec: Corporate):
     c = spec.dilution
 
     def payoff_fn(firm, r_end):
         return np.maximum(spec.face, c * firm)
 
-    return _rate_asset_block(spec.vasicek, spec.sigma_v, spec.rho,
-                             spec.firm_value, spec.maturity, mc, payoff_fn)
+    return _rate_asset_sampler(spec.vasicek, spec.sigma_v, spec.rho,
+                               spec.firm_value, spec.maturity, payoff_fn)
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
+# product type -> (sampler returning (payoff of the shocks, shock shape),
+# paths per Philox block)
+_SAMPLERS = {
+    Esop: (_esop_sampler, _BLOCK_EXACT),
+    FxStrike: (_fx_sampler, _BLOCK_EXACT),
+    Savings: (_savings_sampler, _BLOCK_EXACT),
+    Convertible: (_convertible_sampler, _BLOCK_PATH),
+    Corporate: (_corporate_sampler, _BLOCK_PATH),
+}
+
 
 def price_mc(product, mc: McSpec) -> McResult:
-    """Discounted-payoff estimate for a product at its stored initial state."""
-    if isinstance(product, Esop):
-        return _accumulate(_esop_block(product, mc), mc.paths, _BLOCK_EXACT, mc.seed)
-    if isinstance(product, FxStrike):
-        return _accumulate(_fx_block(product, mc), mc.paths, _BLOCK_EXACT, mc.seed)
-    if isinstance(product, Savings):
-        return _accumulate(_savings_block(product, mc), mc.paths, _BLOCK_EXACT, mc.seed)
-    if isinstance(product, Convertible):
-        return _accumulate(_convertible_block(product, mc), mc.paths, _BLOCK_PATH, mc.seed)
-    if isinstance(product, Corporate):
-        return _accumulate(_corporate_block(product, mc), mc.paths, _BLOCK_PATH, mc.seed)
-    raise PricingError(f"no Monte Carlo sampler for {type(product).__name__}")
+    """Discounted-payoff estimate for a product at its stored initial state.
+
+    Raises ValidationFailure on an invalid spec.
+    """
+    entry = _SAMPLERS.get(type(product))
+    if entry is None:
+        raise PricingError(f"no Monte Carlo sampler for {type(product).__name__}")
+    require_valid(product)
+    sampler, block_size = entry
+    payoff, shape = sampler(product)
+    return _accumulate(payoff, shape, mc, block_size)
 
 
 def mc_bond_price(model: ratecurve.VasicekModel, maturity: float,
@@ -312,18 +301,10 @@ def mc_bond_price(model: ratecurve.VasicekModel, maturity: float,
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
-    steps = max(8, int(math.ceil(mc.steps_per_year * maturity)))
+    steps = max(8, int(math.ceil(_STEPS_PER_YEAR * maturity)))
     dt = maturity / steps
 
     def payoff(z):
-        path = _ou_walk(model, z[:, :, 0], steps, dt)
-        rate_int = dt * (0.5 * path[:, 0] + path[:, 1:-1].sum(axis=1)
-                         + 0.5 * path[:, -1])
-        return np.exp(-rate_int)
+        return np.exp(-_ou_walk(model, z[:, :, 0], steps, dt)[0])
 
-    paired = _pairize(payoff, mc.antithetic)
-
-    def block(rng, m):
-        return paired(rng.standard_normal((m, steps, 1)))
-
-    return _accumulate(block, mc.paths, _BLOCK_PATH, mc.seed)
+    return _accumulate(payoff, (steps, 1), mc, _BLOCK_PATH)

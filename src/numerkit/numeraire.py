@@ -140,17 +140,16 @@ def _mapped_kinks(kinks, z0: float, half_var: float, s: float):
     return sorted(pts)
 
 
-def quadrature_price(reduced: ReducedProblem, z, t: float = 0.0,
-                     r_const: float = 0.0) -> float:
+def quadrature_price(reduced: ReducedProblem, z, t: float = 0.0) -> float:
     """E[F(Z_T)] for the reduced driftless problem, by direct integration.
 
     Under the numeraire measure ln Z_T is Gaussian with mean
     ln z - diag(B) tau / 2 and covariance B tau.  One ratio: adaptive
-    Gauss-Kronrod with panel splits at declared payoff kinks.  Two ratios:
-    128-point tensor Gauss-Hermite.  ``r_const`` exists for signature
-    symmetry with discounted engines and is ignored: the reduced equation
-    is undiscounted, and discounting re-enters through the numeraire when
-    the caller forms V = S0 * U.
+    Gauss-Kronrod with panel splits at declared payoff kinks, and F(z) itself
+    when the variance B tau is zero.  Two ratios: 128-point tensor
+    Gauss-Hermite on a positive definite B.  The reduced equation is
+    undiscounted; discounting re-enters through the numeraire when the
+    caller forms V = S0 * U.
     """
     n = reduced.dim
     if n > 2:
@@ -161,10 +160,6 @@ def quadrature_price(reduced: ReducedProblem, z, t: float = 0.0,
             f"t={t} outside [0, {reduced.maturity}) for quadrature pricing")
     tau = reduced.maturity - t
     b = reduced.b_matrix
-    det = float(np.linalg.det(b))
-    if det <= 1e-14:
-        raise DegenerateCovarianceError(
-            f"reduced covariance is numerically singular: det(Bn) = {det:.3e}")
 
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.size != n:
@@ -173,9 +168,14 @@ def quadrature_price(reduced: ReducedProblem, z, t: float = 0.0,
         raise ValueError("price ratios must be positive")
 
     if n == 1:
-        b11 = float(b[0, 0])
-        s = math.sqrt(b11 * tau)
-        half_var = 0.5 * b11 * tau
+        var = float(b[0, 0]) * tau
+        if not 0.0 <= var < math.inf:
+            raise DegenerateCovarianceError(
+                f"reduced variance must be finite and non-negative: B tau = {var:.3e}")
+        if var == 0.0:
+            return float(reduced.payoff_f(z))
+        s = math.sqrt(var)
+        half_var = 0.5 * var
         mu = math.log(z[0]) - half_var
         f = reduced.payoff_f
         phi_norm = 1.0 / math.sqrt(2.0 * math.pi)

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import analytic, ratecurve
-from .errors import PricingError, ValidationFailure
+from .errors import PricingError
 from .model import (
     Convertible,
     Corporate,
@@ -33,7 +33,7 @@ from .model import (
     Savings,
     product_to_dict,
     quote_to_dict,
-    validate,
+    require_valid,
 )
 from .montecarlo import McSpec, price_mc
 from .numeraire import ReducedProblem, quadrature_price
@@ -47,11 +47,12 @@ ALL_METHODS = DETERMINISTIC_METHODS + ("monte_carlo",)
 class ProductEngines:
     """Adapters binding one pricing formula to every engine.
 
-    ``state0`` is the two-factor coordinate of the stored initial state;
-    ``analytic_at`` prices off-anchor states of the same solve.  The reduced
-    problem carries its own clock (piecewise-constant diffusions enter through
-    an equivalent constant-variance maturity), so quadrature values need the
-    ``reduced_multiplier`` times F evaluated at ``reduced_state``.
+    ``state0`` is the two-factor coordinate of the stored initial state, the
+    anchor of ``pde2``; ``analytic_at`` prices off-anchor states of the same
+    solve.  The reduced problem carries its own clock (piecewise-constant
+    diffusions enter through an equivalent constant-variance maturity), so
+    quadrature values need the ``reduced_multiplier`` times F evaluated at
+    ``reduced_state``.
 
     ``numeraire_axis`` is None when this particular two-factor formulation is
     not degree-one homogeneous (the dollar-measure translated-strike system);
@@ -59,9 +60,7 @@ class ProductEngines:
     rescales a sibling bundle's value into this product's quote currency.
     """
 
-    product: object
     label: str
-    state0: tuple
     analytic_at: Callable[[float, float], float]
     pde2: Pde2Spec
     numeraire_axis: Optional[int]
@@ -69,6 +68,10 @@ class ProductEngines:
     reduced_state: float
     reduced_multiplier: float
     to_canonical: float = 1.0
+
+    @property
+    def state0(self) -> tuple:
+        return self.pde2.anchor
 
 
 def _esop_engines(spec: Esop) -> tuple:
@@ -106,9 +109,7 @@ def _esop_engines(spec: Esop) -> tuple:
     )
 
     return (ProductEngines(
-        product=spec,
         label="esop",
-        state0=(spec.spot, spec.spot),
         analytic_at=lambda x, y: analytic.esop_price_generalized(spec, x, y, 0.0),
         pde2=pde2,
         numeraire_axis=1,
@@ -157,9 +158,7 @@ def _fx_engines(spec: FxStrike) -> tuple:
     )
 
     usd_engines = ProductEngines(
-        product=spec,
         label="fx_usd",
-        state0=(spec.spot, spec.fx),
         analytic_at=lambda x, y: analytic.fx_option_usd(spec, x, y, 0.0),
         pde2=usd,
         # max(S X - K, 0) is degree-two in (S, X); this system does not quotient
@@ -169,9 +168,7 @@ def _fx_engines(spec: FxStrike) -> tuple:
         reduced_multiplier=1.0,
     )
     gbp_engines = ProductEngines(
-        product=spec,
         label="fx_gbp",
-        state0=(spec.spot, y0),
         analytic_at=lambda x, y: analytic.fx_option_gbp(spec, x, y, 0.0),
         pde2=gbp,
         numeraire_axis=1,
@@ -216,9 +213,7 @@ def _savings_engines(spec: Savings) -> tuple:
     )
 
     return (ProductEngines(
-        product=spec,
         label="savings",
-        state0=(x0, i0),
         analytic_at=lambda x, y: analytic.savings_domestic(spec, x, y, 0.0),
         pde2=pde2,
         numeraire_axis=0,
@@ -228,121 +223,94 @@ def _savings_engines(spec: Savings) -> tuple:
     ),)
 
 
-def _bond_drift_discount(vas: ratecurve.VasicekModel, t_bond: float):
-    """Short rate implied by the bond coordinate, r(t, p) = (ln A - ln p)/B."""
+def _bond_numeraire_engines(spec, label: str, sigma: float, spot: float,
+                            t_ex: float, t_bond: float, terminal, kink: float,
+                            closed_form) -> tuple:
+    """Engines of a claim on (asset, zero-coupon bond) under Vasicek rates.
 
-    def fn(t, X, Y):
+    The bond maturing at ``t_bond`` is the numeraire; the claim pays
+    ``terminal(asset, bond)`` at ``t_ex``, and its ratio payoff kinks at
+    ``kink`` (a kink at or below zero is ignored).  ``closed_form(x, r)`` is
+    the analytic price at asset value x and short rate r.
+    """
+    vas, rho = spec.vasicek, spec.rho
+    p0 = ratecurve.bond_price(vas, vas.r0, 0.0, t_bond)
+
+    def rate_fn(t, X, Y):
+        # short rate implied by the bond coordinate, r(t, p) = (ln A - ln p)/B
         a = ratecurve.a_factor(vas, t, t_bond)
-        b = ratecurve.b_factor(vas, t, t_bond)
-        return (math.log(a) - np.log(Y)) / b
+        return (math.log(a) - np.log(Y)) / ratecurve.b_factor(vas, t, t_bond)
 
-    return fn
+    pde2 = Pde2Spec(
+        diffusion_xx=lambda t: sigma * sigma,
+        diffusion_xy=lambda t: -rho * sigma * ratecurve.sigma_p(vas, t, t_bond),
+        diffusion_yy=lambda t: ratecurve.sigma_p(vas, t, t_bond) ** 2,
+        drift_x=rate_fn,
+        drift_y=rate_fn,
+        discount=rate_fn,
+        terminal=terminal,
+        maturity=t_ex,
+        anchor=(spot, p0),
+    )
+
+    var = ratecurve.integrated_variance(vas, sigma, rho, 0.0, t_ex, t_bond)
+    reduced = ReducedProblem(
+        b_matrix=np.array([[var / t_ex]]),
+        payoff_f=lambda z: float(terminal(float(z[0]), 1.0)),
+        maturity=t_ex,
+        kinks=(kink,),
+    )
+
+    def analytic_at(x, y):
+        return closed_form(x, ratecurve.short_rate_from_bond(vas, y, 0.0, t_bond))
+
+    return (ProductEngines(
+        label=label,
+        analytic_at=analytic_at,
+        pde2=pde2,
+        numeraire_axis=1,
+        reduced=reduced,
+        reduced_state=spot / p0,
+        reduced_multiplier=p0,
+    ),)
 
 
 def _convertible_engines(spec: Convertible) -> tuple:
-    vas = spec.vasicek
-    ss, rho = spec.sigma_s, spec.rho
-    t0, t1 = spec.conv_date, spec.bond_maturity
-    p0 = ratecurve.bond_price(vas, vas.r0, 0.0, t1)
-    rate_fn = _bond_drift_discount(vas, t1)
-
-    pde2 = Pde2Spec(
-        diffusion_xx=lambda t: ss * ss,
-        diffusion_xy=lambda t: -rho * ss * ratecurve.sigma_p(vas, t, t1),
-        diffusion_yy=lambda t: ratecurve.sigma_p(vas, t, t1) ** 2,
-        drift_x=rate_fn,
-        drift_y=rate_fn,
-        discount=rate_fn,
-        terminal=lambda x, y: np.maximum(x, y),
-        maturity=t0,
-        anchor=(spec.spot, p0),
-    )
-
-    var = ratecurve.integrated_variance(vas, ss, rho, 0.0, t0, t1)
-    reduced = ReducedProblem(
-        b_matrix=np.array([[var / t0]]),
-        payoff_f=lambda z: max(float(z[0]), 1.0),
-        maturity=t0,
-        kinks=(1.0,),
-    )
-
-    def analytic_at(x, y):
-        r = ratecurve.short_rate_from_bond(vas, y, 0.0, t1)
-        return analytic.convertible_price(spec, x, r, 0.0)
-
-    return (ProductEngines(
-        product=spec,
-        label="convertible",
-        state0=(spec.spot, p0),
-        analytic_at=analytic_at,
-        pde2=pde2,
-        numeraire_axis=1,
-        reduced=reduced,
-        reduced_state=spec.spot / p0,
-        reduced_multiplier=p0,
-    ),)
+    return _bond_numeraire_engines(
+        spec, "convertible", spec.sigma_s, spec.spot, spec.conv_date,
+        spec.bond_maturity, terminal=lambda x, y: np.maximum(x, y), kink=1.0,
+        closed_form=lambda x, r: analytic.convertible_price(spec, x, r, 0.0))
 
 
 def _corporate_engines(spec: Corporate) -> tuple:
-    vas = spec.vasicek
-    sv, rho = spec.sigma_v, spec.rho
-    T = spec.maturity
-    c = spec.dilution
-    face = spec.face
-    p0 = ratecurve.bond_price(vas, vas.r0, 0.0, T)
-    rate_fn = _bond_drift_discount(vas, T)
+    c, face = spec.dilution, spec.face
+    return _bond_numeraire_engines(
+        spec, "corporate", spec.sigma_v, spec.firm_value, spec.maturity,
+        spec.maturity, terminal=lambda x, y: np.maximum(face * y, c * x),
+        kink=face / c,
+        closed_form=lambda x, r: analytic.corporate_convertible_price(
+            spec, x, r, 0.0))
 
-    pde2 = Pde2Spec(
-        diffusion_xx=lambda t: sv * sv,
-        diffusion_xy=lambda t: -rho * sv * ratecurve.sigma_p(vas, t, T),
-        diffusion_yy=lambda t: ratecurve.sigma_p(vas, t, T) ** 2,
-        drift_x=rate_fn,
-        drift_y=rate_fn,
-        discount=rate_fn,
-        terminal=lambda x, y: np.maximum(face * y, c * x),
-        maturity=T,
-        anchor=(spec.firm_value, p0),
-    )
 
-    var = ratecurve.integrated_variance(vas, sv, rho, 0.0, T, T)
-    kinks = (face / c,) if face > 0.0 else ()
-    reduced = ReducedProblem(
-        b_matrix=np.array([[var / T]]),
-        payoff_f=lambda z: max(face, c * float(z[0])),
-        maturity=T,
-        kinks=kinks,
-    )
-
-    def analytic_at(x, y):
-        r = ratecurve.short_rate_from_bond(vas, y, 0.0, T)
-        return analytic.corporate_convertible_price(spec, x, r, 0.0)
-
-    return (ProductEngines(
-        product=spec,
-        label="corporate",
-        state0=(spec.firm_value, p0),
-        analytic_at=analytic_at,
-        pde2=pde2,
-        numeraire_axis=1,
-        reduced=reduced,
-        reduced_state=spec.firm_value / p0,
-        reduced_multiplier=p0,
-    ),)
+_BUILDERS = {
+    Esop: _esop_engines,
+    FxStrike: _fx_engines,
+    Savings: _savings_engines,
+    Convertible: _convertible_engines,
+    Corporate: _corporate_engines,
+}
 
 
 def build_engines(product) -> tuple:
-    """Engine adapters for a product; FxStrike yields (usd, gbp) variants."""
-    if isinstance(product, Esop):
-        return _esop_engines(product)
-    if isinstance(product, FxStrike):
-        return _fx_engines(product)
-    if isinstance(product, Savings):
-        return _savings_engines(product)
-    if isinstance(product, Convertible):
-        return _convertible_engines(product)
-    if isinstance(product, Corporate):
-        return _corporate_engines(product)
-    raise PricingError(f"no engines for {type(product).__name__}")
+    """Engine adapters for a product; FxStrike yields (usd, gbp) variants.
+
+    Raises ValidationFailure on an invalid spec, so no route prices one.
+    """
+    builder = _BUILDERS.get(type(product))
+    if builder is None:
+        raise PricingError(f"no engines for {type(product).__name__}")
+    require_valid(product)
+    return builder(product)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +346,7 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
     The reduced-PDE route quotients whichever two-factor formulation of the
     product is degree-one homogeneous and rescales back to the canonical
     currency; everything else prices the canonical formulation directly.
+    Raises ValidationFailure on an invalid spec.
     """
     if method not in ALL_METHODS:
         raise PricingError(f"unknown method: {method}")
@@ -396,13 +365,10 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
         if source is None:
             raise PricingError(
                 f"no homogeneous two-factor formulation for {engines.label}")
-        sx0, sy0 = source.state0
-        sol1 = solve_1d(derive_reduced(source.pde2, source.numeraire_axis), grid)
-        numeraire = sy0 if source.numeraire_axis == 1 else sx0
-        ratio = sx0 / sy0 if source.numeraire_axis == 1 else sy0 / sx0
-        return PriceQuote(
-            value=source.to_canonical * numeraire * sol1(ratio, 0.0),
-            method=method)
+        reduced = derive_reduced(source.pde2, source.numeraire_axis)
+        numeraire = source.state0[source.numeraire_axis]
+        return PriceQuote(value=source.to_canonical * numeraire * solve_1d(
+            reduced, grid)(reduced.anchor, 0.0), method=method)
     if method == "quadrature":
         return PriceQuote(
             value=engines.reduced_multiplier * quadrature_price(
@@ -424,15 +390,12 @@ def verify_product(product, grid: Optional[GridSpec] = None,
     every deterministic gap is within ``tol`` and the simulation is within
     three standard errors.
     """
-    violations = validate(product)
-    if violations:
-        raise ValidationFailure(violations)
+    engines = build_engines(product)[0]
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise PricingError(f"unknown methods: {sorted(unknown)}")
     grid = grid or GridSpec()
     mc = mc or McSpec()
-    engines = build_engines(product)[0]
 
     quotes: dict = {}
     for method in ALL_METHODS:

@@ -1,14 +1,17 @@
 """Command-line interface: exit codes, output formats, and file handling."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import numerkit
 from numerkit import analytic, ratecurve
 from numerkit.cli import main
-from numerkit.model import Esop, product_to_dict
+from numerkit.model import Corporate, Esop, product_to_dict
 
 VASICEK_CFG = {"vasicek": {"theta": 0.5, "mu_r": 0.05, "sigma_r": 0.01,
                            "lambda": 0.0, "r0": 0.03},
@@ -18,6 +21,23 @@ VASICEK_CFG = {"vasicek": {"theta": 0.5, "mu_r": 0.05, "sigma_r": 0.01,
 def _esop_dict(beta=0.85):
     return product_to_dict(Esop(beta=beta, t_reset=0.5, maturity=1.0,
                                 sigma=0.2, rate=0.05, spot=100.0))
+
+
+def _corporate_dict():
+    return product_to_dict(Corporate(
+        shares=1_000_000, bonds=10_000, conv_rate=2.0, face=1.0, sigma_v=0.3,
+        rho=-0.1, maturity=1.0, firm_value=500_000.0,
+        vasicek=ratecurve.VasicekModel(theta=0.3, mu_r=0.04, sigma_r=0.01,
+                                       lam=0.0, r0=0.03)))
+
+
+def _run_module(*args):
+    """``python -m numerkit.cli ARGS`` with this numerkit on the child's path."""
+    src = str(Path(numerkit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "numerkit.cli", *args],
+                          capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path))
 
 
 def _write(tmp_path, name, payload):
@@ -95,6 +115,33 @@ class TestPrice:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         assert main(["price", "--input", str(path)]) == 2
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2],
+        dict(_corporate_dict(), vasicek=[0.3, 0.04, 0.01, 0.0, 0.03]),
+        dict(_corporate_dict(), shares=1.5),
+        dict(_corporate_dict(), bonds=True),
+        dict(_esop_dict(), sigma=True),
+    ], ids=["array", "vasicek_array", "fractional_shares", "boolean_bonds",
+            "boolean_sigma"])
+    @pytest.mark.parametrize("command", ["price", "verify"])
+    def test_malformed_spec_exits_two(self, tmp_path, capsys, command, payload):
+        spec = _write(tmp_path, "bad.json", payload)
+        assert main([command, "--input", spec]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_array_payload_subprocess(self, tmp_path):
+        spec = _write(tmp_path, "arr.json", [1, 2])
+        proc = _run_module("price", "--input", spec)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_negative_sigma_exits_two(self, tmp_path, capsys):
+        spec = _write(tmp_path, "bad.json", dict(_esop_dict(), sigma=-0.2))
+        for method in ("analytic", "quadrature", "monte_carlo"):
+            assert main(["price", "--input", spec, "--method", method,
+                         "--paths", "1000"]) == 2
+            assert "sigma must be positive" in capsys.readouterr().err
 
     def test_missing_input(self, capsys):
         assert main(["price"]) == 2
@@ -219,8 +266,6 @@ class TestCurve:
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):
         path = _write(tmp_path, "curve.json", VASICEK_CFG)
-        proc = subprocess.run(
-            [sys.executable, "-m", "numerkit.cli", "curve", "--input", path],
-            capture_output=True, text=True)
+        proc = _run_module("curve", "--input", path)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["curve"]

@@ -189,6 +189,46 @@ class TestJsonCodec:
         with pytest.raises(ValueError):
             product_from_dict(d)
 
+    @pytest.mark.parametrize("payload", [[1, 2], "esop", None, 3.0])
+    def test_non_object_payload(self, payload):
+        with pytest.raises(ValueError):
+            product_from_dict(payload)
+
+    def test_non_object_vasicek(self):
+        d = product_to_dict(_corporate())
+        d["vasicek"] = [0.3, 0.04, 0.01, 0.0, 0.03]
+        with pytest.raises(ValueError):
+            product_from_dict(d)
+
+    @pytest.mark.parametrize("field,value", [
+        ("shares", 1.5), ("bonds", 10_000.5), ("shares", True),
+        ("shares", "1000000"),
+    ])
+    def test_non_integral_counts(self, field, value):
+        d = product_to_dict(_corporate())
+        d[field] = value
+        with pytest.raises(ValueError):
+            product_from_dict(d)
+
+    def test_integral_float_counts_accepted(self):
+        d = product_to_dict(_corporate())
+        d["shares"] = 1e6
+        spec = product_from_dict(d)
+        assert spec.shares == 1_000_000 and isinstance(spec.shares, int)
+
+    @pytest.mark.parametrize("value", [True, False, None, "0.2"])
+    def test_non_number_in_numeric_field(self, value):
+        d = product_to_dict(_esop())
+        d["sigma"] = value
+        with pytest.raises(ValueError):
+            product_from_dict(d)
+
+    def test_boolean_in_vasicek_block(self):
+        d = product_to_dict(_corporate())
+        d["vasicek"]["sigma_r"] = True
+        with pytest.raises(ValueError):
+            product_from_dict(d)
+
     def test_quote_to_dict_omits_missing(self):
         assert quote_to_dict(PriceQuote(value=1.0, method="analytic")) == {
             "value": 1.0, "method": "analytic"}

@@ -6,12 +6,13 @@ regressions, not flaky assertions: a seed change is a deliberate edit.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from numerkit import analytic
-from numerkit.errors import PricingError
+from numerkit.errors import PricingError, ValidationFailure
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
 from numerkit.montecarlo import McSpec, mc_bond_price, price_mc, sample_vasicek
 from numerkit.ratecurve import VasicekModel, bond_price
@@ -40,8 +41,6 @@ class TestMcSpec:
         with pytest.raises(ValueError):
             McSpec(paths=0)
         with pytest.raises(ValueError):
-            McSpec(steps_per_year=1)
-        with pytest.raises(ValueError):
             McSpec(seed=-1)
 
 
@@ -68,12 +67,15 @@ class TestDeterminism:
 
 class TestAgreement:
     def test_zero_volatility_is_exact(self):
-        frozen = FxStrike(sigma_s=0.0, sigma_x=0.0, rho=0.0, r_d=0.03,
+        # sigma = 0 itself is an invalid spec; the limit is priced just above it
+        frozen = FxStrike(sigma_s=1e-9, sigma_x=1e-9, rho=0.0, r_d=0.03,
                           r_p=0.01, spot=100.0, fx=1.3, maturity=1.0)
         res = price_mc(frozen, McSpec(paths=64, seed=1))
         ref = analytic.fx_option_usd(frozen, frozen.spot, frozen.fx)
         assert res.estimate == pytest.approx(ref, rel=1e-12)
         assert res.std_error < 1e-6
+        with pytest.raises(ValidationFailure):
+            price_mc(replace(frozen, sigma_s=0.0), McSpec(paths=64, seed=1))
 
     @pytest.mark.parametrize("product,reference,paths", [
         (ESOP, lambda: analytic.esop_price(ESOP), 100_000),

@@ -229,17 +229,25 @@ class TestQuadraturePrice:
         with pytest.raises(DegenerateCovarianceError):
             quadrature_price(red, [1.0, 1.0], 0.0)
 
+    def test_zero_variance_is_payoff_at_state(self):
+        red = ReducedProblem(b_matrix=np.array([[0.0]]),
+                             payoff_f=lambda z: max(float(z[0]) - 0.9, 0.0),
+                             maturity=1.0, kinks=(0.9,))
+        assert quadrature_price(red, [1.25], 0.0) == pytest.approx(0.35,
+                                                                   rel=1e-15)
+
+    @pytest.mark.parametrize("b11", [-1e-6, math.inf, math.nan])
+    def test_invalid_variance(self, b11):
+        red = ReducedProblem(b_matrix=np.array([[b11]]),
+                             payoff_f=lambda z: 1.0, maturity=1.0)
+        with pytest.raises(DegenerateCovarianceError):
+            quadrature_price(red, [1.0], 0.0)
+
     def test_time_domain(self):
         red = ReducedProblem(b_matrix=np.array([[0.04]]),
                              payoff_f=lambda z: 1.0, maturity=1.0)
         with pytest.raises(TimeDomainError):
             quadrature_price(red, [1.0], 1.0)
-
-    def test_r_const_is_ignored(self):
-        red = ReducedProblem(b_matrix=np.array([[0.04]]),
-                             payoff_f=lambda z: float(z[0]), maturity=1.0)
-        assert quadrature_price(red, [1.0], 0.0, r_const=0.05) == \
-            quadrature_price(red, [1.0], 0.0)
 
     def test_state_dimension_mismatch(self):
         red = ReducedProblem(b_matrix=np.array([[0.04]]),

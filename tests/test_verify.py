@@ -2,13 +2,15 @@
 agreement reports, and suite serialization."""
 
 import json
+import math
+from dataclasses import replace
 
 import pytest
 
 from numerkit import ratecurve
 from numerkit.errors import PricingError, ValidationFailure
 from numerkit.model import Corporate, Esop, FxStrike, Savings
-from numerkit.montecarlo import McSpec
+from numerkit.montecarlo import McSpec, price_mc
 from numerkit.pde import GridSpec
 from numerkit.verify import (
     ALL_METHODS,
@@ -96,6 +98,32 @@ class TestPriceWithMethod:
     def test_unknown_method(self):
         with pytest.raises(PricingError):
             price_with_method(_esop_plain(), "bisection")
+
+    @pytest.mark.parametrize("bad", [
+        replace(_esop_plain(0.85), sigma=-0.2),
+        replace(_esop_plain(0.85), spot=math.nan),
+    ], ids=["negative_sigma", "nan_spot"])
+    def test_invalid_spec_rejected_by_every_route(self, bad):
+        for method in ALL_METHODS:
+            with pytest.raises(ValidationFailure):
+                price_with_method(bad, method, grid=COARSE,
+                                  mc=McSpec(paths=2_000, seed=0))
+        with pytest.raises(ValidationFailure):
+            price_mc(bad, McSpec(paths=2_000, seed=0))
+
+    @pytest.mark.parametrize("product", default_suite(),
+                             ids=lambda p: type(p).__name__)
+    def test_quadrature_zero_volatility_limit(self, product):
+        # every volatility at 1e-9 and a deterministic short rate: the
+        # reduced variance is ~1e-18 and the quadrature must still price it
+        vols = {k: 1e-9 for k in ("sigma", "sigma_s", "sigma_x", "sigma_i",
+                                  "sigma_v") if hasattr(product, k)}
+        if hasattr(product, "vasicek"):
+            vols["vasicek"] = replace(product.vasicek, sigma_r=0.0)
+        low = replace(product, **vols)
+        q = price_with_method(low, "quadrature")
+        a = price_with_method(low, "analytic")
+        assert q.value == pytest.approx(a.value, rel=1e-9)
 
 
 class TestVerifyProduct:
