@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional
 
@@ -28,9 +29,12 @@ from .model import (
     HomogeneousPayoff,
     MultiAssetProblem,
     covariance_from_loadings,
+    json_number,
     product_from_dict,
     product_to_dict,
     quote_to_dict,
+    validate_vasicek,
+    vasicek_from_dict,
 )
 from .montecarlo import McSpec
 from .numeraire import certify_psd, reduce as reduce_problem
@@ -118,6 +122,15 @@ def _cmd_verify(args) -> int:
     return 0 if suite["all_passed"] else 3
 
 
+def _array(name: str, values, depth: int = 1) -> list:
+    """A JSON array of numbers (depth 1) or of such arrays (depth 2)."""
+    if not isinstance(values, list):
+        raise ValueError(f"{name} must be a JSON array, got {type(values).__name__}")
+    if depth == 1:
+        return [json_number(f"{name}[{i}]", v) for i, v in enumerate(values)]
+    return [_array(f"{name}[{i}]", v, depth - 1) for i, v in enumerate(values)]
+
+
 _PAYOFF_KINDS = ("exchange", "relative_call", "forward", "max")
 
 
@@ -129,12 +142,14 @@ def _registry_payoff(cfg: dict, dim: int) -> HomogeneousPayoff:
     forward:        S_i - k S_0
     max:            max_i S_i
     """
+    if not isinstance(cfg, dict):
+        raise ValueError(f"payoff must be a JSON object, got {type(cfg).__name__}")
     kind = cfg.get("kind")
     if kind not in _PAYOFF_KINDS:
         raise ValueError(f"payoff kind must be one of {_PAYOFF_KINDS}")
-    i = int(cfg.get("asset", 1))
-    j = int(cfg.get("against", 0))
-    k = float(cfg.get("strike_ratio", 1.0))
+    i = json_number("payoff.asset", cfg.get("asset", 1), integral=True)
+    j = json_number("payoff.against", cfg.get("against", 0), integral=True)
+    k = json_number("payoff.strike_ratio", cfg.get("strike_ratio", 1.0))
     for idx, name in ((i, "asset"), (j, "against")):
         if not 0 <= idx < dim:
             raise ValueError(f"{name} index {idx} out of range for {dim} assets")
@@ -152,24 +167,24 @@ def _registry_payoff(cfg: dict, dim: int) -> HomogeneousPayoff:
 def _cmd_reduce(args) -> int:
     cfg = _load_json(args.input)
     if "loadings" in cfg:
-        rows = cfg["loadings"]
-        spots = cfg.get("spots", [1.0] * len(rows))
+        rows = _array("loadings", cfg["loadings"], depth=2)
+        spots = _array("spots", cfg.get("spots", [1.0] * len(rows)))
         if len(spots) != len(rows):
             raise ValueError("spots and loadings must have the same length")
-        assets = tuple(AssetDynamics(spot=float(s), loadings=tuple(row))
+        assets = tuple(AssetDynamics(spot=s, loadings=tuple(row))
                        for s, row in zip(spots, rows))
         cov = covariance_from_loadings(assets)
     elif "covariance" in cfg:
-        cov = CovarianceMatrix(np.asarray(cfg["covariance"], dtype=float))
-        spots = cfg.get("spots", [1.0] * cov.dim)
+        cov = CovarianceMatrix(_array("covariance", cfg["covariance"], depth=2))
+        spots = _array("spots", cfg.get("spots", [1.0] * cov.dim))
         if len(spots) != cov.dim:
             raise ValueError("spots must match the covariance dimension")
         width = cov.dim
-        assets = tuple(AssetDynamics(spot=float(s), loadings=(0.0,) * width)
+        assets = tuple(AssetDynamics(spot=s, loadings=(0.0,) * width)
                        for s in spots)
     else:
         raise ValueError("input must provide 'covariance' or 'loadings'")
-    maturity = float(cfg.get("maturity", 1.0))
+    maturity = json_number("maturity", cfg.get("maturity", 1.0))
     payoff = _registry_payoff(cfg.get("payoff", {}), cov.dim)
     problem = MultiAssetProblem(
         assets=assets,
@@ -198,16 +213,16 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_curve(args) -> int:
     cfg = _load_json(args.input)
-    vs = cfg.get("vasicek")
-    if vs is None:
+    if "vasicek" not in cfg:
         raise ValueError("input must provide a 'vasicek' block")
-    model = ratecurve.VasicekModel(
-        theta=float(vs["theta"]), mu_r=float(vs["mu_r"]),
-        sigma_r=float(vs["sigma_r"]), lam=float(vs.get("lambda", 0.0)),
-        r0=float(vs.get("r0", 0.0)))
-    maturities = [float(m) for m in cfg.get("maturities", [1.0, 2.0, 5.0, 10.0])]
-    if any(m <= 0.0 for m in maturities):
-        raise ValueError("maturities must be positive")
+    model = vasicek_from_dict(cfg["vasicek"])
+    violations = validate_vasicek(model)
+    if violations:
+        raise ValidationFailure(violations)
+    maturities = _array("maturities",
+                        cfg.get("maturities", [1.0, 2.0, 5.0, 10.0]))
+    if not all(m > 0.0 and math.isfinite(m) for m in maturities):
+        raise ValueError("maturities must be positive and finite")
     rows = []
     for m in maturities:
         rows.append({
@@ -257,7 +272,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except PricingError as exc:
+    except (PricingError, OverflowError) as exc:
         sys.stderr.write(f"{exc}\n")
         return 3
 

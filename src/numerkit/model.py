@@ -292,6 +292,13 @@ def validate(spec: ProductSpec) -> list[str]:
     return out
 
 
+def validate_vasicek(model: VasicekModel) -> list[str]:
+    """Constraint violations of a Vasicek block on its own (empty if valid)."""
+    out: list[str] = []
+    _vasicek("vasicek", model, out)
+    return out
+
+
 def require_valid(spec: ProductSpec) -> None:
     """Raise ValidationFailure carrying every violation of ``spec``."""
     violations = validate(spec)
@@ -324,7 +331,7 @@ def product_to_dict(spec: ProductSpec) -> dict:
     return out
 
 
-def _number(name: str, value, integral: bool = False):
+def json_number(name: str, value, integral: bool = False):
     """A JSON number as float, or as int when ``integral``.
 
     Booleans, strings and nulls are rejected, and so are fractional counts.
@@ -341,6 +348,23 @@ def _number(name: str, value, integral: bool = False):
     return int(number) if integral else number
 
 
+def vasicek_from_dict(vd) -> VasicekModel:
+    """Strict decoding of a "vasicek" block; ``lambda`` defaults to 0.
+
+    Raises ValueError on a non-object block or a non-number field, KeyError
+    on a missing one.
+    """
+    if not isinstance(vd, dict):
+        raise ValueError(f"vasicek must be a JSON object, got {type(vd).__name__}")
+    return VasicekModel(
+        theta=json_number("vasicek.theta", vd["theta"]),
+        mu_r=json_number("vasicek.mu_r", vd["mu_r"]),
+        sigma_r=json_number("vasicek.sigma_r", vd["sigma_r"]),
+        lam=json_number("vasicek.lambda", vd.get("lambda", 0.0)),
+        r0=json_number("vasicek.r0", vd["r0"]),
+    )
+
+
 def product_from_dict(data: dict) -> ProductSpec:
     """Inverse of product_to_dict; raises ValueError or KeyError on bad shapes.
 
@@ -355,27 +379,18 @@ def product_from_dict(data: dict) -> ProductSpec:
     if cls is None:
         raise ValueError(f"unknown product type: {tag!r}")
     if "vasicek" in d:
-        vd = d["vasicek"]
-        if not isinstance(vd, dict):
-            raise ValueError(f"vasicek must be a JSON object, got {type(vd).__name__}")
-        d["vasicek"] = VasicekModel(
-            theta=_number("vasicek.theta", vd["theta"]),
-            mu_r=_number("vasicek.mu_r", vd["mu_r"]),
-            sigma_r=_number("vasicek.sigma_r", vd["sigma_r"]),
-            lam=_number("vasicek.lambda", vd.get("lambda", 0.0)),
-            r0=_number("vasicek.r0", vd["r0"]),
-        )
+        d["vasicek"] = vasicek_from_dict(d["vasicek"])
     kwargs = {}
     for f in fields(cls):
         if f.name not in d:
             raise ValueError(f"missing field {f.name!r} for product {tag!r}")
         v = d.pop(f.name)
         if f.name in ("shares", "bonds"):
-            kwargs[f.name] = _number(f.name, v, integral=True)
+            kwargs[f.name] = json_number(f.name, v, integral=True)
         elif f.name == "vasicek":
             kwargs[f.name] = v
         else:
-            kwargs[f.name] = _number(f.name, v)
+            kwargs[f.name] = json_number(f.name, v)
     if d:
         raise ValueError(f"unexpected fields for product {tag!r}: {sorted(d)}")
     return cls(**kwargs)

@@ -1,17 +1,16 @@
 """Simulation oracles for the shipped products.
 
 Pricing is under the money-market measure of each product's quote currency.
-Samplers with lognormal terminal laws (plan with reset, translated strike,
-savings guarantee) draw the terminal state exactly; the stochastic-rate
-products walk the short rate with the exact Ornstein-Uhlenbeck transition and
-integrate the discount factor by the trapezoid rule, using the *same*
-trapezoid average as the asset drift so that discounted assets stay exact
-martingales path by path.
+Every sampler draws the terminal state exactly from one vector of normal
+shocks per path, with no time stepping and no discretization bias: two shocks
+for the lognormal products, three for the Vasicek ones, whose short rate, its
+integral and the log asset are jointly Gaussian (Glasserman 2004, Monte Carlo
+Methods in Financial Engineering, section 3.3).
 
-Determinism: streams come from Philox keyed by (seed, block index) with fixed
-block sizes, so results are bit-reproducible for a given spec regardless of
-platform threading.  Antithetic sampling averages each draw with its mirrored
-partner; ``paths`` counts the averaged pairs.
+Determinism: streams come from Philox keyed by (seed, block index) with a
+fixed block size, so results are bit-reproducible for a given spec regardless
+of platform threading.  Antithetic sampling averages each draw with its
+mirrored partner; ``paths`` counts the averaged pairs.
 """
 
 from __future__ import annotations
@@ -34,8 +33,6 @@ from .model import (
 )
 
 _BLOCK_EXACT = 65536
-_BLOCK_PATH = 8192
-_STEPS_PER_YEAR = 256  # short-rate walk resolution of the rate products
 
 
 @dataclass(frozen=True)
@@ -62,26 +59,29 @@ def _rng(seed: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=[seed, block]))
 
 
-def _accumulate(payoff, shape: tuple, mc: McSpec, block_size: int) -> McResult:
+def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
     """Mean and standard error of ``payoff`` over ``mc.paths`` normal draws
     of ``shape``, block k from the (seed, k) stream, each draw averaged with
-    its mirror -z under antithetic sampling."""
-    total = 0.0
-    total_sq = 0.0
-    for block, done in enumerate(range(0, mc.paths, block_size)):
+    its mirror -z under antithetic sampling.  Block means and sums of squared
+    deviations are merged by the update of Chan, Golub & LeVeque."""
+    mean = 0.0
+    m2 = 0.0
+    for block, done in enumerate(range(0, mc.paths, _BLOCK_EXACT)):
         z = _rng(mc.seed, block).standard_normal(
-            (min(block_size, mc.paths - done),) + shape)
+            (min(_BLOCK_EXACT, mc.paths - done),) + shape)
         vals = 0.5 * (payoff(z) + payoff(-z)) if mc.antithetic else payoff(z)
-        total += float(vals.sum())
-        total_sq += float(np.dot(vals, vals))
-    mean = total / mc.paths
-    var = max(total_sq / mc.paths - mean * mean, 0.0)
-    return McResult(estimate=mean, std_error=math.sqrt(var / mc.paths),
+        n = vals.size
+        block_mean = float(vals.mean())
+        vals -= block_mean
+        delta = block_mean - mean
+        mean += delta * n / (done + n)
+        m2 += float(np.dot(vals, vals)) + delta * delta * n * done / (done + n)
+    return McResult(estimate=mean, std_error=math.sqrt(m2) / mc.paths,
                     paths_used=mc.paths)
 
 
 # ---------------------------------------------------------------------------
-# exact-terminal samplers
+# samplers: each returns (payoff of a block of shocks, shape of one shock)
 
 
 def _esop_sampler(spec: Esop):
@@ -146,10 +146,6 @@ def _savings_sampler(spec: Savings):
     return payoff, (2,)
 
 
-# ---------------------------------------------------------------------------
-# short-rate path samplers
-
-
 def sample_vasicek(model: ratecurve.VasicekModel, times, seed: int,
                    paths: Optional[int] = None):
     """Exact-transition short-rate samples at the requested times.
@@ -190,55 +186,62 @@ def _ou_transition(model: ratecurve.VasicekModel, dt: float) -> tuple:
         -math.expm1(-2.0 * theta * dt) / (2.0 * theta))
 
 
-def _ou_walk(model: ratecurve.VasicekModel, z_rate, steps: int, dt: float):
-    """Exact transition walk of the pricing-measure short rate.
+def _vasicek_law(model: ratecurve.VasicekModel, sigma_a: float, rho: float,
+                 horizon: float) -> tuple:
+    """Mean and covariance of (r_T, integral of r, log S_T/S_0 - integral of r)
+    under the pricing measure, for an asset of volatility ``sigma_a`` and
+    correlation ``rho`` with the rate; T = ``horizon``, B = B(0, T) and m is
+    the risk-neutral level."""
+    th, sr = model.theta, model.sigma_r
+    level = ratecurve.risk_neutral_level(model)
+    b = ratecurve.b_factor(model, 0.0, horizon)
+    b2 = -math.expm1(-2.0 * th * horizon) / (2.0 * th)
+    mean = (level + (model.r0 - level) * math.exp(-th * horizon),
+            level * horizon + (model.r0 - level) * b,
+            -0.5 * sigma_a * sigma_a * horizon)
+    cross = rho * sr * sigma_a
+    var_int = sr * sr * (horizon - 2.0 * b + b2) / (th * th)
+    low = np.array([
+        [sr * sr * b2, 0.0, 0.0],
+        [0.5 * sr * sr * b * b, var_int, 0.0],
+        [cross * b, cross * (horizon - b) / th, sigma_a * sigma_a * horizon]])
+    return mean, low + np.tril(low, -1).T
 
-    Returns the trapezoid integral of the rate over the walk and its final
-    level, one entry per path.
+
+def _psd_root(cov: np.ndarray) -> np.ndarray:
+    """Lower-triangular L with L @ L.T = cov for a positive semidefinite cov.
+
+    Cholesky, except that a pivot at or below 1e-12 of its diagonal entry
+    (zero, or the rounding noise of a singular direction, as at sigma_r = 0
+    or |rho| near 1) leaves its column at zero instead of raising.
     """
-    mean = ratecurve.risk_neutral_level(model)
-    decay, sd = _ou_transition(model, dt)
-    m = z_rate.shape[0]
-    path = np.empty((m, steps + 1))
-    path[:, 0] = model.r0
-    level = np.full(m, model.r0)
-    for k in range(steps):
-        level = mean + (level - mean) * decay + sd * z_rate[:, k]
-        path[:, k + 1] = level
-    rate_int = dt * (0.5 * path[:, 0] + path[:, 1:-1].sum(axis=1)
-                     + 0.5 * path[:, -1])
-    return rate_int, path[:, -1]
+    low = np.zeros_like(cov)
+    for j in range(cov.shape[0]):
+        pivot = cov[j, j] - low[j, :j] @ low[j, :j]
+        if pivot > 1e-12 * cov[j, j]:
+            low[j, j] = math.sqrt(pivot)
+            low[j + 1:, j] = (cov[j + 1:, j]
+                              - low[j + 1:, :j] @ low[j, :j]) / low[j, j]
+    return low
 
 
 def _rate_asset_sampler(model, sigma_a, rho, spot, horizon, payoff_fn):
-    """Joint (short rate, lognormal asset) walk to ``horizon``.
+    """One draw of (r_T, integral of r, S_T) per path from ``_vasicek_law``.
 
-    The asset's Brownian increment is reconstructed so that its correlation
-    with the rate innovation matches the exact continuous-time covariance
-    over a step, and its drift uses the same trapezoid rate average as the
-    discount factor.
+    ``payoff_fn(asset, r_T)`` is discounted by exp(-integral of r).  The
+    shocks are L z, written out for the lower-triangular L so that no BLAS
+    call (and none of its threading) sits in the loop.
     """
-    steps = max(8, int(math.ceil(_STEPS_PER_YEAR * horizon)))
-    dt = horizon / steps
-    sd_r = _ou_transition(model, dt)[1]
-    b_dt = -math.expm1(-model.theta * dt) / model.theta
-    rho_eff = 0.0
-    if sd_r > 0.0:
-        rho_eff = rho * model.sigma_r * b_dt / (math.sqrt(dt) * sd_r)
-    rho_eff = min(max(rho_eff, -1.0), 1.0)
-    rbar = math.sqrt(max(1.0 - rho_eff * rho_eff, 0.0))
-    sq_dt = math.sqrt(dt)
+    (m_r, m_int, m_a), cov = _vasicek_law(model, sigma_a, rho, horizon)
+    (l00, _, _), (l10, l11, _), (l20, l21, l22) = _psd_root(cov)
 
     def payoff(z):
-        z_rate = z[:, :, 0]
-        rate_int, r_end = _ou_walk(model, z_rate, steps, dt)
-        w = rho_eff * z_rate + rbar * z[:, :, 1]
-        log_a = (rate_int - 0.5 * sigma_a * sigma_a * horizon
-                 + sigma_a * sq_dt * w.sum(axis=1))
-        asset = spot * np.exp(log_a)
-        return np.exp(-rate_int) * payoff_fn(asset, r_end)
+        z0, z1, z2 = z[:, 0], z[:, 1], z[:, 2]
+        rate_int = m_int + l10 * z0 + l11 * z1
+        asset = spot * np.exp(rate_int + m_a + l20 * z0 + l21 * z1 + l22 * z2)
+        return np.exp(-rate_int) * payoff_fn(asset, m_r + l00 * z0)
 
-    return payoff, (steps, 2)
+    return payoff, (3,)
 
 
 def _convertible_sampler(spec: Convertible):
@@ -247,8 +250,7 @@ def _convertible_sampler(spec: Convertible):
     b_fac = ratecurve.b_factor(model, spec.conv_date, spec.bond_maturity)
 
     def payoff_fn(stock, r_end):
-        bond = a_fac * np.exp(-b_fac * r_end)
-        return np.maximum(stock, bond)
+        return np.maximum(stock, a_fac * np.exp(-b_fac * r_end))
 
     return _rate_asset_sampler(model, spec.sigma_s, spec.rho, spec.spot,
                                spec.conv_date, payoff_fn)
@@ -267,14 +269,12 @@ def _corporate_sampler(spec: Corporate):
 # ---------------------------------------------------------------------------
 # public entry points
 
-# product type -> (sampler returning (payoff of the shocks, shock shape),
-# paths per Philox block)
 _SAMPLERS = {
-    Esop: (_esop_sampler, _BLOCK_EXACT),
-    FxStrike: (_fx_sampler, _BLOCK_EXACT),
-    Savings: (_savings_sampler, _BLOCK_EXACT),
-    Convertible: (_convertible_sampler, _BLOCK_PATH),
-    Corporate: (_corporate_sampler, _BLOCK_PATH),
+    Esop: _esop_sampler,
+    FxStrike: _fx_sampler,
+    Savings: _savings_sampler,
+    Convertible: _convertible_sampler,
+    Corporate: _corporate_sampler,
 }
 
 
@@ -283,28 +283,24 @@ def price_mc(product, mc: McSpec) -> McResult:
 
     Raises ValidationFailure on an invalid spec.
     """
-    entry = _SAMPLERS.get(type(product))
-    if entry is None:
+    sampler = _SAMPLERS.get(type(product))
+    if sampler is None:
         raise PricingError(f"no Monte Carlo sampler for {type(product).__name__}")
     require_valid(product)
-    sampler, block_size = entry
     payoff, shape = sampler(product)
-    return _accumulate(payoff, shape, mc, block_size)
+    return _accumulate(payoff, shape, mc)
 
 
 def mc_bond_price(model: ratecurve.VasicekModel, maturity: float,
                   mc: McSpec) -> McResult:
-    """Estimate E[exp(-integral of r)] for the walked short rate.
+    """Estimate E[exp(-integral of r)] from one exact draw per path.
 
-    Convergence to the closed-form discount bond checks both the exact
-    transition sampling and the pricing-measure drift in one shot.
+    The integral is drawn from the joint law the rate products use, so
+    convergence to the closed-form bond checks its mean and variance and the
+    pricing-measure drift in one shot.
     """
     if maturity <= 0.0:
         raise ValueError("maturity must be positive")
-    steps = max(8, int(math.ceil(_STEPS_PER_YEAR * maturity)))
-    dt = maturity / steps
-
-    def payoff(z):
-        return np.exp(-_ou_walk(model, z[:, :, 0], steps, dt)[0])
-
-    return _accumulate(payoff, (steps, 1), mc, _BLOCK_PATH)
+    payoff, shape = _rate_asset_sampler(model, 0.0, 0.0, 1.0, maturity,
+                                        lambda asset, r_end: 1.0)
+    return _accumulate(payoff, shape, mc)

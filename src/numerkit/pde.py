@@ -332,7 +332,8 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
 
 
 class Solution2D:
-    """Stored time levels of a 2-D solve; callable as V(x, y, t)."""
+    """The t = 0 and terminal planes of a 2-D solve; callable as V(x, y, t)
+    at those two times only (to 1e-12), where every caller reads it."""
 
     def __init__(self, x, y, times, values):
         self.x = x
@@ -341,16 +342,14 @@ class Solution2D:
         self.values = values
 
     def __call__(self, x: float, y: float, t: float) -> float:
-        if not (self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12):
-            raise TimeDomainError(f"t={t} outside [0, {self.times[-1]}]")
+        stored = [k for k, tk in enumerate(self.times) if abs(t - tk) <= 1e-12]
+        if not stored:
+            raise TimeDomainError(
+                f"t={t} is not a stored time; stored: {list(self.times)}")
         if not (self.x[0] <= x <= self.x[-1]) or not (self.y[0] <= y <= self.y[-1]):
             raise GridExtrapolationError(
                 f"({x:g}, {y:g}) outside the truncated grid")
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        k = min(max(k, 0), len(self.times) - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        plane = (1.0 - w) * self.values[k] + w * self.values[k + 1]
+        plane = self.values[stored[0]]
         i = min(max(int(np.searchsorted(self.x, x) - 1), 0), self.x.size - 2)
         j = min(max(int(np.searchsorted(self.y, y) - 1), 0), self.y.size - 2)
         fx = (x - self.x[i]) / (self.x[i + 1] - self.x[i])
@@ -406,7 +405,7 @@ class _Ops2D:
 
 
 def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
-    """Craig-Sneyd ADI solve of a Pde2Spec; returns a callable V(x, y, t)."""
+    """Craig-Sneyd ADI solve of a Pde2Spec; returns V(x, y, t) at t = 0, T."""
     T = spec.maturity
     bps = spec.breakpoints
     half = []
@@ -428,10 +427,10 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
 
     times = _time_grid(T, grid.time_steps, bps)
     restart = {T, *(b for b in bps if 0.0 < b < T)}
-    values = np.empty((times.size, xg.size, yg.size))
-    values[-1] = _cell_average_2d(spec.terminal, xg, yg)
+    values = np.empty((2, xg.size, yg.size))
+    values[1] = _cell_average_2d(spec.terminal, xg, yg)
 
-    w = values[-1].copy()
+    w = values[1].copy()
     theta = 0.5
     for k in range(times.size - 2, -1, -1):
         t0, t1 = times[k], times[k + 1]
@@ -455,8 +454,8 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
             y0h = y0 + 0.5 * dt * (ops.apply_mixed(y2) - a0w)
             y1h = ops.op1.solve_shifted(y0h - theta * dt * a1w, theta * dt)
             w = ops.op2.solve_shifted(y1h - theta * dt * a2w, theta * dt)
-        values[k] = w
-    return Solution2D(xg, yg, times, values)
+    values[0] = w
+    return Solution2D(xg, yg, np.array([0.0, T]), values)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,34 @@ class TestReduce:
         path = _write(tmp_path, "problem.json", {"payoff": {"kind": "max"}})
         assert main(["reduce", "--input", path]) == 2
 
+    @pytest.mark.parametrize("cfg", [
+        {"covariance": [[0.04, 0.0], [0.0, 0.09]],
+         "payoff": {"kind": "exchange", "asset": None}},
+        {"covariance": [[0.04, 0.0], [0.0, 0.09]],
+         "payoff": {"kind": "exchange", "asset": 1.5}},
+        {"covariance": [[0.04, 0.0], [0.0, 0.09]], "payoff": [1, 2]},
+        {"covariance": [[0.04, None], [None, 0.09]],
+         "payoff": {"kind": "max"}},
+        {"loadings": [[0.2], 0.3], "payoff": {"kind": "max"}},
+        {"loadings": [[0.2], [0.3]], "spots": None,
+         "payoff": {"kind": "max"}},
+        {"loadings": [[0.2], [0.3]], "maturity": None,
+         "payoff": {"kind": "max"}},
+    ], ids=["null_asset", "fractional_asset", "array_payoff",
+            "null_covariance_entry", "scalar_loading_row", "null_spots",
+            "null_maturity"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, cfg):
+        path = _write(tmp_path, "problem.json", cfg)
+        assert main(["reduce", "--input", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_null_asset_subprocess(self, tmp_path):
+        cfg = {"covariance": [[0.04, 0.0], [0.0, 0.09]],
+               "payoff": {"kind": "exchange", "asset": None}}
+        proc = _run_module("reduce", "--input", _write(tmp_path, "p.json", cfg))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
 
 class TestCurve:
     def test_json_values(self, tmp_path, capsys):
@@ -261,6 +289,37 @@ class TestCurve:
         cfg = dict(VASICEK_CFG, maturities=[-1.0])
         path = _write(tmp_path, "curve.json", cfg)
         assert main(["curve", "--input", path]) == 2
+
+    @pytest.mark.parametrize("cfg", [
+        dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=None)),
+        dict(VASICEK_CFG, vasicek=[0.5, 0.05, 0.01, 0.0, 0.03]),
+        dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], sigma_r=True)),
+        dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=0.0)),
+        dict(VASICEK_CFG, maturities=[1.0, None]),
+        dict(VASICEK_CFG, maturities=5.0),
+    ], ids=["null_theta", "array_block", "boolean_sigma_r", "zero_theta",
+            "null_maturity", "scalar_maturities"])
+    def test_malformed_input_exits_two(self, tmp_path, capsys, cfg):
+        path = _write(tmp_path, "curve.json", cfg)
+        assert main(["curve", "--input", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_zero_theta_lists_violation(self, tmp_path, capsys):
+        cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=0.0))
+        assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 2
+        assert "vasicek.theta must be positive" in capsys.readouterr().err
+
+    def test_null_theta_subprocess(self, tmp_path):
+        cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=None))
+        proc = _run_module("curve", "--input", _write(tmp_path, "c.json", cfg))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+
+    def test_overflow_exits_three(self, tmp_path, capsys):
+        cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"],
+                                             **{"lambda": 1e308}))
+        assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestConsoleEntry:

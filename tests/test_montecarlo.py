@@ -14,8 +14,17 @@ import pytest
 from numerkit import analytic
 from numerkit.errors import PricingError, ValidationFailure
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
-from numerkit.montecarlo import McSpec, mc_bond_price, price_mc, sample_vasicek
-from numerkit.ratecurve import VasicekModel, bond_price
+from numerkit.montecarlo import (
+    McSpec,
+    _accumulate,
+    _psd_root,
+    _rate_asset_sampler,
+    _vasicek_law,
+    mc_bond_price,
+    price_mc,
+    sample_vasicek,
+)
+from numerkit.ratecurve import VasicekModel, a_factor, b_factor, bond_price
 
 VAS = VasicekModel(theta=0.5, mu_r=0.05, sigma_r=0.01, lam=0.0, r0=0.03)
 
@@ -115,6 +124,70 @@ class TestBondPrice:
                             r0=0.05)
         res = mc_bond_price(flat, 3.0, McSpec(paths=32, seed=0))
         assert res.estimate == pytest.approx(math.exp(-0.15), rel=1e-9)
+
+
+PRICED = VasicekModel(theta=0.6, mu_r=0.045, sigma_r=0.02, lam=0.25, r0=0.03)
+
+
+class TestJointLaw:
+    """The exact draw of (r_T, integral of r, log S_T) behind the rate products."""
+
+    @staticmethod
+    def _mean(model, sigma_a, rho, horizon, payoff_fn, seed):
+        payoff, shape = _rate_asset_sampler(model, sigma_a, rho, 1.0, horizon,
+                                            payoff_fn)
+        return _accumulate(payoff, shape, McSpec(paths=200_000, seed=seed))
+
+    @pytest.mark.parametrize("model,sigma_a,rho", [
+        (VAS, 0.3, -0.1), (PRICED, 0.2, 0.999), (PRICED, 0.25, -0.999),
+    ], ids=["vas", "priced_rho_up", "priced_rho_down"])
+    def test_discounted_asset_averages_to_spot(self, model, sigma_a, rho):
+        res = self._mean(model, sigma_a, rho, 2.0, lambda a, r: a, seed=21)
+        assert abs(res.estimate - 1.0) < 4.0 * res.std_error
+
+    @pytest.mark.parametrize("model", [VAS, PRICED], ids=["vas", "priced"])
+    def test_discounted_bond_averages_to_closed_form(self, model):
+        horizon, t_bond = 1.5, 4.0
+        a_fac = a_factor(model, horizon, t_bond)
+        b_fac = b_factor(model, horizon, t_bond)
+        res = self._mean(model, 0.3, 0.4, horizon,
+                         lambda a, r: a_fac * np.exp(-b_fac * r), seed=22)
+        ref = bond_price(model, model.r0, 0.0, t_bond)
+        assert abs(res.estimate - ref) < 4.0 * res.std_error
+
+    @pytest.mark.parametrize("sigma_r,rho", [
+        (0.01, 0.999), (0.01, -0.999), (0.0, 0.5), (0.0, 0.999),
+    ])
+    def test_square_root_of_singular_covariance(self, sigma_r, rho):
+        model = VasicekModel(theta=0.5, mu_r=0.05, sigma_r=sigma_r, r0=0.03)
+        cov = _vasicek_law(model, 0.3, rho, 2.0)[1]
+        root = _psd_root(cov)
+        assert np.all(np.isfinite(root))
+        assert np.array_equal(root, np.tril(root))
+        assert np.max(np.abs(root @ root.T - cov)) < 1e-15
+        if sigma_r == 0.0:
+            assert not root[:, :2].any()
+
+    def test_square_root_of_rank_one_matrix(self):
+        root = _psd_root(np.ones((3, 3)))
+        assert np.array_equal(root, [[1, 0, 0], [1, 0, 0], [1, 0, 0]])
+
+    @pytest.mark.parametrize("sigma_r,rho", [
+        (0.0, 0.3), (0.01, 0.999), (0.01, -0.999),
+    ], ids=["flat_rates", "rho_up", "rho_down"])
+    @pytest.mark.parametrize("product,reference", [
+        (CONVERTIBLE, lambda p: analytic.convertible_price(p, 1.0, VAS.r0)),
+        # firm value where conversion and the face leg both carry weight
+        (replace(CORPORATE, firm_value=3.0e6),
+         lambda p: analytic.corporate_convertible_price(p, p.firm_value,
+                                                        VAS.r0)),
+    ], ids=["convertible", "corporate"])
+    def test_degenerate_limits_price(self, product, reference, sigma_r, rho):
+        spec = replace(product, rho=rho,
+                       vasicek=replace(VAS, sigma_r=sigma_r))
+        res = price_mc(spec, McSpec(paths=100_000, seed=7))
+        assert math.isfinite(res.estimate) and res.std_error > 0.0
+        assert abs(res.estimate - reference(spec)) < 4.0 * res.std_error
 
 
 class TestSampleVasicek:

@@ -180,6 +180,14 @@ class TestSolve2D:
         with pytest.raises(GridExtrapolationError):
             sol(1e6, 1.0, 0.0)
 
+    def test_only_initial_and_terminal_planes_kept(self):
+        sol = solve_2d(_exchange_spec_2d(), GridSpec(64, 16))
+        assert sol.values.shape == (2, 64, 64)
+        assert list(sol.times) == [0.0, 1.0]
+        for t in (0.5, 1e-6, 1.0 - 1e-6):
+            with pytest.raises(TimeDomainError):
+                sol(1.0, 1.0, t)
+
 
 class TestDeriveReduced:
     def test_exchange_coefficients(self):
