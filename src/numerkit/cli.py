@@ -16,13 +16,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from typing import Optional
 
 import numpy as np
 
 from . import ratecurve
-from .errors import PricingError, ValidationFailure
+from .errors import DimensionError, PricingError, ValidationFailure
 from .model import (
     AssetDynamics,
     CovarianceMatrix,
@@ -60,17 +61,26 @@ commands:
 """
 
 
+_FLAGS = {
+    "--input": dict(default=None),
+    "--method": dict(default="analytic", choices=list(ALL_METHODS)),
+    "--output": dict(default=None),
+    "--format": dict(default="json", choices=["json", "csv"]),
+    "--seed": dict(type=int, default=0),
+    "--paths": dict(type=int, default=100_000),
+    "--grid-nodes": dict(type=int, default=400),
+    "--time-steps": dict(type=int, default=200),
+    "--tol": dict(type=float, default=1e-3),
+}
+
+
 def _parser(command: str) -> argparse.ArgumentParser:
+    """A parser taking only the flags ``_USAGE`` lists for ``command``."""
     p = argparse.ArgumentParser(prog=f"numerkit {command}", add_help=True)
-    p.add_argument("--input", default=None)
-    p.add_argument("--method", default="analytic", choices=list(ALL_METHODS))
-    p.add_argument("--output", default=None)
-    p.add_argument("--format", default="json", choices=["json", "csv"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--paths", type=int, default=100_000)
-    p.add_argument("--grid-nodes", type=int, default=400)
-    p.add_argument("--time-steps", type=int, default=200)
-    p.add_argument("--tol", type=float, default=1e-3)
+    listed = re.search(rf"^  {command} (.*?)(?=^  \w|\Z)", _USAGE,
+                       re.M | re.S).group(1)
+    for flag in re.findall(r"--[\w-]+", listed):
+        p.add_argument(flag, **_FLAGS[flag])
     return p
 
 
@@ -269,7 +279,7 @@ def main(argv: Optional[list] = None) -> int:
         for violation in exc.violations:
             sys.stderr.write(violation + "\n")
         return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, DimensionError) as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
     except (PricingError, OverflowError) as exc:

@@ -1,11 +1,13 @@
 """Simulation oracles for the shipped products.
 
-Pricing is under the money-market measure of each product's quote currency.
-Every sampler draws the terminal state exactly from one vector of normal
-shocks per path, with no time stepping and no discretization bias: two shocks
-for the lognormal products, three for the Vasicek ones, whose short rate, its
-integral and the log asset are jointly Gaussian (Glasserman 2004, Monte Carlo
-Methods in Financial Engineering, section 3.3).
+Pricing is under the money-market measure of each product's quote currency,
+with the law derived from the product's canonical formulation in
+:mod:`numerkit.products`.  The terminal state is drawn exactly from one
+vector of normal shocks per path, with no time stepping and no
+discretization bias: two shocks for a constant short rate, three under
+Vasicek, whose short rate, its integral and the log asset are jointly
+Gaussian (Glasserman 2004, Monte Carlo Methods in Financial Engineering,
+section 3.3).
 
 Determinism: streams come from Philox keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible for a given spec regardless
@@ -22,15 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import ratecurve
-from .errors import PricingError
-from .model import (
-    Convertible,
-    Corporate,
-    Esop,
-    FxStrike,
-    Savings,
-    require_valid,
-)
+from .products import Formulation, VasicekBond, formulations, integral
 
 _BLOCK_EXACT = 65536
 
@@ -62,14 +56,18 @@ def _rng(seed: int, block: int) -> np.random.Generator:
 def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
     """Mean and standard error of ``payoff`` over ``mc.paths`` normal draws
     of ``shape``, block k from the (seed, k) stream, each draw averaged with
-    its mirror -z under antithetic sampling.  Block means and sums of squared
-    deviations are merged by the update of Chan, Golub & LeVeque."""
+    its mirror -z under antithetic sampling (negated in place, so ``payoff``
+    must return a fresh array).  Block means and sums of squared deviations
+    are merged by the update of Chan, Golub & LeVeque."""
     mean = 0.0
     m2 = 0.0
     for block, done in enumerate(range(0, mc.paths, _BLOCK_EXACT)):
         z = _rng(mc.seed, block).standard_normal(
             (min(_BLOCK_EXACT, mc.paths - done),) + shape)
-        vals = 0.5 * (payoff(z) + payoff(-z)) if mc.antithetic else payoff(z)
+        vals = payoff(z)
+        if mc.antithetic:
+            vals += payoff(np.negative(z, out=z))
+            vals *= 0.5
         n = vals.size
         block_mean = float(vals.mean())
         vals -= block_mean
@@ -78,72 +76,6 @@ def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
         m2 += float(np.dot(vals, vals)) + delta * delta * n * done / (done + n)
     return McResult(estimate=mean, std_error=math.sqrt(m2) / mc.paths,
                     paths_used=mc.paths)
-
-
-# ---------------------------------------------------------------------------
-# samplers: each returns (payoff of a block of shocks, shape of one shock)
-
-
-def _esop_sampler(spec: Esop):
-    t0, t1 = spec.t_reset, spec.maturity
-    gap = t1 - t0
-    r, sig = spec.rate, spec.sigma
-    drift0 = (r - 0.5 * sig * sig) * t0
-    drift1 = (r - 0.5 * sig * sig) * gap
-    v0 = sig * math.sqrt(t0)
-    v1 = sig * math.sqrt(gap)
-    disc = math.exp(-r * t1)
-
-    def payoff(z):
-        s_reset = spec.spot * np.exp(drift0 + v0 * z[:, 0])
-        s_final = s_reset * np.exp(drift1 + v1 * z[:, 1])
-        plan = (1.0 - spec.beta) * s_final + spec.beta * np.maximum(
-            s_final - s_reset, 0.0)
-        return disc * plan
-
-    return payoff, (2,)
-
-
-def _fx_sampler(spec: FxStrike):
-    tau = spec.maturity
-    ss, sx, rho = spec.sigma_s, spec.sigma_x, spec.rho
-    strike = spec.spot * spec.fx
-    drift_s = (spec.r_p - rho * ss * sx - 0.5 * ss * ss) * tau
-    drift_x = (spec.r_d - spec.r_p - 0.5 * sx * sx) * tau
-    vs = ss * math.sqrt(tau)
-    vx = sx * math.sqrt(tau)
-    rbar = math.sqrt(max(1.0 - rho * rho, 0.0))
-    disc = math.exp(-spec.r_d * tau)
-
-    def payoff(z):
-        s = spec.spot * np.exp(drift_s + vs * z[:, 0])
-        x = spec.fx * np.exp(drift_x + vx * (rho * z[:, 0] + rbar * z[:, 1]))
-        return disc * np.maximum(s * x - strike, 0.0)
-
-    return payoff, (2,)
-
-
-def _savings_sampler(spec: Savings):
-    tau = spec.maturity
-    sx, si, rho = spec.sigma_x, spec.sigma_i, spec.rho
-    y0 = spec.fx
-    x0 = 1.0 / y0
-    i0 = spec.price_level
-    drift_i = -0.5 * si * si * tau
-    drift_x = (spec.r_d - spec.r_f - 0.5 * sx * sx) * tau
-    vi = si * math.sqrt(tau)
-    vx = sx * math.sqrt(tau)
-    rbar = math.sqrt(max(1.0 - rho * rho, 0.0))
-    lead_i = math.exp(spec.r_d * tau)
-    lead_x = y0 * math.exp(spec.r_f * tau)
-    disc = math.exp(-spec.r_d * tau)
-
-    def payoff(z):
-        i_t = i0 * np.exp(drift_i + vi * z[:, 0])
-        x_t = x0 * np.exp(drift_x + vx * (-rho * z[:, 0] + rbar * z[:, 1]))
-        return disc * np.maximum(lead_i * i_t, lead_x * x_t)
-
-    return payoff, (2,)
 
 
 def sample_vasicek(model: ratecurve.VasicekModel, times, seed: int,
@@ -172,18 +104,13 @@ def sample_vasicek(model: ratecurve.VasicekModel, times, seed: int,
     for k, t in enumerate(times):
         dt = t - prev
         if dt > 0.0:
-            decay, sd = _ou_transition(model, dt)
+            decay = math.exp(-model.theta * dt)
+            sd = model.sigma_r * math.sqrt(
+                -math.expm1(-2.0 * model.theta * dt) / (2.0 * model.theta))
             level = mu + (level - mu) * decay + sd * rng.standard_normal(m)
         out[:, k] = level
         prev = t
     return out[0] if paths is None else out
-
-
-def _ou_transition(model: ratecurve.VasicekModel, dt: float) -> tuple:
-    """Decay factor and innovation sd of the exact OU transition over dt."""
-    theta = model.theta
-    return math.exp(-theta * dt), model.sigma_r * math.sqrt(
-        -math.expm1(-2.0 * theta * dt) / (2.0 * theta))
 
 
 def _vasicek_law(model: ratecurve.VasicekModel, sigma_a: float, rho: float,
@@ -244,50 +171,68 @@ def _rate_asset_sampler(model, sigma_a, rho, spot, horizon, payoff_fn):
     return payoff, (3,)
 
 
-def _convertible_sampler(spec: Convertible):
-    model = spec.vasicek
-    a_fac = ratecurve.a_factor(model, spec.conv_date, spec.bond_maturity)
-    b_fac = ratecurve.b_factor(model, spec.conv_date, spec.bond_maturity)
+def _lognormal_sampler(f: Formulation):
+    """One draw of (X_T, Y_T) per path from their exact joint lognormal law
+    at a constant short rate; the payoff is discounted at that rate.
 
-    def payoff_fn(stock, r_end):
-        return np.maximum(stock, a_fac * np.exp(-b_fac * r_end))
+    The first shock drives Y alone, the second the rest of X.  Each block
+    copies its shocks into contiguous rows once and then works in place on
+    two arrays instead of a chain of temporaries.
+    """
+    sx, sy, c, T = f.sigma_x, f.sigma_y, f.corr, f.maturity
+    var_x = integral(f, lambda t: sx(t) * sx(t))
+    var_y = integral(f, lambda t: sy(t) * sy(t))
+    cov = integral(f, lambda t: c * sx(t) * sy(t))
+    (ly, _), (lxy, lx) = _psd_root(np.array([[var_y, cov], [cov, var_x]]))
+    x0, y0 = f.anchor
+    mx = (f.rate - f.q_x) * T - 0.5 * var_x
+    my = (f.rate - f.q_y) * T - 0.5 * var_y
+    disc = math.exp(-f.rate * T)
+    terminal = f.terminal
 
-    return _rate_asset_sampler(model, spec.sigma_s, spec.rho, spec.spot,
-                               spec.conv_date, payoff_fn)
+    def payoff(z):
+        z0, z1 = np.ascontiguousarray(z.T)
+        x = np.multiply(z1, lx)
+        x += lxy * z0
+        x += mx
+        np.exp(x, out=x)
+        x *= x0
+        y = np.multiply(z0, ly)
+        y += my
+        np.exp(y, out=y)
+        y *= y0
+        out = terminal(x, y)
+        out *= disc
+        return out
+
+    return payoff, (2,)
 
 
-def _corporate_sampler(spec: Corporate):
-    c = spec.dilution
-
-    def payoff_fn(firm, r_end):
-        return np.maximum(spec.face, c * firm)
-
-    return _rate_asset_sampler(spec.vasicek, spec.sigma_v, spec.rho,
-                               spec.firm_value, spec.maturity, payoff_fn)
+def _sampler(f: Formulation):
+    """The simulated law of a formulation: exact lognormal at a constant rate;
+    under Vasicek the joint rate draw, with the bond Y = A e^{-B r_T}."""
+    if not isinstance(f.rate, VasicekBond):
+        return _lognormal_sampler(f)
+    model, T = f.rate.model, f.maturity
+    a_fac = ratecurve.a_factor(model, T, f.rate.maturity)
+    b_fac = ratecurve.b_factor(model, T, f.rate.maturity)
+    terminal = f.terminal
+    return _rate_asset_sampler(
+        model, f.sigma_x(0.0), -f.corr, f.anchor[0] * math.exp(-f.q_x * T), T,
+        lambda asset, r_end: terminal(asset, a_fac * np.exp(-b_fac * r_end)))
 
 
 # ---------------------------------------------------------------------------
 # public entry points
 
-_SAMPLERS = {
-    Esop: _esop_sampler,
-    FxStrike: _fx_sampler,
-    Savings: _savings_sampler,
-    Convertible: _convertible_sampler,
-    Corporate: _corporate_sampler,
-}
-
 
 def price_mc(product, mc: McSpec) -> McResult:
-    """Discounted-payoff estimate for a product at its stored initial state.
+    """Discounted-payoff estimate for a product at its stored initial state,
+    simulated from its canonical formulation.
 
     Raises ValidationFailure on an invalid spec.
     """
-    sampler = _SAMPLERS.get(type(product))
-    if sampler is None:
-        raise PricingError(f"no Monte Carlo sampler for {type(product).__name__}")
-    require_valid(product)
-    payoff, shape = sampler(product)
+    payoff, shape = _sampler(formulations(product)[0])
     return _accumulate(payoff, shape, mc)
 
 

@@ -35,19 +35,19 @@ _GL1_X, _GL1_W = np.polynomial.legendre.leggauss(7)
 _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 
 
+_SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
+
+
 @dataclass(frozen=True)
 class GridSpec:
     nodes_per_axis: int = 400
     time_steps: int = 200
-    span_sigmas: float = 6.0
 
     def __post_init__(self):
         if self.nodes_per_axis < 16:
             raise ValueError("nodes_per_axis must be at least 16")
         if self.time_steps < 8:
             raise ValueError("time_steps must be at least 8")
-        if not self.span_sigmas > 0:
-            raise ValueError("span_sigmas must positive")
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     var = _integrate_coeff(spec.diffusion, 0.0, T, spec.breakpoints)
     drift_shift = _integrate_coeff(
         lambda t: spec.drift(t) - 0.5 * spec.diffusion(t), 0.0, T, spec.breakpoints)
-    half = grid.span_sigmas * math.sqrt(max(var, 0.0)) + abs(drift_shift)
+    half = _SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(drift_shift)
     half = max(half, 1e-2)
     z = _log_grid(spec.anchor, half, grid.nodes_per_axis)
     d1, d2 = _stencils(z)
@@ -419,7 +419,7 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
         shift = _integrate_coeff(
             lambda t: float(np.asarray(drift_fn(t, x0, y0)).ravel()[0])
             - 0.5 * diff_fn(t), 0.0, T, bps)
-        half.append(max(grid.span_sigmas * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2))
+        half.append(max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2))
     xg = _log_grid(spec.anchor[0], half[0], grid.nodes_per_axis)
     yg = _log_grid(spec.anchor[1], half[1], grid.nodes_per_axis)
     sx = _stencils(xg)
@@ -462,49 +462,57 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
 # reduction gap
 
 
+def _swap_axes(spec2: Pde2Spec) -> Pde2Spec:
+    """The same equation with x and y exchanged."""
+    drift_x, drift_y, discount = spec2.drift_x, spec2.drift_y, spec2.discount
+    terminal = spec2.terminal
+    return Pde2Spec(
+        diffusion_xx=spec2.diffusion_yy,
+        diffusion_xy=spec2.diffusion_xy,
+        diffusion_yy=spec2.diffusion_xx,
+        drift_x=lambda t, X, Y: drift_y(t, Y, X),
+        drift_y=lambda t, X, Y: drift_x(t, Y, X),
+        discount=lambda t, X, Y: discount(t, Y, X),
+        terminal=lambda x, y: terminal(y, x),
+        maturity=spec2.maturity,
+        anchor=spec2.anchor[::-1],
+        breakpoints=spec2.breakpoints,
+    )
+
+
 def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
     """Quotient the 2-D equation by the numeraire axis.
 
     With y the numeraire and z = x/y, V = y U(z):
       U_t + (1/2)(axx - 2 axy + ayy) z^2 U_zz + (mux - muy) z U_z - (c - muy) U = 0,
       U(z, T) = terminal(z, 1).
-    The drift/discount combinations must be state-independent for the
-    reduction to hold; this is checked on a sample of states.
+    A numeraire on axis 0 swaps the axes first.  The drift/discount
+    combinations must be state-independent for the reduction to hold; this
+    is checked on a sample of states.
     """
+    if numeraire_axis == 0:
+        spec2 = _swap_axes(spec2)
+    elif numeraire_axis != 1:
+        raise ValueError("numeraire_axis must be 0 or 1")
     x0, y0 = spec2.anchor
     T = spec2.maturity
-
-    if numeraire_axis == 1:
-        own, other = spec2.drift_x, spec2.drift_y
-        anchor = x0 / y0
-        payoff = lambda z: np.asarray(spec2.terminal(np.asarray(z), np.asarray(1.0)), dtype=float)
-    elif numeraire_axis == 0:
-        own, other = spec2.drift_y, spec2.drift_x
-        anchor = y0 / x0
-        payoff = lambda z: np.asarray(spec2.terminal(np.asarray(1.0), np.asarray(z)), dtype=float)
-    else:
-        raise ValueError("numeraire_axis must be 0 or 1")
+    payoff = lambda z: np.asarray(spec2.terminal(np.asarray(z), np.asarray(1.0)), dtype=float)
 
     # state-independence / homogeneity checks on a coarse state sample
     scales = np.array([0.25, 1.0, 4.0])
     Xs = x0 * scales[:, None]
     Ys = y0 * scales[None, :]
     for t in (0.0, 0.5 * T, 0.999 * T):
-        dr = np.broadcast_to(np.asarray(own(t, Xs, Ys), dtype=float) -
-                             np.asarray(other(t, Xs, Ys), dtype=float), (3, 3))
-        dc = np.broadcast_to(np.asarray(spec2.discount(t, Xs, Ys), dtype=float) -
-                             np.asarray(other(t, Xs, Ys), dtype=float), (3, 3))
-        for arr, label in ((dr, "drift"), (dc, "discount")):
+        muy = np.asarray(spec2.drift_y(t, Xs, Ys), dtype=float)
+        for fn, label in ((spec2.drift_x, "drift"), (spec2.discount, "discount")):
+            arr = np.broadcast_to(np.asarray(fn(t, Xs, Ys), dtype=float) - muy, (3, 3))
             spread = float(np.max(arr) - np.min(arr))
             if spread > 1e-10 * (1.0 + float(np.max(np.abs(arr)))):
                 raise ReductionError(
                     f"reduced {label} coefficient is state-dependent (spread {spread:g})")
     a = 1.7
-    zs = anchor * np.array([0.5, 1.0, 2.0])
-    if numeraire_axis == 1:
-        t2 = np.asarray(spec2.terminal(a * zs, np.full_like(zs, a)), dtype=float)
-    else:
-        t2 = np.asarray(spec2.terminal(np.full_like(zs, a), a * zs), dtype=float)
+    zs = (x0 / y0) * np.array([0.5, 1.0, 2.0])
+    t2 = np.asarray(spec2.terminal(a * zs, np.full_like(zs, a)), dtype=float)
     t1v = np.asarray(payoff(zs), dtype=float)
     if np.max(np.abs(t2 - a * t1v)) > 1e-9 * (1.0 + float(np.max(np.abs(t2)))):
         raise ReductionError("terminal payoff is not homogeneous of degree one")
@@ -515,22 +523,13 @@ def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
     def scalar(fn, t):
         return float(np.asarray(fn(t, x0m, y0m)).ravel()[0])
 
-    if numeraire_axis == 1:
-        diffusion = lambda t: spec2.diffusion_xx(t) - 2.0 * spec2.diffusion_xy(t) + spec2.diffusion_yy(t)
-        drift = lambda t: scalar(spec2.drift_x, t) - scalar(spec2.drift_y, t)
-        discount = lambda t: scalar(spec2.discount, t) - scalar(spec2.drift_y, t)
-    else:
-        diffusion = lambda t: spec2.diffusion_yy(t) - 2.0 * spec2.diffusion_xy(t) + spec2.diffusion_xx(t)
-        drift = lambda t: scalar(spec2.drift_y, t) - scalar(spec2.drift_x, t)
-        discount = lambda t: scalar(spec2.discount, t) - scalar(spec2.drift_x, t)
-
     return Pde1Spec(
-        diffusion=diffusion,
-        drift=drift,
-        discount=discount,
+        diffusion=lambda t: spec2.diffusion_xx(t) - 2.0 * spec2.diffusion_xy(t) + spec2.diffusion_yy(t),
+        drift=lambda t: scalar(spec2.drift_x, t) - scalar(spec2.drift_y, t),
+        discount=lambda t: scalar(spec2.discount, t) - scalar(spec2.drift_y, t),
         terminal=payoff,
         maturity=T,
-        anchor=anchor,
+        anchor=x0 / y0,
         breakpoints=spec2.breakpoints,
     )
 
@@ -547,19 +546,16 @@ def reduction_gap(
     N is the numeraire coordinate and ratio the quotient coordinate.
     """
     full = solve_2d(spec2, grid)
-    reduced_spec = derive_reduced(spec2, numeraire_axis)
-    red = solve_1d(reduced_spec, grid)
+    red = solve_1d(derive_reduced(spec2, numeraire_axis), grid)
     x0, y0 = spec2.anchor
     if probes is None:
         cs = (0.95, 1.0, 1.05)
         probes = [(x0 * cx, y0 * cy) for cx in cs for cy in cs]
     worst = 0.0
-    for x, y in probes:
-        v2 = full(x, y, 0.0)
-        if numeraire_axis == 1:
-            v1 = y * red(x / y, 0.0)
-        else:
-            v1 = x * red(y / x, 0.0)
+    for probe in probes:
+        v2 = full(*probe, 0.0)
+        numeraire, other = probe[numeraire_axis], probe[1 - numeraire_axis]
+        v1 = numeraire * red(other / numeraire, 0.0)
         denom = max(abs(v2), abs(v1))
         gap = abs(v2 - v1) if denom < 1e-12 else abs(v2 - v1) / denom
         worst = max(worst, gap)

@@ -63,6 +63,32 @@ class TestDispatch:
         assert main(["price", "--input", spec, "--method", "bisection"]) == 2
 
 
+class TestFlags:
+    """Each command takes only the flags its usage line lists."""
+
+    def test_price_rejects_tol(self, tmp_path, capsys):
+        spec = _write(tmp_path, "esop.json", _esop_dict())
+        assert main(["price", "--input", spec, "--tol", "9"]) == 2
+
+    def test_verify_rejects_method(self, tmp_path, capsys):
+        spec = _write(tmp_path, "esop.json", _esop_dict())
+        assert main(["verify", "--input", spec, "--method", "pde_full"]) == 2
+
+    def test_reduce_rejects_simulation_and_grid_flags(self, tmp_path, capsys):
+        cfg = {"covariance": [[0.04, 0.0], [0.0, 0.09]],
+               "payoff": {"kind": "max"}}
+        path = _write(tmp_path, "problem.json", cfg)
+        assert main(["reduce", "--input", path]) == 0
+        for flag, value in (("--paths", "-5"), ("--method", "pde_full"),
+                            ("--tol", "9"), ("--grid-nodes", "64")):
+            assert main(["reduce", "--input", path, flag, value]) == 2
+
+    def test_curve_rejects_seed(self, tmp_path, capsys):
+        path = _write(tmp_path, "curve.json", VASICEK_CFG)
+        assert main(["curve", "--input", path]) == 0
+        assert main(["curve", "--input", path, "--seed", "3"]) == 2
+
+
 class TestPrice:
     def test_analytic_json(self, tmp_path, capsys):
         spec = _write(tmp_path, "esop.json", _esop_dict())
@@ -247,6 +273,18 @@ class TestReduce:
             "null_covariance_entry", "scalar_loading_row", "null_spots",
             "null_maturity"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, cfg):
+        path = _write(tmp_path, "problem.json", cfg)
+        assert main(["reduce", "--input", path]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [
+        {"covariance": [], "payoff": {"kind": "max"}},
+        {"covariance": [[0.04, 0.0], [0.0]], "payoff": {"kind": "max"}},
+        {"covariance": [[0.04, 0.0]], "payoff": {"kind": "max"}},
+        {"loadings": [[0.2], [0.1, 0.3]], "payoff": {"kind": "max"}},
+    ], ids=["empty_covariance", "ragged_covariance", "non_square_covariance",
+            "ragged_loadings"])
+    def test_malformed_shape_exits_two(self, tmp_path, capsys, cfg):
         path = _write(tmp_path, "problem.json", cfg)
         assert main(["reduce", "--input", path]) == 2
         assert "Traceback" not in capsys.readouterr().err

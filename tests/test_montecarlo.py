@@ -17,6 +17,7 @@ from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
 from numerkit.montecarlo import (
     McSpec,
     _accumulate,
+    _lognormal_sampler,
     _psd_root,
     _rate_asset_sampler,
     _vasicek_law,
@@ -24,6 +25,7 @@ from numerkit.montecarlo import (
     price_mc,
     sample_vasicek,
 )
+from numerkit.products import formulations
 from numerkit.ratecurve import VasicekModel, a_factor, b_factor, bond_price
 
 VAS = VasicekModel(theta=0.5, mu_r=0.05, sigma_r=0.01, lam=0.0, r0=0.03)
@@ -188,6 +190,26 @@ class TestJointLaw:
         res = price_mc(spec, McSpec(paths=100_000, seed=7))
         assert math.isfinite(res.estimate) and res.std_error > 0.0
         assert abs(res.estimate - reference(spec)) < 4.0 * res.std_error
+
+
+class TestLognormalLaw:
+    """The exact draw of (X_T, Y_T) behind every constant-rate formulation:
+    discounted at the short rate, each asset averages to its spot net of
+    its yield, x0 e^{-q_x T} and y0 e^{-q_y T}."""
+
+    @pytest.mark.parametrize("axis", [0, 1], ids=["x", "y"])
+    @pytest.mark.parametrize("product,label", [
+        (ESOP, "esop"), (FX, "fx_usd"), (FX, "fx_gbp"), (SAVINGS, "savings"),
+    ], ids=["esop", "fx_usd", "fx_gbp", "savings"])
+    def test_discounted_assets_average_to_forward_spots(self, product, label,
+                                                        axis):
+        (f,) = [g for g in formulations(product) if g.label == label]
+        leg = replace(f, terminal=lambda x, y: (x, y)[axis])
+        payoff, shape = _lognormal_sampler(leg)
+        res = _accumulate(payoff, shape, McSpec(paths=200_000, seed=31))
+        ref = f.anchor[axis] * math.exp(-(f.q_x, f.q_y)[axis] * f.maturity)
+        assert res.std_error > 0.0
+        assert abs(res.estimate - ref) < 4.0 * res.std_error
 
 
 class TestSampleVasicek:

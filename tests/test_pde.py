@@ -55,10 +55,6 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(time_steps=7)
 
-    def test_bad_span(self):
-        with pytest.raises(ValueError):
-            GridSpec(span_sigmas=0.0)
-
 
 class TestSolve1D:
     def test_constant_preserved(self):

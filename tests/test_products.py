@@ -1,0 +1,104 @@
+"""Product descriptions: what they may depend on, and the quadrature they
+derive against the closed forms on random valid specs."""
+
+import ast
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from numerkit import products
+from numerkit.errors import PricingError
+from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
+from numerkit.ratecurve import VasicekModel
+from numerkit.verify import price_with_method
+
+
+class TestIndependence:
+    """The description feeds every route but the closed form, so it must not
+    borrow from the closed forms what the routes check them on."""
+
+    TREE = ast.parse(Path(products.__file__).read_text())
+
+    def test_does_not_import_analytic(self):
+        imported = set()
+        for node in ast.walk(self.TREE):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+        assert not any("analytic" in name for name in imported)
+
+    def test_does_not_call_closed_form_variance(self):
+        names = {node.attr for node in ast.walk(self.TREE)
+                 if isinstance(node, ast.Attribute)}
+        names |= {node.id for node in ast.walk(self.TREE)
+                  if isinstance(node, ast.Name)}
+        assert "integrated_variance" not in names
+
+
+class TestFormulations:
+    def test_no_numeraire_cannot_quotient(self):
+        fx = FxStrike(sigma_s=0.2, sigma_x=0.1, rho=0.3, r_d=0.05, r_p=0.03,
+                      spot=100.0, fx=1.3, maturity=1.0)
+        usd = products.formulations(fx)[0]
+        assert usd.numeraire_axis is None
+        with pytest.raises(PricingError):
+            products.quadrature_problem(usd)
+
+
+# ---------------------------------------------------------------------------
+# derived quadrature against the closed forms on random valid specs
+
+_vol = st.floats(0.02, 0.8)
+_rho = st.floats(-0.95, 0.95)
+_rate = st.floats(-0.02, 0.1)
+_time = st.floats(0.05, 5.0)
+_spot = st.floats(0.5, 200.0)
+_vasicek = st.builds(
+    VasicekModel, theta=st.floats(0.05, 2.0), mu_r=st.floats(-0.01, 0.1),
+    sigma_r=st.floats(0.0, 0.03), lam=st.floats(-0.3, 0.3),
+    r0=st.floats(-0.02, 0.1))
+
+_PRODUCTS = st.one_of(
+    st.builds(lambda beta, t0, gap, sigma, rate, spot: Esop(
+        beta=beta, t_reset=t0, maturity=t0 + gap, sigma=sigma, rate=rate,
+        spot=spot), st.floats(0.0, 1.0), _time, _time, _vol, _rate, _spot),
+    st.builds(FxStrike, sigma_s=_vol, sigma_x=_vol, rho=_rho, r_d=_rate,
+              r_p=_rate, spot=_spot, fx=st.floats(0.2, 5.0), maturity=_time),
+    st.builds(Savings, sigma_x=_vol, sigma_i=_vol, rho=_rho, r_d=_rate,
+              r_f=_rate, fx=st.floats(0.1, 5.0),
+              price_level=st.floats(0.5, 2.0), maturity=_time),
+    st.builds(lambda sigma, rho, t_ex, gap, spot, vas: Convertible(
+        sigma_s=sigma, rho=rho, conv_date=t_ex, bond_maturity=t_ex + gap,
+        spot=spot, vasicek=vas), _vol, _rho, _time, _time,
+        st.floats(0.2, 5.0), _vasicek),
+    st.builds(Corporate, shares=st.integers(1, 10_000_000),
+              bonds=st.integers(0, 100_000), conv_rate=st.floats(0.1, 10.0),
+              face=st.floats(0.0, 100.0), sigma_v=_vol, rho=_rho,
+              maturity=_time, firm_value=st.floats(1.0, 1e7),
+              vasicek=_vasicek),
+)
+
+
+def _notional(p) -> float:
+    """Today's size of the two legs the claim exchanges, bonds at par."""
+    if isinstance(p, Esop):
+        return p.spot
+    if isinstance(p, FxStrike):
+        return p.spot * p.fx
+    if isinstance(p, Savings):
+        return p.price_level + 1.0
+    if isinstance(p, Convertible):
+        return p.spot + 1.0
+    return p.face + p.dilution * p.firm_value
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(product=_PRODUCTS)
+def test_derived_quadrature_matches_closed_form(product):
+    quadrature = price_with_method(product, "quadrature").value
+    analytic = price_with_method(product, "analytic").value
+    assert abs(quadrature - analytic) <= 1e-9 * _notional(product)

@@ -144,6 +144,21 @@ class TestVerifyProduct:
         assert report.max_rel_gap_deterministic <= 1e-10
         assert report.passed
 
+    def test_deterministic_payoff_passes(self):
+        # sigma_r = 0 and a firm too small ever to convert: every path pays
+        # the face at a known discount, so the standard error is rounding
+        # noise and the z-score must not divide by it
+        product = replace(_corporate_zero_face(), face=1.0, firm_value=1000.0,
+                          vasicek=replace(VAS, sigma_r=0.0))
+        report = verify_product(product, grid=COARSE,
+                                mc=McSpec(paths=20_000, seed=0))
+        q = report.quotes["monte_carlo"]
+        assert q.std_error < 1e-15
+        assert q.value == pytest.approx(report.quotes["analytic"].value,
+                                        rel=1e-14)
+        assert report.mc_z_score < 1e-2
+        assert report.passed
+
     def test_deterministic_only_skips_z_score(self):
         report = verify_product(_esop_plain(beta=0.0), grid=COARSE,
                                 methods=DETERMINISTIC_METHODS)
