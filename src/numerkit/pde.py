@@ -13,7 +13,9 @@ Time stepping:
   * the first interval after the terminal date and after every declared
     coefficient breakpoint is damped: two implicit half-steps (Rannacher),
   * the 2-D scheme is a Craig-Sneyd predictor-corrector with the mixed
-    derivative treated explicitly, theta = 1/2.
+    derivative treated explicitly, theta = 1/2,
+  * each step factors I - (dt/2) L once per axis (``_Tridiag``), and the 1-D
+    solver holds one factorisation while its coefficients and dt repeat.
 
 Terminal data is smoothed by cell averaging over a symmetric-in-z window per
 node (Gauss-Legendre), which restores smooth convergence at payoff kinks while
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import GridExtrapolationError, ReductionError, TimeDomainError
 
@@ -36,6 +38,13 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 
 
 _SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
+
+# Largest float64 footprint a solve may allocate, checked from its GridSpec
+# before any array is built: the stored levels plus _VECTORS_1D working
+# vectors of a 1-D solve, or the _PLANES_2D working planes of a 2-D one.
+_BUDGET_BYTES = 2 ** 30
+_VECTORS_1D = 48
+_PLANES_2D = 40
 
 
 @dataclass(frozen=True)
@@ -90,31 +99,51 @@ class Pde2Spec:
 # shared plumbing
 
 
-def _time_grid(maturity: float, steps: int, breakpoints) -> np.ndarray:
-    """Uniform-ish partition of [0, T] with nodes forced onto breakpoints."""
+def _check_budget(cells: int, what: str) -> None:
+    """Refuse a grid of ``cells`` float64 values over the budget."""
+    need = 8 * cells
+    if need > _BUDGET_BYTES:
+        raise ValueError(
+            f"{what} needs about {need / 2**20:,.0f} MB, over the "
+            f"{_BUDGET_BYTES >> 20} MB grid budget; use fewer nodes or steps")
+
+
+def _time_grid(maturity: float, steps: int, breakpoints):
+    """(times, lengths): a partition of [0, T] with nodes on the breakpoints,
+    and the length of each step.
+
+    A segment of n steps takes its nodes from ``linspace``, so every
+    breakpoint is a node, and one nominal length (b - a) / n for all its
+    steps, so the steps of a segment are bit-equal.
+    """
     cuts = sorted({0.0, maturity, *(b for b in breakpoints if 0.0 < b < maturity)})
     lengths = np.diff(cuts)
     # allocate steps proportionally, at least one per segment
     alloc = np.maximum(1, np.round(steps * lengths / maturity).astype(int))
-    levels = [np.array([0.0])]
+    levels, steps_out = [np.array([0.0])], []
     for (a, b), n in zip(zip(cuts[:-1], cuts[1:]), alloc):
         levels.append(np.linspace(a, b, n + 1)[1:])
-    return np.concatenate(levels)
+        steps_out.append(np.full(n, (b - a) / n))
+    return np.concatenate(levels), np.concatenate(steps_out)
 
 
-def _integrate_coeff(fn, a: float, b: float, breakpoints, n: int = 256) -> float:
-    """Midpoint-rule integral of a scalar coefficient, split at breakpoints.
+def _half_width(diffusion, drift, maturity: float, breakpoints, n: int = 256) -> float:
+    """Log-space grid half-width: _SPAN_SIGMAS standard deviations of the
+    integrated diffusion plus the integrated log drift, at least 1e-2.
 
-    Midpoints on purpose: several discount coefficients are singular exactly
-    at the terminal date and must never be sampled there.
+    Midpoint sums split at breakpoints, each coefficient evaluated once per
+    midpoint.  Midpoints on purpose: several discount coefficients are
+    singular exactly at the terminal date and must never be sampled there.
     """
-    total = 0.0
-    cuts = sorted({a, b, *(c for c in breakpoints if a < c < b)})
+    var = shift = 0.0
+    cuts = sorted({0.0, maturity, *(c for c in breakpoints if 0.0 < c < maturity)})
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         h = (hi - lo) / n
-        ts = lo + (np.arange(n) + 0.5) * h
-        total += h * float(sum(fn(float(t)) for t in ts))
-    return total
+        ts = [float(t) for t in lo + (np.arange(n) + 0.5) * h]
+        diff = [diffusion(t) for t in ts]
+        var += h * float(sum(diff))
+        shift += h * float(sum(drift(t) - 0.5 * a for t, a in zip(ts, diff)))
+    return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
 
 
 def _log_grid(anchor: float, half_width: float, nodes: int) -> np.ndarray:
@@ -179,85 +208,76 @@ def _cell_average_2d(payoff, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.einsum("ijab,a,b->ij", vals, w, w)
 
 
-def _tridiag_solve_batch(lower, diag, upper, rhs):
-    """Thomas algorithm along axis 0, vectorized over axis 1.
+def _bands(a, b, c, s2, s1):
+    """(lower, diag, upper) of L = a s2 + b s1 - c, for the scaled stencils
+    s2 = z^2 D2 / 2 and s1 = z D1 and coefficients broadcast against them."""
+    lower, diag, upper = a * s2 + b * s1
+    return lower, diag - c, upper
 
-    Band arrays may have batch size 1 (shared matrix) while rhs is wide.
-    """
-    n = rhs.shape[0]
-    cp = np.empty((n,) + ((rhs.shape[1],) if lower.shape[1] > 1 else (1,)))
-    out = np.empty_like(rhs)
-    inv = 1.0 / diag[0]
-    cp[0] = upper[0] * inv
-    out[0] = rhs[0] * inv
-    for i in range(1, n):
-        inv = 1.0 / (diag[i] - lower[i] * cp[i - 1])
-        cp[i] = upper[i] * inv
-        out[i] = (rhs[i] - lower[i] * out[i - 1]) * inv
-    for i in range(n - 2, -1, -1):
-        out[i] -= cp[i] * out[i + 1]
+
+def _apply(bands, v):
+    """The tridiagonal matrix of ``bands`` times v, along axis 0."""
+    lower, diag, upper = bands
+    out = diag * v
+    out[1:] += lower[1:] * v[:-1]
+    out[:-1] += upper[:-1] * v[1:]
     return out
 
 
-class _LineOperator:
-    """Tridiagonal operator along one axis of a 2-D array (or a vector).
+class _Tridiag:
+    """A tridiagonal L acting along axis 0, with I - h L factored for one h.
 
-    Holds band arrays shaped (n, m) with m the batch width (possibly 1 for a
-    batch-shared matrix).  ``axis`` selects which array axis the bands act on.
+    ``diag`` is (n,) for a single line, (n, 1) when every line of an (n, m)
+    plane sees the same matrix, or (n, m) for one matrix per line; the
+    off-diagonals broadcast against it.  One matrix is factored by LAPACK
+    ``gttrf`` and solved by ``gttrs`` wherever each line of the operand is
+    contiguous in memory (a vector, or a transposed plane).  Where the lines
+    interleave (a C-order plane) or each has its own matrix, a Thomas sweep
+    vectorised over the lines factors and solves; a matrix shared by every
+    line is swept on Python floats.  Either factorisation serves any number
+    of solves.
     """
 
-    def __init__(self, lower, diag, upper, axis: int):
-        self.lower, self.diag, self.upper = lower, diag, upper
-        self.axis = axis
-
-    def _oriented(self, v):
-        return v if self.axis == 0 else v.T
+    def __init__(self, lower, diag, upper, h: float):
+        self.bands = (lower, diag, upper)
+        lo, di, up = -h * lower, 1.0 - h * diag, -h * upper
+        self._lu = None
+        n = di.shape[0]
+        if di.size == n:
+            lo, di, up = lo.ravel(), di.ravel(), up.ravel()
+            *self._lu, info = dgttrf(lo[1:], di, up[:-1])
+            if info:
+                raise np.linalg.LinAlgError("singular tridiagonal system")
+            if diag.ndim == 1:
+                return
+            lo, di, up = lo.tolist(), di.tolist(), up.tolist()
+            cp, inv = [0.0] * n, [0.0] * n
+        else:
+            cp, inv = np.empty(di.shape), np.empty(di.shape)
+        inv[0] = 1.0 / di[0]
+        cp[0] = up[0] * inv[0]
+        for i in range(1, n):
+            inv[i] = 1.0 / (di[i] - lo[i] * cp[i - 1])
+            cp[i] = up[i] * inv[i]
+        self._sweep = (lo, cp, inv)
 
     def apply(self, v):
-        w = self._oriented(v)
-        out = self.diag * w
-        out[1:] += self.lower[1:] * w[:-1]
-        out[:-1] += self.upper[:-1] * w[1:]
-        return out if self.axis == 0 else out.T
+        """L v."""
+        return _apply(self.bands, v)
 
-    def solve_shifted(self, rhs, wdt):
-        """Solve (I - wdt * L) u = rhs along the operator axis."""
-        r = self._oriented(rhs)
-        lo = -wdt * self.lower
-        di = 1.0 - wdt * self.diag
-        up = -wdt * self.upper
-        if lo.shape[1] == 1:
-            n = r.shape[0]
-            ab = np.zeros((3, n))
-            ab[0, 1:] = up[:-1, 0]
-            ab[1] = di[:, 0]
-            ab[2, :-1] = lo[1:, 0]
-            out = solve_banded((1, 1), ab, r, overwrite_ab=True, check_finite=False)
-        else:
-            out = _tridiag_solve_batch(lo, di, up, r)
-        return out if self.axis == 0 else out.T
-
-
-def _bands_from_coeffs(alpha, beta, gamma, d1, d2):
-    """Assemble L = alpha*D2 + beta*D1 - gamma as band arrays.
-
-    Inputs broadcast against (n, 1); the three returned bands share a common
-    batch width (1 when every line along the batch axis sees the same matrix,
-    which selects the fast multi-rhs banded solve).
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    gamma = np.atleast_2d(np.asarray(gamma, dtype=float))
-    lower = alpha * d2[0][:, None] + beta * d1[0][:, None]
-    diag = alpha * d2[1][:, None] + beta * d1[1][:, None] - gamma
-    upper = alpha * d2[2][:, None] + beta * d1[2][:, None]
-    n = d1.shape[1]
-    m = max(lower.shape[1], diag.shape[1], upper.shape[1])
-    out = []
-    for band in (lower, diag, upper):
-        tgt = (n, m)
-        out.append(np.ascontiguousarray(np.broadcast_to(band, tgt)))
-    return tuple(out)
+    def solve(self, rhs):
+        """u with (I - h L) u = rhs; rhs may be overwritten."""
+        if self._lu is not None and rhs.flags.f_contiguous:
+            return dgttrs(*self._lu, rhs, overwrite_b=1)[0]
+        lo, cp, inv = self._sweep
+        n = rhs.shape[0]
+        rhs[0] *= inv[0]
+        for i in range(1, n):
+            rhs[i] -= lo[i] * rhs[i - 1]
+            rhs[i] *= inv[i]
+        for i in range(n - 2, -1, -1):
+            rhs[i] -= cp[i] * rhs[i + 1]
+        return rhs
 
 
 # ---------------------------------------------------------------------------
@@ -287,42 +307,39 @@ class Solution1D:
 
 
 def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
-    """Crank-Nicolson solve of a Pde1Spec; returns a callable U(z, t)."""
-    T = spec.maturity
-    var = _integrate_coeff(spec.diffusion, 0.0, T, spec.breakpoints)
-    drift_shift = _integrate_coeff(
-        lambda t: spec.drift(t) - 0.5 * spec.diffusion(t), 0.0, T, spec.breakpoints)
-    half = _SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(drift_shift)
-    half = max(half, 1e-2)
-    z = _log_grid(spec.anchor, half, grid.nodes_per_axis)
-    d1, d2 = _stencils(z)
+    """Crank-Nicolson solve of a Pde1Spec; returns a callable U(z, t).
 
-    times = _time_grid(T, grid.time_steps, spec.breakpoints)
+    Each step evaluates the coefficients once and factors I - (dt/2) L only
+    when they or dt differ from the step before, so a segment of constant
+    coefficients holds one factorisation throughout.
+    """
+    n, levels = grid.nodes_per_axis, grid.time_steps + len(spec.breakpoints) + 2
+    _check_budget((levels + _VECTORS_1D) * n, "a 1-D solve")
+    T = spec.maturity
+    half = _half_width(spec.diffusion, spec.drift, T, spec.breakpoints)
+    z = _log_grid(spec.anchor, half, n)
+    d1, d2 = _stencils(z)
+    s2, s1 = 0.5 * z * z * d2, z * d1
+
+    times, steps = _time_grid(T, grid.time_steps, spec.breakpoints)
     restart = {T, *(b for b in spec.breakpoints if 0.0 < b < T)}
     values = np.empty((times.size, z.size))
     values[-1] = _cell_average_1d(spec.terminal, z)
 
-    z2 = z * z
-
-    def bands_at(t_mid):
-        alpha = 0.5 * spec.diffusion(t_mid) * z2
-        beta = spec.drift(t_mid) * z
-        gamma = spec.discount(t_mid)
-        return _bands_from_coeffs(alpha[:, None], beta[:, None], gamma, d1, d2)
-
+    held = None
     u = values[-1].copy()
     for k in range(times.size - 2, -1, -1):
-        t0, t1 = times[k], times[k + 1]
-        dt = t1 - t0
-        if t1 in restart:
-            # Rannacher: two implicit half steps, coefficients at half midpoints
-            for frac in (0.75, 0.25):
-                op = _LineOperator(*bands_at(t0 + frac * dt), axis=0)
-                u = op.solve_shifted(u[:, None], 0.5 * dt)[:, 0]
-        else:
-            op = _LineOperator(*bands_at(0.5 * (t0 + t1)), axis=0)
-            rhs = u[:, None] + 0.5 * dt * op.apply(u[:, None])
-            u = op.solve_shifted(rhs, 0.5 * dt)[:, 0]
+        t0, dt = times[k], steps[k]
+        damped = times[k + 1] in restart
+        # Rannacher: two implicit half steps, coefficients at half midpoints
+        for t in (t0 + 0.75 * dt, t0 + 0.25 * dt) if damped else (t0 + 0.5 * dt,):
+            key = (spec.diffusion(t), spec.drift(t), spec.discount(t), 0.5 * dt)
+            if key != held:
+                held, h = key, key[3]
+                lower, diag, upper = _bands(*key[:3], s2, s1)
+                op = _Tridiag(lower, diag, upper, h)
+                explicit = (h * lower, 1.0 + h * diag, h * upper)  # I + h L
+            u = op.solve(u if damped else _apply(explicit, u))
         values[k] = u
     return Solution1D(z, times, values)
 
@@ -362,9 +379,11 @@ class Solution2D:
 
 
 class _Ops2D:
-    """Frozen-coefficient operators for one time step."""
+    """Frozen-coefficient operators for one time step: ``op1`` along x and
+    ``op2`` along y (acting on transposed planes), each factored for h.
+    ``sx`` and ``sy`` hold an axis's stencil D1 and its scaled stencils."""
 
-    def __init__(self, spec, xg, yg, sx, sy, t_mid):
+    def __init__(self, spec, xg, yg, sx, sy, t_mid, h):
         axx = float(spec.diffusion_xx(t_mid))
         axy = float(spec.diffusion_xy(t_mid))
         ayy = float(spec.diffusion_yy(t_mid))
@@ -373,20 +392,31 @@ class _Ops2D:
         mux = np.asarray(spec.drift_x(t_mid, X, Y), dtype=float)
         muy = np.asarray(spec.drift_y(t_mid, X, Y), dtype=float)
         c = np.asarray(spec.discount(t_mid, X, Y), dtype=float)
-        alpha1 = 0.5 * axx * (xg * xg)[:, None]
-        beta1 = np.atleast_2d(mux) * X
         gamma = 0.5 * np.atleast_2d(c)
-        self.op1 = _LineOperator(
-            *_bands_from_coeffs(alpha1, beta1, gamma, sx[0], sx[1]), axis=0)
-        alpha2 = 0.5 * ayy * (yg * yg)[:, None]
-        beta2t = (np.atleast_2d(muy) * Y).T
-        gammat = gamma.T
-        self.op2 = _LineOperator(
-            *_bands_from_coeffs(alpha2, beta2t, gammat, sy[0], sy[1]), axis=1)
+        self.h = h
+        self.op1 = _Tridiag(*_bands(axx, np.atleast_2d(mux), gamma, *sx[1:]), h)
+        self.op2 = _Tridiag(*_bands(ayy, np.atleast_2d(muy).T, gamma.T, *sy[1:]), h)
         self.mixed_coeff = axy * np.outer(xg, yg)
         self._d1x = sx[0]
         self._d1y = sy[0]
         self._has_mixed = axy != 0.0
+
+    def advance(self, w, explicit, corrected):
+        """One stage from w: the explicit predictor (step ``explicit``), then
+        the implicit corrections along x and along y; ``corrected`` adds the
+        Craig-Sneyd update of the mixed term and a second pair."""
+        a1w = self.op1.apply(w)
+        a2w = self.op2.apply(w.T).T
+        a0w = self.apply_mixed(w)
+        y0 = w + explicit * (a0w + a1w + a2w)
+        w = self._correct(y0, a1w, a2w)
+        if corrected:
+            w = self._correct(y0 + self.h * (self.apply_mixed(w) - a0w), a1w, a2w)
+        return w
+
+    def _correct(self, y, a1w, a2w):
+        y1 = self.op1.solve(y - self.h * a1w)
+        return self.op2.solve((y1 - self.h * a2w).T).T
 
     def apply_mixed(self, v):
         if not self._has_mixed:
@@ -405,55 +435,39 @@ class _Ops2D:
 
 
 def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
-    """Craig-Sneyd ADI solve of a Pde2Spec; returns V(x, y, t) at t = 0, T."""
-    T = spec.maturity
-    bps = spec.breakpoints
-    half = []
-    x0 = np.array([[spec.anchor[0]]])
-    y0 = np.array([[spec.anchor[1]]])
-    for diff_fn, drift_fn in (
-        (spec.diffusion_xx, spec.drift_x),
-        (spec.diffusion_yy, spec.drift_y),
-    ):
-        var = _integrate_coeff(diff_fn, 0.0, T, bps)
-        shift = _integrate_coeff(
-            lambda t: float(np.asarray(drift_fn(t, x0, y0)).ravel()[0])
-            - 0.5 * diff_fn(t), 0.0, T, bps)
-        half.append(max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2))
-    xg = _log_grid(spec.anchor[0], half[0], grid.nodes_per_axis)
-    yg = _log_grid(spec.anchor[1], half[1], grid.nodes_per_axis)
-    sx = _stencils(xg)
-    sy = _stencils(yg)
+    """Craig-Sneyd ADI solve of a Pde2Spec; returns V(x, y, t) at t = 0, T.
 
-    times = _time_grid(T, grid.time_steps, bps)
+    Each step factors I - (dt/2) L along each axis once and uses that
+    factorisation for the predictor and the corrector.
+    """
+    n, T, bps = grid.nodes_per_axis, spec.maturity, spec.breakpoints
+    levels = grid.time_steps + len(bps) + 2  # the time grid's nodes and lengths
+    _check_budget(_PLANES_2D * n * n + 2 * levels, "a 2-D solve")
+    x0, y0 = spec.anchor
+    half = [_half_width(diff_fn, lambda t, f=drift_fn: float(f(t, x0, y0)), T, bps)
+            for diff_fn, drift_fn in ((spec.diffusion_xx, spec.drift_x),
+                                      (spec.diffusion_yy, spec.drift_y))]
+    xg = _log_grid(x0, half[0], n)
+    yg = _log_grid(y0, half[1], n)
+    sx, sy = ((d1, (0.5 * g * g * d2)[..., None], (g * d1)[..., None])
+              for g, (d1, d2) in ((xg, _stencils(xg)), (yg, _stencils(yg))))
+
+    times, steps = _time_grid(T, grid.time_steps, bps)
     restart = {T, *(b for b in bps if 0.0 < b < T)}
     values = np.empty((2, xg.size, yg.size))
     values[1] = _cell_average_2d(spec.terminal, xg, yg)
 
     w = values[1].copy()
-    theta = 0.5
     for k in range(times.size - 2, -1, -1):
-        t0, t1 = times[k], times[k + 1]
-        dt = t1 - t0
-        if t1 in restart:
-            # damped start: two implicit (Douglas theta=1) half steps
-            for frac in (0.75, 0.25):
-                ops = _Ops2D(spec, xg, yg, sx, sy, t0 + frac * dt)
-                h = 0.5 * dt
-                y0 = w + h * (ops.apply_mixed(w) + ops.op1.apply(w) + ops.op2.apply(w))
-                y1 = ops.op1.solve_shifted(y0 - h * ops.op1.apply(w), h)
-                w = ops.op2.solve_shifted(y1 - h * ops.op2.apply(w), h)
-        else:
-            ops = _Ops2D(spec, xg, yg, sx, sy, 0.5 * (t0 + t1))
-            a1w = ops.op1.apply(w)
-            a2w = ops.op2.apply(w)
-            a0w = ops.apply_mixed(w)
-            y0 = w + dt * (a0w + a1w + a2w)
-            y1 = ops.op1.solve_shifted(y0 - theta * dt * a1w, theta * dt)
-            y2 = ops.op2.solve_shifted(y1 - theta * dt * a2w, theta * dt)
-            y0h = y0 + 0.5 * dt * (ops.apply_mixed(y2) - a0w)
-            y1h = ops.op1.solve_shifted(y0h - theta * dt * a1w, theta * dt)
-            w = ops.op2.solve_shifted(y1h - theta * dt * a2w, theta * dt)
+        t0, dt = times[k], steps[k]
+        h = 0.5 * dt  # theta dt with theta = 1/2, and the damped half step
+        damped = times[k + 1] in restart
+        # damped start: two implicit (Douglas theta=1) half steps
+        stages = ((t0 + 0.75 * dt, h), (t0 + 0.25 * dt, h)) if damped else ((t0 + h, dt),)
+        for t, explicit in stages:
+            # built per stage and dropped after it, so no two stages' operators
+            # and factorisations are alive at once
+            w = _Ops2D(spec, xg, yg, sx, sy, t, h).advance(w, explicit, not damped)
     values[0] = w
     return Solution2D(xg, yg, np.array([0.0, T]), values)
 
@@ -517,11 +531,8 @@ def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
     if np.max(np.abs(t2 - a * t1v)) > 1e-9 * (1.0 + float(np.max(np.abs(t2)))):
         raise ReductionError("terminal payoff is not homogeneous of degree one")
 
-    x0m = np.array([[x0]])
-    y0m = np.array([[y0]])
-
     def scalar(fn, t):
-        return float(np.asarray(fn(t, x0m, y0m)).ravel()[0])
+        return float(fn(t, x0, y0))
 
     return Pde1Spec(
         diffusion=lambda t: spec2.diffusion_xx(t) - 2.0 * spec2.diffusion_xy(t) + spec2.diffusion_yy(t),

@@ -169,6 +169,13 @@ class TestPrice:
                          "--paths", "1000"]) == 2
             assert "sigma must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["pde_reduced", "pde_full"])
+    def test_oversized_grid_exits_two(self, tmp_path, capsys, method):
+        spec = _write(tmp_path, "esop.json", _esop_dict())
+        assert main(["price", "--input", spec, "--method", method,
+                     "--grid-nodes", "100000000"]) == 2
+        assert "grid budget" in capsys.readouterr().err
+
     def test_missing_input(self, capsys):
         assert main(["price"]) == 2
         assert "--input is required" in capsys.readouterr().err

@@ -2,10 +2,12 @@
 exactness on linear data, convergence order, and the reduction-gap diagnostic."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from numerkit import pde
 from numerkit.analytic import bs_call
 from numerkit.errors import GridExtrapolationError, ReductionError, TimeDomainError
 from numerkit.pde import (
@@ -54,6 +56,124 @@ class TestGridSpec:
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
             GridSpec(time_steps=7)
+
+
+class TestGridBudget:
+    """An oversized grid is refused from its GridSpec, before allocation."""
+
+    @pytest.mark.parametrize("grid", [GridSpec(10**8, 200), GridSpec(16, 10**10)])
+    @pytest.mark.parametrize("solve, spec", [
+        (solve_1d, _call_spec_1d()), (solve_2d, _exchange_spec_2d())])
+    def test_oversized_grid_raises_before_allocating(self, solve, spec, grid):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="budget"):
+                solve(spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+
+def _dense(lower, diag, upper):
+    return np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
+
+
+class TestTridiagKernel:
+    """The factored (I - h L) kernel against dense linear algebra."""
+
+    N, M, H = 50, 7, 0.01
+    RNG = np.random.default_rng(20131031)
+
+    def _bands(self, *batch):
+        shape = (self.N, *batch)
+        return (self.RNG.uniform(0.0, 5.0, shape), self.RNG.uniform(-12.0, -1.0, shape),
+                self.RNG.uniform(0.0, 5.0, shape))
+
+    def _shifted(self, bands, col=None):
+        lower, diag, upper = (b if col is None else b[:, col] for b in bands)
+        return np.eye(self.N) - self.H * _dense(lower, diag, upper)
+
+    def test_single_system(self):
+        bands = self._bands()
+        rhs = self.RNG.normal(size=self.N)
+        ref = np.linalg.solve(self._shifted(bands), rhs)
+        op = pde._Tridiag(*bands, self.H)
+        assert np.max(np.abs(op.solve(rhs.copy()) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.allclose(op.apply(rhs), _dense(*bands) @ rhs, rtol=1e-13, atol=0.0)
+
+    def test_shared_matrix_many_right_hand_sides(self):
+        bands = tuple(b[:, None] for b in self._bands())
+        rhs = self.RNG.normal(size=(self.N, self.M))
+        op = pde._Tridiag(*bands, self.H)
+        ref = np.linalg.solve(self._shifted(bands, 0), rhs)
+        # rows interleave the lines in C order (Thomas sweep); each line is
+        # contiguous in F order (LAPACK)
+        for order in "CF":
+            got = op.solve(rhs.copy(order=order))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+            # the one factorisation serves a second solve
+            assert np.array_equal(op.solve(rhs.copy(order=order)), got)
+
+    def test_one_matrix_per_column(self):
+        bands = self._bands(self.M)
+        rhs = self.RNG.normal(size=(self.N, self.M))
+        op = pde._Tridiag(*bands, self.H)
+        got = op.solve(rhs.copy())
+        for j in range(self.M):
+            ref = np.linalg.solve(self._shifted(bands, j), rhs[:, j])
+            assert np.max(np.abs(got[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestTimeGrid:
+    def test_steps_bit_equal_per_segment_and_breakpoints_are_nodes(self):
+        maturity, breakpoints = 1.7, (0.3, 1.1)
+        times, steps = pde._time_grid(maturity, 200, breakpoints)
+        assert steps.size == times.size - 1
+        assert times[0] == 0.0 and times[-1] == maturity
+        cuts = [0.0, *breakpoints, maturity]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            assert a in times and b in times
+            inside = (times[:-1] >= a) & (times[1:] <= b)
+            seg = steps[inside]
+            assert np.all(seg == seg[0])
+            assert seg[0] == (b - a) / seg.size
+            assert np.allclose(np.diff(times)[inside], seg, rtol=1e-12, atol=0.0)
+
+
+class _Fresh(float):
+    """A coefficient value that never equals another, so a solve built on it
+    factors I - h L again at every step."""
+
+    def __eq__(self, other):
+        return False
+
+    def __ne__(self, other):
+        return True
+
+    __hash__ = float.__hash__
+
+
+class TestHeldFactorisation:
+    def _spec(self, wrap):
+        return Pde1Spec(
+            diffusion=lambda t: wrap(0.09 if t < 0.4 else 0.01),
+            drift=lambda t: wrap(0.02), discount=lambda t: wrap(0.05),
+            terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0,
+            breakpoints=(0.4,))
+
+    def test_held_factorisation_matches_factoring_every_step(self, monkeypatch):
+        calls = []
+        factor = pde.dgttrf
+        monkeypatch.setattr(pde, "dgttrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        grid = GridSpec(120, 40)
+        held = solve_1d(self._spec(float), grid)
+        held_factors = len(calls)
+        fresh = solve_1d(self._spec(_Fresh), grid)
+        # one factorisation per constant segment against one per implicit solve
+        assert held_factors == 2
+        assert len(calls) - held_factors == grid.time_steps + 2
+        assert np.array_equal(held.values, fresh.values)
 
 
 class TestSolve1D:

@@ -1,5 +1,5 @@
-"""Product descriptions: what they may depend on, and the quadrature they
-derive against the closed forms on random valid specs."""
+"""Product descriptions: what they may depend on, and the quadrature and
+reduced PDE they derive against the closed forms on random valid specs."""
 
 import ast
 from pathlib import Path
@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from numerkit import products
 from numerkit.errors import PricingError
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
+from numerkit.pde import GridSpec
 from numerkit.ratecurve import VasicekModel
 from numerkit.verify import price_with_method
 
@@ -102,3 +103,45 @@ def test_derived_quadrature_matches_closed_form(product):
     quadrature = price_with_method(product, "quadrature").value
     analytic = price_with_method(product, "analytic").value
     assert abs(quadrature - analytic) <= 1e-9 * _notional(product)
+
+
+# ---------------------------------------------------------------------------
+# derived reduced PDE against the closed forms, over the parameter ranges the
+# benchmark's quote stream draws from (mean reversion kept in 0.2..1)
+
+_u = st.floats
+_bench_vasicek = st.builds(
+    VasicekModel, theta=_u(0.2, 1.0), mu_r=_u(0.02, 0.07),
+    sigma_r=_u(0.005, 0.02), lam=_u(-0.1, 0.1), r0=_u(0.01, 0.06))
+
+_BENCH_PRODUCTS = st.one_of(
+    st.builds(lambda maturity, reset, beta, sigma, rate, spot: Esop(
+        beta=beta, t_reset=maturity * reset, maturity=maturity, sigma=sigma,
+        rate=rate, spot=spot), _u(0.5, 2.0), _u(0.25, 0.75), _u(0.5, 1.0),
+        _u(0.1, 0.4), _u(0.0, 0.08), _u(50.0, 150.0)),
+    st.builds(FxStrike, sigma_s=_u(0.1, 0.35), sigma_x=_u(0.05, 0.2),
+              rho=_u(-0.5, 0.6), r_d=_u(0.0, 0.08), r_p=_u(0.0, 0.08),
+              spot=_u(50.0, 150.0), fx=_u(0.8, 1.8), maturity=_u(0.5, 2.0)),
+    st.builds(Savings, sigma_x=_u(0.05, 0.2), sigma_i=_u(0.02, 0.1),
+              rho=_u(-0.4, 0.6), r_d=_u(0.0, 0.06), r_f=_u(0.0, 0.06),
+              fx=_u(0.1, 1.0), price_level=_u(0.8, 1.25),
+              maturity=_u(0.5, 2.0)),
+    st.builds(lambda sigma, rho, conv, gap, spot, vas: Convertible(
+        sigma_s=sigma, rho=rho, conv_date=conv, bond_maturity=conv + gap,
+        spot=spot, vasicek=vas), _u(0.15, 0.4), _u(-0.4, 0.4), _u(0.5, 1.5),
+        _u(0.5, 1.5), _u(0.7, 1.4), _bench_vasicek),
+    st.builds(Corporate, shares=st.just(1_000_000),
+              bonds=st.integers(5_000, 20_000), conv_rate=_u(1.0, 3.0),
+              face=st.just(1.0), sigma_v=_u(0.2, 0.4), rho=_u(-0.4, 0.4),
+              maturity=_u(0.5, 2.0), firm_value=_u(350_000.0, 700_000.0),
+              vasicek=_bench_vasicek),
+)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(product=_BENCH_PRODUCTS)
+def test_reduced_pde_matches_closed_form(product):
+    reduced = price_with_method(product, "pde_reduced",
+                                grid=GridSpec(200, 100)).value
+    analytic = price_with_method(product, "analytic").value
+    assert abs(reduced - analytic) <= 2e-3 * abs(analytic)
