@@ -282,7 +282,7 @@ def main(argv: Optional[list] = None) -> int:
     except (ValueError, KeyError, OSError, DimensionError) as exc:
         sys.stderr.write(f"{exc}\n")
         return 2
-    except (PricingError, OverflowError) as exc:
+    except (PricingError, OverflowError, ZeroDivisionError) as exc:
         sys.stderr.write(f"{exc}\n")
         return 3
 

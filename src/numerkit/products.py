@@ -131,8 +131,12 @@ def _bond_numeraire(label, spec, sigma, spot, t_ex, t_bond, terminal,
                     kink) -> tuple:
     """A claim on (asset, the Vasicek zero-coupon bond maturing at t_bond)."""
     vas = spec.vasicek
+    bond = ratecurve.bond_price(vas, vas.r0, 0.0, t_bond)
+    if not 0.0 < bond < math.inf:
+        # the numeraire quotient and the grid anchor divide by it
+        raise ValueError("bond price must be positive and finite")
     return (Formulation(
-        label, anchor=(spot, ratecurve.bond_price(vas, vas.r0, 0.0, t_bond)),
+        label, anchor=(spot, bond),
         sigma_x=_constant(sigma),
         sigma_y=lambda t: ratecurve.sigma_p(vas, t, t_bond), corr=-spec.rho,
         q_x=0.0, q_y=0.0, rate=VasicekBond(vas, t_bond), terminal=terminal,

@@ -12,6 +12,7 @@ import numerkit
 from numerkit import analytic, ratecurve
 from numerkit.cli import main
 from numerkit.model import Corporate, Esop, product_to_dict
+from numerkit.verify import default_suite
 
 VASICEK_CFG = {"vasicek": {"theta": 0.5, "mu_r": 0.05, "sigma_r": 0.01,
                            "lambda": 0.0, "r0": 0.03},
@@ -364,6 +365,60 @@ class TestCurve:
         cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"],
                                              **{"lambda": 1e308}))
         assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 3
+        assert "Traceback" not in capsys.readouterr().err
+
+
+# every value below replaces each field (and each Vasicek field) in turn
+SUBSTITUTES = [None, [], [1, 2], {}, "x", True, 0, -1, 1.5, float("nan"),
+               1e308, -1e308, 1e-300, 1e6, 50, 1e-9]
+
+
+def _substituted(base):
+    for field in base:
+        if field == "type":
+            continue
+        for value in SUBSTITUTES:
+            yield {**base, field: value}
+        if field == "vasicek":
+            for sub in base["vasicek"]:
+                for value in SUBSTITUTES:
+                    yield {**base, "vasicek": {**base["vasicek"], sub: value}}
+
+
+class TestSubstitutionGrid:
+    """Each default product with one field replaced by a hostile value, on
+    the routes without simulation: every run ends in a documented exit
+    code, never in a traceback."""
+
+    @pytest.mark.parametrize("product", default_suite(),
+                             ids=lambda p: type(p).__name__)
+    def test_exit_codes_documented(self, tmp_path, capsys, product):
+        path = tmp_path / "spec.json"
+        codes = {}
+        for spec in _substituted(product_to_dict(product)):
+            path.write_text(json.dumps(spec))
+            for method in ("analytic", "quadrature", "pde_reduced"):
+                try:
+                    code = main(["price", "--input", str(path), "--method", method,
+                                 "--grid-nodes", "32", "--time-steps", "16"])
+                except Exception as exc:  # the failure this test looks for
+                    code = type(exc).__name__
+                codes.setdefault(code, []).append((method, spec))
+            capsys.readouterr()
+        stray = {code: runs[:3] for code, runs in codes.items() if code not in (0, 2, 3)}
+        assert not stray, stray
+
+    @pytest.mark.parametrize("method", ["analytic", "quadrature", "pde_reduced"])
+    def test_vanishing_bond_numeraire_rejected(self, tmp_path, capsys, method):
+        spec = dict(_corporate_dict(), maturity=1e6)
+        assert main(["price", "--input", _write(tmp_path, "c.json", spec),
+                     "--method", method]) == 2
+        assert "bond price must be positive" in capsys.readouterr().err
+
+    def test_division_by_zero_exits_three(self, tmp_path, capsys):
+        spec = product_to_dict(default_suite()[2])
+        spec["r_d"] = -1e308
+        assert main(["price", "--input", _write(tmp_path, "s.json", spec)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
 

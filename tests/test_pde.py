@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from numerkit import pde
+from numerkit import pde, products, verify
 from numerkit.analytic import bs_call
 from numerkit.errors import GridExtrapolationError, ReductionError, TimeDomainError
 from numerkit.pde import (
@@ -123,6 +123,46 @@ class TestTridiagKernel:
         for j in range(self.M):
             ref = np.linalg.solve(self._shifted(bands, j), rhs[:, j])
             assert np.max(np.abs(got[:, j] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_shared_matrix_second_solve_bit_equal(self):
+        bands = tuple(b[:, None] for b in self._bands())
+        rhs = self.RNG.normal(size=(self.N, self.M))
+        op = pde._Tridiag(*bands, self.H)
+        first = op.solve(rhs.copy())
+        assert np.array_equal(op.solve(rhs.copy()), first)
+
+    @pytest.mark.parametrize("view", ["transposed", "strided"])
+    def test_non_contiguous_plane(self, view):
+        # the shared-matrix sweep updates rows in place with BLAS daxpy,
+        # which given a strided row would update a copy and lose the result
+        bands = tuple(b[:, None] for b in self._bands())
+        rhs = self.RNG.normal(size=(self.N, self.M))
+        ref = np.linalg.solve(self._shifted(bands, 0), rhs)
+        if view == "transposed":
+            operand = rhs.T.copy().T
+        else:
+            operand = np.repeat(rhs, 2, axis=1)[:, ::2]
+        assert not operand.flags.c_contiguous
+        got = pde._Tridiag(*bands, self.H).solve(operand)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("batch", [(1,), (7,)])
+    def test_non_finite_coefficients_refused(self, batch):
+        lower, diag, upper = self._bands(*batch)
+        diag[3] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            pde._Tridiag(lower, diag, upper, self.H)
+
+    @pytest.mark.parametrize("batch", [(1,), (7,)])
+    def test_plane_apply_matches_vector_apply(self, batch):
+        # one einsum over 3-row windows sums the same products in the same
+        # order as the three ufuncs of the vector path
+        bands = np.array(self._bands(*batch))
+        v = self.RNG.normal(size=(self.N, self.M))
+        got = pde._apply(bands, v)
+        for j in range(self.M):
+            col = bands[..., j if batch[0] > 1 else 0]
+            assert np.array_equal(got[:, j], pde._apply(col, v[:, j].copy()))
 
 
 class TestTimeGrid:
@@ -303,6 +343,78 @@ class TestSolve2D:
         for t in (0.5, 1e-6, 1.0 - 1e-6):
             with pytest.raises(TimeDomainError):
                 sol(1.0, 1.0, t)
+
+
+def _formulations():
+    return [f for product in verify.default_suite()
+            for f in products.formulations(product)]
+
+
+def _cell_average_4d(payoff, x, y):
+    """The cell average over one (nx, ny, 4, 4) array of Gauss points."""
+    halfx = np.zeros_like(x)
+    halfy = np.zeros_like(y)
+    halfx[1:-1] = 0.5 * np.minimum(x[1:-1] - x[:-2], x[2:] - x[1:-1])
+    halfy[1:-1] = 0.5 * np.minimum(y[1:-1] - y[:-2], y[2:] - y[1:-1])
+    q, w = np.polynomial.legendre.leggauss(4)
+    xs = x[:, None] + halfx[:, None] * q[None, :]
+    ys = y[:, None] + halfy[:, None] * q[None, :]
+    vals = np.broadcast_to(payoff(xs[:, None, :, None], ys[None, :, None, :]),
+                           (x.size, y.size, q.size, q.size))
+    return np.einsum("ijab,a,b->ij", vals, 0.5 * w, 0.5 * w)
+
+
+class TestDefaultFormulations2D:
+    """The 2-D solve on the six formulations of the default products."""
+
+    # pde_full at the anchor on GridSpec(100, 50), as computed before the
+    # 2-D sweeps were reordered; a later reordering moves only the last bits
+    PINNED = {
+        "esop": 20.905503367351507,
+        "fx_usd": 16.004542933331145,
+        "fx_gbp": 12.311622359246432,
+        "savings": 1.0480889977281869,
+        "convertible": 1.0651369698836708,
+        "corporate": 1.0911542903706941,
+    }
+
+    @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
+    def test_pinned_values(self, f):
+        sol = solve_2d(products.pde2_spec(f), GridSpec(100, 50))
+        assert sol(*f.anchor, 0.0) == pytest.approx(self.PINNED[f.label], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
+    def test_cell_average_matches_one_array(self, f):
+        xg = np.geomspace(0.3, 3.0, 41) * f.anchor[0]
+        yg = np.geomspace(0.5, 2.0, 37) * f.anchor[1]
+        got = pde._cell_average_2d(f.terminal, xg, yg)
+        ref = _cell_average_4d(f.terminal, xg, yg)
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @staticmethod
+    def _peak(solve, spec, grid):
+        tracemalloc.start()
+        try:
+            solve(spec, grid)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
+    def test_2d_memory_within_budget(self, f):
+        peak = self._peak(solve_2d, products.pde2_spec(f), GridSpec(100, 50))
+        assert peak <= 8 * pde._PLANES_2D * 100 * 100
+
+    @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
+                             ids=lambda f: f.label)
+    def test_1d_memory_within_budget(self, f):
+        # the working vectors beyond the stored levels, at the default grid
+        # where _VECTORS_1D was sized
+        grid = GridSpec()
+        levels = grid.time_steps + len(f.breakpoints) + 2
+        spec = derive_reduced(products.pde2_spec(f), f.numeraire_axis)
+        peak = self._peak(solve_1d, spec, grid)
+        assert peak <= 8 * (levels + pde._VECTORS_1D) * grid.nodes_per_axis
 
 
 class TestDeriveReduced:
