@@ -7,90 +7,12 @@ quadrature, and Monte Carlo engines to check every formula against the full
 dynamics.
 """
 
-from .errors import (
-    DegenerateCovarianceError,
-    DimensionError,
-    GridExtrapolationError,
-    PayoffEvaluationError,
-    PricingError,
-    ReductionError,
-    TimeDomainError,
-    UnsupportedDimensionError,
-    ValidationFailure,
-)
-from .model import (
-    AssetDynamics,
-    Convertible,
-    Corporate,
-    CovarianceMatrix,
-    Esop,
-    FxStrike,
-    HomogeneousPayoff,
-    MultiAssetProblem,
-    PriceQuote,
-    Savings,
-    covariance_from_loadings,
-    product_from_dict,
-    product_to_dict,
-    quote_to_dict,
-    validate,
-)
-from .ratecurve import (
-    VasicekModel,
-    a_factor,
-    b_factor,
-    bond_price,
-    integrated_variance,
-    risk_neutral_level,
-    short_rate_from_bond,
-    sigma_p,
-)
-from .analytic import (
-    bs_call,
-    convertible_price,
-    corporate_convertible_price,
-    esop_price,
-    esop_price_after_reset,
-    esop_price_generalized,
-    fx_option_gbp,
-    fx_option_usd,
-    norm_cdf,
-    savings_domestic,
-    savings_foreign,
-)
-from .numeraire import (
-    ReducedProblem,
-    certify_psd,
-    check_homogeneity,
-    quadrature_price,
-    reduce,
-)
-from .pde import (
-    GridSpec,
-    Pde1Spec,
-    Pde2Spec,
-    derive_reduced,
-    reduction_gap,
-    solve_1d,
-    solve_2d,
-)
-from .montecarlo import (
-    McResult,
-    McSpec,
-    mc_bond_price,
-    price_mc,
-    sample_vasicek,
-)
-from .verify import (
-    AgreementReport,
-    ProductEngines,
-    build_engines,
-    default_suite,
-    price_with_method,
-    run_suite,
-    suite_to_csv,
-    suite_to_json,
-    verify_product,
-)
+from .errors import PricingError, TimeDomainError, ValidationFailure
+from .model import Convertible, Corporate, Esop, FxStrike, Savings
+from .ratecurve import VasicekModel
+from .analytic import esop_price
+from .pde import GridSpec, reduction_gap
+from .montecarlo import McSpec, price_mc
+from .verify import build_engines, price_with_method, run_suite, verify_product
 
 __version__ = "0.1.0"

@@ -171,7 +171,7 @@ def _registry_payoff(cfg: dict, dim: int) -> HomogeneousPayoff:
         fn = lambda s: float(s[i]) - k * float(s[0])
     else:
         fn = lambda s: float(np.max(s))
-    return HomogeneousPayoff(evaluate=fn, name=kind)
+    return HomogeneousPayoff(evaluate=fn)
 
 
 def _cmd_reduce(args) -> int:

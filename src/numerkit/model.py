@@ -9,7 +9,7 @@ the Vasicek block nested under "vasicek".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -68,9 +68,6 @@ class CovarianceMatrix:
     def as_array(self) -> np.ndarray:
         return self._a
 
-    def __getitem__(self, idx):
-        return self._a[idx]
-
     def __repr__(self):
         return f"CovarianceMatrix({self._a.tolist()!r})"
 
@@ -84,7 +81,6 @@ class HomogeneousPayoff:
     """
 
     evaluate: Callable[[np.ndarray], float]
-    name: str = ""
 
     def __call__(self, prices) -> float:
         return float(self.evaluate(np.asarray(prices, dtype=float)))

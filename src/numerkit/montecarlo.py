@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -33,7 +32,6 @@ _BLOCK_EXACT = 65536
 class McSpec:
     paths: int = 100_000
     seed: int = 0
-    antithetic: bool = True
 
     def __post_init__(self):
         if self.paths < 1:
@@ -56,18 +54,17 @@ def _rng(seed: int, block: int) -> np.random.Generator:
 def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
     """Mean and standard error of ``payoff`` over ``mc.paths`` normal draws
     of ``shape``, block k from the (seed, k) stream, each draw averaged with
-    its mirror -z under antithetic sampling (negated in place, so ``payoff``
-    must return a fresh array).  Block means and sums of squared deviations
-    are merged by the update of Chan, Golub & LeVeque."""
+    its mirror -z (negated in place, so ``payoff`` must return a fresh
+    array).  Block means and sums of squared deviations are merged by the
+    update of Chan, Golub & LeVeque."""
     mean = 0.0
     m2 = 0.0
     for block, done in enumerate(range(0, mc.paths, _BLOCK_EXACT)):
         z = _rng(mc.seed, block).standard_normal(
             (min(_BLOCK_EXACT, mc.paths - done),) + shape)
         vals = payoff(z)
-        if mc.antithetic:
-            vals += payoff(np.negative(z, out=z))
-            vals *= 0.5
+        vals += payoff(np.negative(z, out=z))
+        vals *= 0.5
         n = vals.size
         block_mean = float(vals.mean())
         vals -= block_mean
@@ -76,41 +73,6 @@ def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
         m2 += float(np.dot(vals, vals)) + delta * delta * n * done / (done + n)
     return McResult(estimate=mean, std_error=math.sqrt(m2) / mc.paths,
                     paths_used=mc.paths)
-
-
-def sample_vasicek(model: ratecurve.VasicekModel, times, seed: int,
-                   paths: Optional[int] = None):
-    """Exact-transition short-rate samples at the requested times.
-
-    Walks dr = theta*(mu_r - r)dt + sigma_r dW from (0, r0) using the exact
-    Gaussian transition over each interval, so there is no discretization
-    bias at any spacing.  Returns a 1-D array aligned with ``times``; with
-    ``paths`` set, a (paths, len(times)) array of independent paths drawn
-    from the same seeded stream.
-    """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValueError("times must be a non-empty one-dimensional sequence")
-    if times[0] < 0.0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError("times must be non-negative and strictly increasing")
-    m = 1 if paths is None else int(paths)
-    if m < 1:
-        raise ValueError("paths must be positive")
-    rng = _rng(seed, 0)
-    mu = model.mu_r
-    out = np.empty((m, times.size))
-    level = np.full(m, model.r0)
-    prev = 0.0
-    for k, t in enumerate(times):
-        dt = t - prev
-        if dt > 0.0:
-            decay = math.exp(-model.theta * dt)
-            sd = model.sigma_r * math.sqrt(
-                -math.expm1(-2.0 * model.theta * dt) / (2.0 * model.theta))
-            level = mu + (level - mu) * decay + sd * rng.standard_normal(m)
-        out[:, k] = level
-        prev = t
-    return out[0] if paths is None else out
 
 
 def _vasicek_law(model: ratecurve.VasicekModel, sigma_a: float, rho: float,

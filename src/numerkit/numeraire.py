@@ -3,9 +3,9 @@
 A degree-one homogeneous claim on n+1 lognormal assets is worth S0 * U where U
 solves a driftless n-dimensional equation in the price ratios z_i = S_i / S0.
 This module builds that reduced problem (covariance quotient + ratio payoff),
-certifies the quotient covariance, and prices the reduced problem directly by
-Gaussian integration, which serves as an independent oracle for the
-finite-difference and simulation engines.
+certifies the quotient covariance in any dimension, and prices a one-ratio
+reduced problem directly by Gaussian integration, an independent oracle for
+the finite-difference and simulation engines.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
-from scipy.special import roots_hermite
 
 from .errors import (
     DegenerateCovarianceError,
@@ -29,8 +28,10 @@ from .errors import (
 )
 from .model import MultiAssetProblem
 
-_GH_NODES = 128
 _TAIL = 42.0  # standard deviations; exhausts double precision either side
+_HOMOGENEITY_SAMPLES = 64
+_HOMOGENEITY_TOL = 1e-8  # relative to 1 + |a P(S)|
+_PSD_TOL = 1e-10  # smallest eigenvalue, relative to max(|b|, 1)
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ class ReducedProblem:
         return self.b_matrix.shape[0]
 
 
-def check_homogeneity(payoff, dim: int, samples: int = 64,
-                      tol: float = 1e-8) -> bool:
+def check_homogeneity(payoff, dim: int) -> bool:
     """Test P(a*S) = a*P(S) on random positive states and scalings.
 
     States and scaling factors are log-uniform on [0.1, 10] from a fixed
@@ -69,7 +69,7 @@ def check_homogeneity(payoff, dim: int, samples: int = 64,
     """
     rng = np.random.default_rng(20240901)
     lo, hi = math.log(0.1), math.log(10.0)
-    for k in range(samples):
+    for k in range(_HOMOGENEITY_SAMPLES):
         s = np.exp(rng.uniform(lo, hi, size=dim))
         a = math.exp(rng.uniform(lo, hi))
         base = float(payoff(s))
@@ -78,12 +78,12 @@ def check_homogeneity(payoff, dim: int, samples: int = 64,
             raise PayoffEvaluationError(
                 "payoff returned a non-finite value at sample %d: S=%s, a=%.6g"
                 % (k, np.array2string(s, precision=6), a))
-        if abs(scaled - a * base) > tol * (1.0 + abs(a * base)):
+        if abs(scaled - a * base) > _HOMOGENEITY_TOL * (1.0 + abs(a * base)):
             return False
     return True
 
 
-def reduce(problem: MultiAssetProblem, kinks: Sequence[float] = ()) -> ReducedProblem:
+def reduce(problem: MultiAssetProblem) -> ReducedProblem:
     """Quotient an (n+1)-asset homogeneous problem by its first asset.
 
     The reduced covariance is b[i][j] = a00 - ai0 - a0j + aij (indices 1-based
@@ -107,11 +107,10 @@ def reduce(problem: MultiAssetProblem, kinks: Sequence[float] = ()) -> ReducedPr
         b_matrix=b,
         payoff_f=payoff_f,
         maturity=problem.maturity,
-        kinks=tuple(kinks),
     )
 
 
-def certify_psd(b, tol: float = 1e-10) -> bool:
+def certify_psd(b) -> bool:
     """True when the matrix is symmetric positive semidefinite.
 
     The reduction theorem guarantees this for any quotient of a PSD loading
@@ -126,7 +125,7 @@ def certify_psd(b, tol: float = 1e-10) -> bool:
     if not np.allclose(b, b.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
         raise DimensionError("matrix must be symmetric")
     eig = np.linalg.eigvalsh(0.5 * (b + b.T))
-    return bool(eig.min() >= -tol * max(scale, 1.0))
+    return bool(eig.min() >= -_PSD_TOL * max(scale, 1.0))
 
 
 def _mapped_kinks(kinks, z0: float, half_var: float, s: float):
@@ -141,25 +140,22 @@ def _mapped_kinks(kinks, z0: float, half_var: float, s: float):
 
 
 def quadrature_price(reduced: ReducedProblem, z, t: float = 0.0) -> float:
-    """E[F(Z_T)] for the reduced driftless problem, by direct integration.
+    """E[F(Z_T)] for a one-ratio reduced problem, by direct integration.
 
     Under the numeraire measure ln Z_T is Gaussian with mean
-    ln z - diag(B) tau / 2 and covariance B tau.  One ratio: adaptive
-    Gauss-Kronrod with panel splits at declared payoff kinks, and F(z) itself
-    when the variance B tau is zero.  Two ratios: 128-point tensor
-    Gauss-Hermite on a positive definite B.  The reduced equation is
-    undiscounted; discounting re-enters through the numeraire when the
-    caller forms V = S0 * U.
+    ln z - B tau / 2 and variance B tau.  Adaptive Gauss-Kronrod with panel
+    splits at declared payoff kinks, and F(z) itself when the variance B tau
+    is zero.  The reduced equation is undiscounted; discounting re-enters
+    through the numeraire when the caller forms V = S0 * U.
     """
     n = reduced.dim
-    if n > 2:
+    if n != 1:
         raise UnsupportedDimensionError(
-            f"quadrature pricer supports 1 or 2 ratios, got {n}")
+            f"quadrature pricer supports one ratio, got {n}")
     if not 0.0 <= t < reduced.maturity:
         raise TimeDomainError(
             f"t={t} outside [0, {reduced.maturity}) for quadrature pricing")
     tau = reduced.maturity - t
-    b = reduced.b_matrix
 
     z = np.atleast_1d(np.asarray(z, dtype=float))
     if z.size != n:
@@ -167,52 +163,32 @@ def quadrature_price(reduced: ReducedProblem, z, t: float = 0.0) -> float:
     if np.any(z <= 0.0):
         raise ValueError("price ratios must be positive")
 
-    if n == 1:
-        var = float(b[0, 0]) * tau
-        if not 0.0 <= var < math.inf:
-            raise DegenerateCovarianceError(
-                f"reduced variance must be finite and non-negative: B tau = {var:.3e}")
-        if var == 0.0:
-            return float(reduced.payoff_f(z))
-        s = math.sqrt(var)
-        half_var = 0.5 * var
-        mu = math.log(z[0]) - half_var
-        f = reduced.payoff_f
-        phi_norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-        def integrand(x: float) -> float:
-            return f(np.array([math.exp(mu + s * x)])) * phi_norm * math.exp(-0.5 * x * x)
-
-        pts = _mapped_kinks(reduced.kinks, float(z[0]), half_var, s)
-        val, _ = quad(integrand, -_TAIL, _TAIL, points=pts or None,
-                      limit=400, epsabs=1e-14, epsrel=1e-11)
-        if 0.0 < abs(val) < 1e-6:
-            # far-tail price: the absolute gate alone lets the integrator
-            # stop at percent-level relative error, so rerun with the gate
-            # scaled to the first-pass magnitude.  Best effort: exact
-            # cancellations cannot converge in relative terms, keep quiet.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", IntegrationWarning)
-                val, _ = quad(integrand, -_TAIL, _TAIL, points=pts or None,
-                              limit=400, epsabs=abs(val) * 1e-11,
-                              epsrel=1e-11)
-        return float(val)
-
-    # two ratios: Cholesky of B tau, tensor Gauss-Hermite
-    eig = np.linalg.eigvalsh(0.5 * (b + b.T))
-    if eig.min() <= 0.0:
+    var = float(reduced.b_matrix[0, 0]) * tau
+    if not 0.0 <= var < math.inf:
         raise DegenerateCovarianceError(
-            f"reduced covariance is not positive definite: min eig {eig.min():.3e}")
-    chol = np.linalg.cholesky(b * tau)
-    nodes, weights = roots_hermite(_GH_NODES)
-    mu = np.log(z) - 0.5 * np.diag(b) * tau
+            f"reduced variance must be finite and non-negative: B tau = {var:.3e}")
+    if var == 0.0:
+        return float(reduced.payoff_f(z))
+    s = math.sqrt(var)
+    half_var = 0.5 * var
+    mu = math.log(z[0]) - half_var
     f = reduced.payoff_f
-    total = 0.0
-    scaled = math.sqrt(2.0) * chol
-    for i in range(_GH_NODES):
-        wi = weights[i]
-        row = mu + nodes[i] * scaled[:, 0]
-        for j in range(_GH_NODES):
-            u = row + nodes[j] * scaled[:, 1]
-            total += wi * weights[j] * f(np.exp(u))
-    return total / math.pi
+    phi_norm = 1.0 / math.sqrt(2.0 * math.pi)
+
+    def integrand(x: float) -> float:
+        return f(np.array([math.exp(mu + s * x)])) * phi_norm * math.exp(-0.5 * x * x)
+
+    pts = _mapped_kinks(reduced.kinks, float(z[0]), half_var, s)
+    val, _ = quad(integrand, -_TAIL, _TAIL, points=pts or None,
+                  limit=400, epsabs=1e-14, epsrel=1e-11)
+    if 0.0 < abs(val) < 1e-6:
+        # far-tail price: the absolute gate alone lets the integrator
+        # stop at percent-level relative error, so rerun with the gate
+        # scaled to the first-pass magnitude.  Best effort: exact
+        # cancellations cannot converge in relative terms, keep quiet.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            val, _ = quad(integrand, -_TAIL, _TAIL, points=pts or None,
+                          limit=400, epsabs=abs(val) * 1e-11,
+                          epsrel=1e-11)
+    return float(val)

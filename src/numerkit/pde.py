@@ -29,14 +29,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import GridExtrapolationError, ReductionError, TimeDomainError
+from .errors import GridExtrapolationError, PricingError, ReductionError, TimeDomainError
 
 _GL1_X, _GL1_W = np.polynomial.legendre.leggauss(7)
 _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
@@ -151,11 +151,22 @@ def _half_width(diffusion, drift, maturity: float, breakpoints, n: int = 256) ->
     return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
 
 
-def _log_grid(anchor: float, half_width: float, nodes: int) -> np.ndarray:
+def _log_grid(anchor: float, half_width: float, nodes: int):
+    """(z, s2, s1): ``nodes`` log-spaced points ``half_width`` either side of
+    log(anchor) and their scaled stencils z^2 D2 / 2 and z D1; PricingError
+    when a node or weight is not a finite float (a half-width past exp's
+    range), before any solve is built on the grid."""
     if not anchor > 0.0:
         raise ValueError("grid anchor must be positive")
-    x = math.log(anchor) + np.linspace(-half_width, half_width, nodes)
-    return np.exp(x)
+    with np.errstate(all="ignore"):
+        z = np.exp(math.log(anchor) + np.linspace(-half_width, half_width, nodes))
+        d1, d2 = _stencils(z)
+        s2, s1 = 0.5 * z * z * d2, z * d1
+    if not all(np.isfinite(a).all() for a in (z, s2, s1)):
+        raise PricingError(
+            f"a log grid of half-width {half_width:g} about {anchor:g} is not "
+            "representable in double precision")
+    return z, s2, s1
 
 
 def _stencils(z: np.ndarray):
@@ -255,8 +266,16 @@ def _apply(bands, v, out=None):
     return out
 
 
+def _check_pivots(pivots) -> None:
+    """Refuse a factorisation with a zero, infinite or NaN pivot, or inverse
+    pivot: from a singular system or coefficients that are not finite, it
+    would solve to NaNs or (an infinite diagonal) to a wrong answer."""
+    if not (np.isfinite(pivots).all() and pivots.all()):
+        raise np.linalg.LinAlgError("singular or non-finite tridiagonal system")
+
+
 class _Tridiag:
-    """A tridiagonal L acting along axis 0, with I - h L factored for one h.
+    """I - h L factored for a tridiagonal L acting along axis 0.
 
     ``diag`` is (n,) for a single line, (n, 1) when every line of an (n, m)
     plane sees the same matrix, or (n, m) for one matrix per line; the
@@ -276,11 +295,9 @@ class _Tridiag:
     """
 
     def __init__(self, lower, diag, upper, h: float, work=None):
-        self.bands = (lower, diag, upper)
         if diag.ndim == 1:
-            *self._lu, info = dgttrf(-h * lower[1:], 1.0 - h * diag, -h * upper[:-1])
-            if info:
-                raise np.linalg.LinAlgError("singular tridiagonal system")
+            *self._lu, _ = dgttrf(-h * lower[1:], 1.0 - h * diag, -h * upper[:-1])
+            _check_pivots(self._lu[1])  # U's diagonal, exactly zero where info > 0
             return
         self._lu = None
         shape = np.broadcast_shapes(lower.shape, diag.shape, upper.shape)
@@ -317,14 +334,7 @@ class _Tridiag:
                 cp_i *= inv_i
             lo *= di
             self._sweep = (lo, up, di)
-        # a zero pivot, or coefficients that are not finite, would sweep
-        # the plane into infinities or NaNs
-        if not np.isfinite(self._sweep[2]).all():
-            raise np.linalg.LinAlgError("singular tridiagonal system")
-
-    def apply(self, v):
-        """L v."""
-        return _apply(self.bands, v)
+        _check_pivots(self._sweep[2])  # the inverse pivots
 
     def solve(self, rhs):
         """u with (I - h L) u = rhs; rhs may be overwritten."""
@@ -386,9 +396,7 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     _check_budget((levels + _VECTORS_1D) * n, "a 1-D solve")
     T = spec.maturity
     half = _half_width(spec.diffusion, spec.drift, T, spec.breakpoints)
-    z = _log_grid(spec.anchor, half, n)
-    d1, d2 = _stencils(z)
-    s2, s1 = 0.5 * z * z * d2, z * d1
+    z, s2, s1 = _log_grid(spec.anchor, half, n)
 
     times, steps = _time_grid(T, grid.time_steps, spec.breakpoints)
     restart = {T, *(b for b in spec.breakpoints if 0.0 < b < T)}
@@ -460,10 +468,10 @@ class _CraigSneyd:
     so no two stages' operators are alive at once.
     """
 
-    def __init__(self, spec: Pde2Spec, xg: np.ndarray, yg: np.ndarray, w: np.ndarray):
-        self.spec, self.xg, self.yg, self.w = spec, xg, yg, w
-        self.sx, self.sy = (((0.5 * g * g * d2)[..., None], (g * d1)[..., None])
-                            for g, (d1, d2) in ((xg, _stencils(xg)), (yg, _stencils(yg))))
+    def __init__(self, spec: Pde2Spec, x_axis, y_axis, w: np.ndarray):
+        self.spec, self.xg, self.yg, self.w = spec, x_axis[0], y_axis[0], w
+        self.sx, self.sy = ((s2[..., None], s1[..., None])
+                            for _, s2, s1 in (x_axis, y_axis))
         self._wt = np.ascontiguousarray(w.T)
         self._a0, self._a1, self._y0, self._y, self._inner = (
             np.empty(w.shape) for _ in range(5))
@@ -557,8 +565,9 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     half = [_half_width(diff_fn, lambda t, f=drift_fn: float(f(t, x0, y0)), T, bps)
             for diff_fn, drift_fn in ((spec.diffusion_xx, spec.drift_x),
                                       (spec.diffusion_yy, spec.drift_y))]
-    xg = _log_grid(x0, half[0], n)
-    yg = _log_grid(y0, half[1], n)
+    x_axis = _log_grid(x0, half[0], n)
+    y_axis = _log_grid(y0, half[1], n)
+    xg, yg = x_axis[0], y_axis[0]
 
     times, steps = _time_grid(T, grid.time_steps, bps)
     restart = {T, *(b for b in bps if 0.0 < b < T)}
@@ -566,7 +575,7 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     values[1] = _cell_average_2d(spec.terminal, xg, yg)
 
     values[0] = values[1]
-    scheme = _CraigSneyd(spec, xg, yg, values[0])
+    scheme = _CraigSneyd(spec, x_axis, y_axis, values[0])
     for k in range(times.size - 2, -1, -1):
         t0, dt = times[k], steps[k]
         h = 0.5 * dt  # theta dt with theta = 1/2, and the damped half step
@@ -651,23 +660,18 @@ def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
     )
 
 
-def reduction_gap(
-    spec2: Pde2Spec,
-    numeraire_axis: int,
-    grid: GridSpec,
-    probes: Optional[Sequence[tuple[float, float]]] = None,
-) -> float:
+def reduction_gap(spec2: Pde2Spec, numeraire_axis: int, grid: GridSpec) -> float:
     """Max relative gap between the 2-D solve and the numeraire-quotient 1-D solve.
 
-    For each probe (x, y) compares V2d(x, y, 0) against N * U1d(ratio, 0) where
-    N is the numeraire coordinate and ratio the quotient coordinate.
+    At each probe (x, y) of the 3 x 3 grid within 5% of the anchor, compares
+    V2d(x, y, 0) against N * U1d(ratio, 0) where N is the numeraire
+    coordinate and ratio the quotient coordinate.
     """
     full = solve_2d(spec2, grid)
     red = solve_1d(derive_reduced(spec2, numeraire_axis), grid)
     x0, y0 = spec2.anchor
-    if probes is None:
-        cs = (0.95, 1.0, 1.05)
-        probes = [(x0 * cx, y0 * cy) for cx in cs for cy in cs]
+    cs = (0.95, 1.0, 1.05)
+    probes = [(x0 * cx, y0 * cy) for cx in cs for cy in cs]
     worst = 0.0
     for probe in probes:
         v2 = full(*probe, 0.0)

@@ -18,6 +18,7 @@ precision, byte-stable across repeated runs with the same configuration.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass
 from functools import partial
@@ -125,7 +126,8 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
     The reduced-PDE and quadrature routes quotient whichever formulation of
     the product is degree-one homogeneous and rescale back to the canonical
     currency; everything else prices the canonical formulation directly.
-    Raises ValidationFailure on an invalid spec.
+    Raises ValidationFailure on an invalid spec, and PricingError when the
+    value or the standard error comes out non-finite.
     """
     if method not in ALL_METHODS:
         raise PricingError(f"unknown method: {method}")
@@ -133,29 +135,32 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
     engines = bundles[0]
     x0, y0 = engines.state0
     if method == "analytic":
-        return PriceQuote(value=engines.analytic_at(x0, y0), method=method)
-    if method == "pde_full":
-        grid = grid or GridSpec()
-        sol2 = solve_2d(engines.pde2, grid)
-        return PriceQuote(value=sol2(x0, y0, 0.0), method=method)
-    if method == "monte_carlo":
+        quote = PriceQuote(value=engines.analytic_at(x0, y0), method=method)
+    elif method == "pde_full":
+        sol2 = solve_2d(engines.pde2, grid or GridSpec())
+        quote = PriceQuote(value=sol2(x0, y0, 0.0), method=method)
+    elif method == "monte_carlo":
         mc = mc or McSpec()
         res = price_mc(product, mc)
-        return PriceQuote(value=res.estimate, method=method,
-                          std_error=res.std_error, seed=mc.seed)
-    source = next((b for b in bundles if b.numeraire_axis is not None), None)
-    if source is None:
-        raise PricingError(
-            f"no homogeneous two-factor formulation for {engines.label}")
-    if method == "quadrature":
-        problem, ratio, multiplier = quadrature_problem(source.formulation)
-        return PriceQuote(value=multiplier * quadrature_price(problem, ratio),
-                          method=method)
-    grid = grid or GridSpec()
-    reduced = derive_reduced(source.pde2, source.numeraire_axis)
-    numeraire = source.state0[source.numeraire_axis]
-    return PriceQuote(value=source.to_canonical * numeraire * solve_1d(
-        reduced, grid)(reduced.anchor, 0.0), method=method)
+        quote = PriceQuote(value=res.estimate, method=method,
+                           std_error=res.std_error, seed=mc.seed)
+    else:
+        source = next((b for b in bundles if b.numeraire_axis is not None), None)
+        if source is None:
+            raise PricingError(
+                f"no homogeneous two-factor formulation for {engines.label}")
+        if method == "quadrature":
+            problem, ratio, multiplier = quadrature_problem(source.formulation)
+            value = multiplier * quadrature_price(problem, ratio)
+        else:
+            reduced = derive_reduced(source.pde2, source.numeraire_axis)
+            numeraire = source.state0[source.numeraire_axis]
+            value = source.to_canonical * numeraire * solve_1d(
+                reduced, grid or GridSpec())(reduced.anchor, 0.0)
+        quote = PriceQuote(value=value, method=method)
+    if not (math.isfinite(quote.value) and math.isfinite(quote.std_error or 0.0)):
+        raise PricingError(f"non-finite quote: {quote}")
+    return quote
 
 
 def verify_product(product, grid: Optional[GridSpec] = None,

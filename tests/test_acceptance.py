@@ -148,7 +148,7 @@ def test_criterion_4_quadrature_call_accuracy():
 def test_criterion_5_psd_certification():
     """1000 random loading matrices: every reduced covariance certifies PSD."""
     rng = np.random.default_rng(20240915)
-    payoff = HomogeneousPayoff(lambda s: float(np.max(s)), name="max")
+    payoff = HomogeneousPayoff(lambda s: float(np.max(s)))
     passes = 0
     for _ in range(1000):
         n = int(rng.integers(2, 6))

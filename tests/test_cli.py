@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, output formats, and file handling."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -388,7 +390,8 @@ def _substituted(base):
 class TestSubstitutionGrid:
     """Each default product with one field replaced by a hostile value, on
     the routes without simulation: every run ends in a documented exit
-    code, never in a traceback."""
+    code, never in a traceback, and a run that exits 0 prints a finite
+    value."""
 
     @pytest.mark.parametrize("product", default_suite(),
                              ids=lambda p: type(p).__name__)
@@ -403,10 +406,23 @@ class TestSubstitutionGrid:
                                  "--grid-nodes", "32", "--time-steps", "16"])
                 except Exception as exc:  # the failure this test looks for
                     code = type(exc).__name__
+                out = capsys.readouterr().out
+                if code == 0 and not math.isfinite(json.loads(out)["quote"]["value"]):
+                    code = "non-finite value"
                 codes.setdefault(code, []).append((method, spec))
-            capsys.readouterr()
         stray = {code: runs[:3] for code, runs in codes.items() if code not in (0, 2, 3)}
         assert not stray, stray
+
+    @pytest.mark.parametrize("method", ["pde_full", "pde_reduced"])
+    def test_unrepresentable_grid_exits_three(self, tmp_path, capsys, method):
+        # sigma = 50 puts the log grid's half-width past exp's range; it is
+        # refused before the grid is built on, with no numpy warning
+        spec = _write(tmp_path, "esop.json", dict(_esop_dict(), sigma=50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["price", "--input", spec, "--method", method,
+                         "--grid-nodes", "32", "--time-steps", "16"]) == 3
+        assert "not representable" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["analytic", "quadrature", "pde_reduced"])
     def test_vanishing_bond_numeraire_rejected(self, tmp_path, capsys, method):

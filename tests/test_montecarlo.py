@@ -1,5 +1,5 @@
 """Monte-Carlo engine: determinism, statistical agreement with the closed
-forms, the antithetic switch, and the exposed Vasicek path sampler.
+forms, and the exact joint laws the samplers draw from.
 
 Statistical checks use fixed seeds and assert |z| < 4, so they are exact
 regressions, not flaky assertions: a seed change is a deliberate edit.
@@ -23,7 +23,6 @@ from numerkit.montecarlo import (
     _vasicek_law,
     mc_bond_price,
     price_mc,
-    sample_vasicek,
 )
 from numerkit.products import formulations
 from numerkit.ratecurve import VasicekModel, a_factor, b_factor, bond_price
@@ -46,7 +45,7 @@ CORPORATE = Corporate(shares=1_000_000, bonds=10_000, conv_rate=20,
 class TestMcSpec:
     def test_defaults(self):
         spec = McSpec()
-        assert spec.paths == 100_000 and spec.antithetic
+        assert spec.paths == 100_000 and spec.seed == 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -105,10 +104,11 @@ class TestAgreement:
         assert res.std_error > 0.0
         assert abs(res.estimate - reference()) < 4.0 * res.std_error
 
-    def test_antithetic_reduces_error(self):
-        anti = price_mc(FX, McSpec(paths=50_000, seed=3, antithetic=True))
-        plain = price_mc(FX, McSpec(paths=50_000, seed=3, antithetic=False))
-        assert anti.std_error < plain.std_error
+    def test_every_draw_is_paired_with_its_mirror(self):
+        # an odd payoff cancels exactly against its antithetic partner
+        res = _accumulate(lambda z: 2.0 * z[:, 0], (1,),
+                          McSpec(paths=70_000, seed=3))
+        assert res.estimate == 0.0 and res.std_error == 0.0
 
     def test_unknown_product(self):
         with pytest.raises(PricingError):
@@ -210,56 +210,3 @@ class TestLognormalLaw:
         ref = f.anchor[axis] * math.exp(-(f.q_x, f.q_y)[axis] * f.maturity)
         assert res.std_error > 0.0
         assert abs(res.estimate - ref) < 4.0 * res.std_error
-
-
-class TestSampleVasicek:
-    TIMES = np.array([0.25, 0.5, 1.0, 2.0])
-
-    def test_shapes(self):
-        single = sample_vasicek(VAS, self.TIMES, seed=9)
-        block = sample_vasicek(VAS, self.TIMES, seed=9, paths=5)
-        assert single.shape == (4,)
-        assert block.shape == (5, 4)
-
-    def test_single_path_matches_first_of_block_of_one(self):
-        single = sample_vasicek(VAS, self.TIMES, seed=9)
-        block = sample_vasicek(VAS, self.TIMES, seed=9, paths=1)
-        assert np.array_equal(single, block[0])
-
-    def test_deterministic_limit(self):
-        frozen = VasicekModel(theta=0.5, mu_r=0.05, sigma_r=0.0, lam=0.0,
-                              r0=0.03)
-        path = sample_vasicek(frozen, self.TIMES, seed=5)
-        exact = 0.05 + (0.03 - 0.05) * np.exp(-0.5 * self.TIMES)
-        assert np.max(np.abs(path - exact)) < 1e-15
-
-    def test_terminal_moments(self):
-        # exact transition sampling: terminal mean and variance must match
-        # the stationary-reverting closed forms within sampling noise
-        draws = sample_vasicek(VAS, self.TIMES, seed=5, paths=200_000)
-        r_t = draws[:, -1]
-        horizon = self.TIMES[-1]
-        mean = VAS.mu_r + (VAS.r0 - VAS.mu_r) * math.exp(-VAS.theta * horizon)
-        var = VAS.sigma_r ** 2 * (-math.expm1(-2 * VAS.theta * horizon)) \
-            / (2 * VAS.theta)
-        z = (r_t.mean() - mean) / (r_t.std(ddof=1) / math.sqrt(r_t.size))
-        assert abs(z) < 4.0
-        ratio = r_t.var(ddof=1) / var
-        assert abs(ratio - 1.0) < 4.0 * math.sqrt(2.0 / r_t.size)
-
-    def test_lambda_does_not_move_physical_sampler(self):
-        priced = VasicekModel(theta=0.5, mu_r=0.05, sigma_r=0.01, lam=0.4,
-                              r0=0.03)
-        a = sample_vasicek(VAS, self.TIMES, seed=2, paths=3)
-        b = sample_vasicek(priced, self.TIMES, seed=2, paths=3)
-        assert np.array_equal(a, b)
-
-    def test_input_validation(self):
-        with pytest.raises(ValueError):
-            sample_vasicek(VAS, [], seed=0)
-        with pytest.raises(ValueError):
-            sample_vasicek(VAS, [0.5, 0.5], seed=0)
-        with pytest.raises(ValueError):
-            sample_vasicek(VAS, [-0.1, 0.5], seed=0)
-        with pytest.raises(ValueError):
-            sample_vasicek(VAS, [0.5], seed=0, paths=0)

@@ -100,15 +100,14 @@ class TestTridiagKernel:
         ref = np.linalg.solve(self._shifted(bands), rhs)
         op = pde._Tridiag(*bands, self.H)
         assert np.max(np.abs(op.solve(rhs.copy()) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.allclose(op.apply(rhs), _dense(*bands) @ rhs, rtol=1e-13, atol=0.0)
+        assert np.allclose(pde._apply(bands, rhs), _dense(*bands) @ rhs, rtol=1e-13, atol=0.0)
 
     def test_shared_matrix_many_right_hand_sides(self):
         bands = tuple(b[:, None] for b in self._bands())
         rhs = self.RNG.normal(size=(self.N, self.M))
         op = pde._Tridiag(*bands, self.H)
         ref = np.linalg.solve(self._shifted(bands, 0), rhs)
-        # rows interleave the lines in C order (Thomas sweep); each line is
-        # contiguous in F order (LAPACK)
+        # C input is swept in place; F input is copied to C order first
         for order in "CF":
             got = op.solve(rhs.copy(order=order))
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -146,10 +145,22 @@ class TestTridiagKernel:
         got = pde._Tridiag(*bands, self.H).solve(operand)
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    @pytest.mark.parametrize("batch", [(1,), (7,)])
+    @pytest.mark.parametrize("batch", [(1,), (7,), ()])
     def test_non_finite_coefficients_refused(self, batch):
+        # an infinite diagonal factors to finite multipliers and would solve
+        # to a wrong answer with no NaN in it
+        for band in range(3):
+            for bad in (np.nan, np.inf, -np.inf):
+                bands = self._bands(*batch)
+                bands[band][3] = bad
+                with pytest.raises(np.linalg.LinAlgError):
+                    pde._Tridiag(*bands, self.H)
+
+    @pytest.mark.parametrize("batch", [(1,), (7,), ()])
+    def test_zero_pivot_refused(self, batch):
+        # row and column 0 of I - h L are zero: singular under any pivoting
         lower, diag, upper = self._bands(*batch)
-        diag[3] = np.nan
+        diag[0], upper[0], lower[1] = 1.0 / self.H, 0.0, 0.0
         with pytest.raises(np.linalg.LinAlgError):
             pde._Tridiag(lower, diag, upper, self.H)
 
@@ -464,8 +475,3 @@ class TestReductionGap:
         fine = reduction_gap(spec, 1, GridSpec(200, 100))
         assert fine < coarse
         assert fine < 1e-3
-
-    def test_custom_probes(self):
-        spec = _exchange_spec_2d()
-        gap = reduction_gap(spec, 1, GridSpec(100, 50), probes=[(1.0, 1.0)])
-        assert 0.0 <= gap < 5e-3
