@@ -44,11 +44,13 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 
 _SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
 
-# Largest float64 footprint a solve may allocate, checked from its GridSpec
-# before any array is built: the stored levels plus _VECTORS_1D working
-# vectors of a 1-D solve, or the _PLANES_2D working planes of a 2-D one.
+# Largest footprint a solve may allocate, checked from its GridSpec before
+# any array is built: the stored levels plus _VECTORS_1D working vectors of a
+# 1-D solve (``_words_1d``), or the _PLANES_2D working planes of a 2-D one.
 _BUDGET_BYTES = 2 ** 30
 _VECTORS_1D = 48
+_LEVEL_WORDS_1D = 10  # per level: its time and step as float64s and list floats
+_FIXED_WORDS_1D = 512  # array headers and LAPACK outputs, whatever the grid
 _PLANES_2D = 40
 
 
@@ -104,6 +106,13 @@ class Pde2Spec:
 # shared plumbing
 
 
+def _words_1d(nodes: int, levels: int) -> int:
+    """8-byte words a 1-D solve of ``levels`` stored levels may hold at
+    once: the levels, each with its time-grid entries, the working vectors
+    and a fixed part that dominates the smallest grids."""
+    return levels * (nodes + _LEVEL_WORDS_1D) + _VECTORS_1D * nodes + _FIXED_WORDS_1D
+
+
 def _check_budget(cells: int, what: str) -> None:
     """Refuse a grid of ``cells`` float64 values over the budget."""
     need = 8 * cells
@@ -136,18 +145,23 @@ def _half_width(diffusion, drift, maturity: float, breakpoints, n: int = 256) ->
     """Log-space grid half-width: _SPAN_SIGMAS standard deviations of the
     integrated diffusion plus the integrated log drift, at least 1e-2.
 
-    Midpoint sums split at breakpoints, each coefficient evaluated once per
-    midpoint.  Midpoints on purpose: several discount coefficients are
-    singular exactly at the terminal date and must never be sampled there.
+    Midpoint sums split at breakpoints, both accumulated in one pass that
+    evaluates each coefficient once per midpoint and keeps no list of them.
+    Midpoints on purpose: several discount coefficients are singular exactly
+    at the terminal date and must never be sampled there.
     """
     var = shift = 0.0
     cuts = sorted({0.0, maturity, *(c for c in breakpoints if 0.0 < c < maturity)})
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         h = (hi - lo) / n
-        ts = [float(t) for t in lo + (np.arange(n) + 0.5) * h]
-        diff = [diffusion(t) for t in ts]
-        var += h * float(sum(diff))
-        shift += h * float(sum(drift(t) - 0.5 * a for t, a in zip(ts, diff)))
+        sum_a = sum_m = 0.0
+        for i in range(n):
+            t = lo + (i + 0.5) * h
+            a = float(diffusion(t))
+            sum_a += a
+            sum_m += float(drift(t) - 0.5 * a)
+        var += h * sum_a
+        shift += h * sum_m
     return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
 
 
@@ -266,22 +280,38 @@ def _apply(bands, v, out=None):
     return out
 
 
+_SINGULAR = "singular or non-finite tridiagonal system"
+
+
 def _check_pivots(pivots) -> None:
     """Refuse a factorisation with a zero, infinite or NaN pivot, or inverse
     pivot: from a singular system or coefficients that are not finite, it
     would solve to NaNs or (an infinite diagonal) to a wrong answer."""
     if not (np.isfinite(pivots).all() and pivots.all()):
-        raise np.linalg.LinAlgError("singular or non-finite tridiagonal system")
+        raise np.linalg.LinAlgError(_SINGULAR)
+
+
+def _factor_line(lower, diag, upper):
+    """LAPACK ``gttrf`` factors of I - hL for one line, from the bands of
+    hL, for ``gttrs`` to solve with; refused as ``_check_pivots`` refuses,
+    but LAPACK's info already flags an exactly zero pivot, so only
+    finiteness is tested.  The three bands of
+    I - hL are temporaries, so LAPACK factors them in place (the flags are
+    positional: f2py parses keywords slowly)."""
+    *lu, info = dgttrf(-lower[1:], 1.0 - diag, -upper[:-1], 1, 1, 1)
+    if info or not np.isfinite(lu[1]).all():  # lu[1]: U's diagonal
+        raise np.linalg.LinAlgError(_SINGULAR)
+    return lu
 
 
 class _Tridiag:
-    """I - h L factored for a tridiagonal L acting along axis 0.
+    """I - h L factored for a tridiagonal L acting along axis 0 of a plane
+    (a single line is ``_factor_line``'s).
 
-    ``diag`` is (n,) for a single line, (n, 1) when every line of an (n, m)
-    plane sees the same matrix, or (n, m) for one matrix per line; the
-    off-diagonals broadcast against it.  Three cases:
+    ``diag`` is (n, 1) when every line of an (n, m) plane sees the same
+    matrix, or (n, m) for one matrix per line; the off-diagonals broadcast
+    against it.  Two cases:
 
-      * a single line: LAPACK ``gttrf`` factors and ``gttrs`` solves;
       * a matrix every line shares: a Thomas factorisation on Python floats,
         swept with one BLAS ``daxpy`` per row of the plane;
       * one matrix per line: a Thomas factorisation vectorised over the
@@ -295,11 +325,6 @@ class _Tridiag:
     """
 
     def __init__(self, lower, diag, upper, h: float, work=None):
-        if diag.ndim == 1:
-            *self._lu, _ = dgttrf(-h * lower[1:], 1.0 - h * diag, -h * upper[:-1])
-            _check_pivots(self._lu[1])  # U's diagonal, exactly zero where info > 0
-            return
-        self._lu = None
         shape = np.broadcast_shapes(lower.shape, diag.shape, upper.shape)
         n = shape[0]
         if shape[1] == 1:
@@ -338,8 +363,6 @@ class _Tridiag:
 
     def solve(self, rhs):
         """u with (I - h L) u = rhs; rhs may be overwritten."""
-        if self._lu is not None:
-            return dgttrs(*self._lu, rhs, overwrite_b=1)[0]
         rhs = np.ascontiguousarray(rhs)
         fwd, back, inv = self._sweep
         rhs *= inv
@@ -388,12 +411,15 @@ class Solution1D:
 def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     """Crank-Nicolson solve of a Pde1Spec; returns a callable U(z, t).
 
-    Each step evaluates the coefficients once and factors I - (dt/2) L only
-    when they or dt differ from the step before, so a segment of constant
-    coefficients holds one factorisation throughout.
+    Each step evaluates the coefficients once, at a Python float time, and
+    factors I - (dt/2) L only when they or dt differ from the step before,
+    so a segment of constant coefficients holds one factorisation
+    throughout.  A new factorisation scales L by h = dt/2 once: I - hL is
+    factored from that, and I + hL is the same bands with 1 added to the
+    diagonal.
     """
     n, levels = grid.nodes_per_axis, grid.time_steps + len(spec.breakpoints) + 2
-    _check_budget((levels + _VECTORS_1D) * n, "a 1-D solve")
+    _check_budget(_words_1d(n, levels), "a 1-D solve")
     T = spec.maturity
     half = _half_width(spec.diffusion, spec.drift, T, spec.breakpoints)
     z, s2, s1 = _log_grid(spec.anchor, half, n)
@@ -405,18 +431,21 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
 
     held = None
     u = values[-1].copy()
-    for k in range(times.size - 2, -1, -1):
-        t0, dt = times[k], steps[k]
-        damped = times[k + 1] in restart
+    tl, dts = times.tolist(), steps.tolist()  # floats: no numpy-scalar arithmetic
+    for k in range(len(dts) - 1, -1, -1):
+        t0, dt = tl[k], dts[k]
+        damped = tl[k + 1] in restart
         # Rannacher: two implicit half steps, coefficients at half midpoints
         for t in (t0 + 0.75 * dt, t0 + 0.25 * dt) if damped else (t0 + 0.5 * dt,):
             key = (spec.diffusion(t), spec.drift(t), spec.discount(t), 0.5 * dt)
             if key != held:
-                held, h = key, key[3]
-                lower, diag, upper = _bands(*key[:3], s2, s1)
-                op = _Tridiag(lower, diag, upper, h)
-                explicit = (h * lower, 1.0 + h * diag, h * upper)  # I + h L
-            u = op.solve(u if damped else _apply(explicit, u))
+                held = key
+                hl = _bands(*key[:3], s2, s1)
+                hl *= key[3]
+                lu = _factor_line(*hl)  # I - hL
+                hl[1] += 1.0
+                explicit = tuple(hl)  # I + hL
+            u = dgttrs(*lu, u if damped else _apply(explicit, u), overwrite_b=1)[0]
         values[k] = u
     return Solution1D(z, times, values)
 
@@ -576,10 +605,11 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
 
     values[0] = values[1]
     scheme = _CraigSneyd(spec, x_axis, y_axis, values[0])
-    for k in range(times.size - 2, -1, -1):
-        t0, dt = times[k], steps[k]
+    tl, dts = times.tolist(), steps.tolist()
+    for k in range(len(dts) - 1, -1, -1):
+        t0, dt = tl[k], dts[k]
         h = 0.5 * dt  # theta dt with theta = 1/2, and the damped half step
-        damped = times[k + 1] in restart
+        damped = tl[k + 1] in restart
         # damped start: two implicit (Douglas theta=1) half steps
         stages = ((t0 + 0.75 * dt, h), (t0 + 0.25 * dt, h)) if damped else ((t0 + h, dt),)
         for t, explicit in stages:
@@ -627,32 +657,34 @@ def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
     T = spec2.maturity
     payoff = lambda z: np.asarray(spec2.terminal(np.asarray(z), np.asarray(1.0)), dtype=float)
 
-    # state-independence / homogeneity checks on a coarse state sample
-    scales = np.array([0.25, 1.0, 4.0])
-    Xs = x0 * scales[:, None]
-    Ys = y0 * scales[None, :]
-    for t in (0.0, 0.5 * T, 0.999 * T):
-        muy = np.asarray(spec2.drift_y(t, Xs, Ys), dtype=float)
-        for fn, label in ((spec2.drift_x, "drift"), (spec2.discount, "discount")):
-            arr = np.broadcast_to(np.asarray(fn(t, Xs, Ys), dtype=float) - muy, (3, 3))
-            spread = float(np.max(arr) - np.min(arr))
-            if spread > 1e-10 * (1.0 + float(np.max(np.abs(arr)))):
-                raise ReductionError(
-                    f"reduced {label} coefficient is state-dependent (spread {spread:g})")
-    a = 1.7
-    zs = (x0 / y0) * np.array([0.5, 1.0, 2.0])
-    t2 = np.asarray(spec2.terminal(a * zs, np.full_like(zs, a)), dtype=float)
-    t1v = np.asarray(payoff(zs), dtype=float)
-    if np.max(np.abs(t2 - a * t1v)) > 1e-9 * (1.0 + float(np.max(np.abs(t2)))):
-        raise ReductionError("terminal payoff is not homogeneous of degree one")
+    # state-independence / homogeneity checks on a coarse state sample; a
+    # probe at 4x an anchor near the float range overflows quietly, and the
+    # solve refuses whatever is not finite
+    with np.errstate(all="ignore"):
+        scales = np.array([0.25, 1.0, 4.0])
+        Xs = x0 * scales[:, None]
+        Ys = y0 * scales[None, :]
+        for t in (0.0, 0.5 * T, 0.999 * T):
+            muy = np.asarray(spec2.drift_y(t, Xs, Ys), dtype=float)
+            for fn, label in ((spec2.drift_x, "drift"), (spec2.discount, "discount")):
+                arr = np.broadcast_to(np.asarray(fn(t, Xs, Ys), dtype=float) - muy, (3, 3))
+                spread = float(np.max(arr) - np.min(arr))
+                if spread > 1e-10 * (1.0 + float(np.max(np.abs(arr)))):
+                    raise ReductionError(
+                        f"reduced {label} coefficient is state-dependent (spread {spread:g})")
+        a = 1.7
+        zs = (x0 / y0) * np.array([0.5, 1.0, 2.0])
+        t2 = np.asarray(spec2.terminal(a * zs, np.full_like(zs, a)), dtype=float)
+        t1v = np.asarray(payoff(zs), dtype=float)
+        if np.max(np.abs(t2 - a * t1v)) > 1e-9 * (1.0 + float(np.max(np.abs(t2)))):
+            raise ReductionError("terminal payoff is not homogeneous of degree one")
 
-    def scalar(fn, t):
-        return float(fn(t, x0, y0))
-
+    axx, axy, ayy = spec2.diffusion_xx, spec2.diffusion_xy, spec2.diffusion_yy
+    mux, muy, c = spec2.drift_x, spec2.drift_y, spec2.discount
     return Pde1Spec(
-        diffusion=lambda t: spec2.diffusion_xx(t) - 2.0 * spec2.diffusion_xy(t) + spec2.diffusion_yy(t),
-        drift=lambda t: scalar(spec2.drift_x, t) - scalar(spec2.drift_y, t),
-        discount=lambda t: scalar(spec2.discount, t) - scalar(spec2.drift_y, t),
+        diffusion=lambda t: axx(t) - 2.0 * axy(t) + ayy(t),
+        drift=lambda t: float(mux(t, x0, y0)) - float(muy(t, x0, y0)),
+        discount=lambda t: float(c(t, x0, y0)) - float(muy(t, x0, y0)),
         terminal=payoff,
         maturity=T,
         anchor=x0 / y0,

@@ -37,15 +37,19 @@ from .pde import Pde2Spec
 @dataclass(frozen=True)
 class VasicekBond:
     """The short rate of ``model`` read off the price Y of its zero-coupon
-    bond maturing at ``maturity``: r(t, Y) = (ln A(t, T) - ln Y) / B(t, T)."""
+    bond maturing at ``maturity``: r(t, Y) = (ln A(t, T) - ln Y) / B(t, T).
+
+    One ``ratecurve.log_affine`` call gives ln A and B, and a scalar Y takes
+    ``math.log``, so a call on floats (each step of the reduced solve makes
+    several) runs no numpy; an array Y broadcasts through ``np.log``.
+    """
 
     model: ratecurve.VasicekModel
     maturity: float
 
     def __call__(self, t, X, Y):
-        a = ratecurve.a_factor(self.model, t, self.maturity)
-        return (math.log(a) - np.log(Y)) / ratecurve.b_factor(
-            self.model, t, self.maturity)
+        ln_a, b = ratecurve.log_affine(self.model, t, self.maturity)
+        return (ln_a - (np.log(Y) if isinstance(Y, np.ndarray) else math.log(Y))) / b
 
 
 @dataclass(frozen=True)

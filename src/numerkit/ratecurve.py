@@ -39,18 +39,24 @@ def b_factor(model: VasicekModel, t: float, maturity: float) -> float:
     return -math.expm1(-model.theta * dt) / model.theta
 
 
-def a_factor(model: VasicekModel, t: float, maturity: float) -> float:
-    """A(t, T) in the affine bond price A * exp(-B r)."""
+def log_affine(model: VasicekModel, t: float, maturity: float) -> tuple:
+    """(ln A(t, T), B(t, T)): the exponent and the rate loading of the
+    affine bond price A * exp(-B r), with B computed once."""
     th, sr = model.theta, model.sigma_r
-    tau = maturity - t
     b = b_factor(model, t, maturity)
     mean_adj = model.mu_r - model.lam * sr / th - 0.5 * sr * sr / (th * th)
-    return math.exp((b - tau) * mean_adj - sr * sr * b * b / (4.0 * th))
+    return (b - (maturity - t)) * mean_adj - sr * sr * b * b / (4.0 * th), b
+
+
+def a_factor(model: VasicekModel, t: float, maturity: float) -> float:
+    """A(t, T) in the affine bond price A * exp(-B r)."""
+    return math.exp(log_affine(model, t, maturity)[0])
 
 
 def bond_price(model: VasicekModel, r: float, t: float, maturity: float) -> float:
     """Zero-coupon price p(r, t; T) = A(t,T) exp(-B(t,T) r)."""
-    return a_factor(model, t, maturity) * math.exp(-b_factor(model, t, maturity) * r)
+    ln_a, b = log_affine(model, t, maturity)
+    return math.exp(ln_a) * math.exp(-b * r)
 
 
 def short_rate_from_bond(model: VasicekModel, p: float, t: float, maturity: float) -> float:

@@ -390,8 +390,8 @@ def _substituted(base):
 class TestSubstitutionGrid:
     """Each default product with one field replaced by a hostile value, on
     the routes without simulation: every run ends in a documented exit
-    code, never in a traceback, and a run that exits 0 prints a finite
-    value."""
+    code, never in a traceback or a numpy RuntimeWarning, and a run that
+    exits 0 prints a finite value."""
 
     @pytest.mark.parametrize("product", default_suite(),
                              ids=lambda p: type(p).__name__)
@@ -401,12 +401,17 @@ class TestSubstitutionGrid:
         for spec in _substituted(product_to_dict(product)):
             path.write_text(json.dumps(spec))
             for method in ("analytic", "quadrature", "pde_reduced"):
-                try:
-                    code = main(["price", "--input", str(path), "--method", method,
-                                 "--grid-nodes", "32", "--time-steps", "16"])
-                except Exception as exc:  # the failure this test looks for
-                    code = type(exc).__name__
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main(["price", "--input", str(path), "--method", method,
+                                     "--grid-nodes", "32", "--time-steps", "16"])
+                    except Exception as exc:  # the failure this test looks for
+                        code = type(exc).__name__
                 out = capsys.readouterr().out
+                runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+                if runtime:
+                    code = f"RuntimeWarning: {runtime[0].message}"
                 if code == 0 and not math.isfinite(json.loads(out)["quote"]["value"]):
                     code = "non-finite value"
                 codes.setdefault(code, []).append((method, spec))

@@ -94,12 +94,20 @@ class TestTridiagKernel:
         lower, diag, upper = (b if col is None else b[:, col] for b in bands)
         return np.eye(self.N) - self.H * _dense(lower, diag, upper)
 
+    def _solver(self, lower, diag, upper):
+        """solve(rhs) of I - H L: the LAPACK factors of solve_1d for a single
+        line, the plane kernel of solve_2d otherwise."""
+        if diag.ndim == 1:
+            lu = pde._factor_line(self.H * lower, self.H * diag, self.H * upper)
+            return lambda rhs: pde.dgttrs(*lu, rhs)[0]
+        return pde._Tridiag(lower, diag, upper, self.H).solve
+
     def test_single_system(self):
         bands = self._bands()
         rhs = self.RNG.normal(size=self.N)
         ref = np.linalg.solve(self._shifted(bands), rhs)
-        op = pde._Tridiag(*bands, self.H)
-        assert np.max(np.abs(op.solve(rhs.copy()) - ref)) <= 1e-12 * np.max(np.abs(ref))
+        solve = self._solver(*bands)
+        assert np.max(np.abs(solve(rhs.copy()) - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert np.allclose(pde._apply(bands, rhs), _dense(*bands) @ rhs, rtol=1e-13, atol=0.0)
 
     def test_shared_matrix_many_right_hand_sides(self):
@@ -154,7 +162,7 @@ class TestTridiagKernel:
                 bands = self._bands(*batch)
                 bands[band][3] = bad
                 with pytest.raises(np.linalg.LinAlgError):
-                    pde._Tridiag(*bands, self.H)
+                    self._solver(*bands)
 
     @pytest.mark.parametrize("batch", [(1,), (7,), ()])
     def test_zero_pivot_refused(self, batch):
@@ -162,7 +170,7 @@ class TestTridiagKernel:
         lower, diag, upper = self._bands(*batch)
         diag[0], upper[0], lower[1] = 1.0 / self.H, 0.0, 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            pde._Tridiag(lower, diag, upper, self.H)
+            self._solver(lower, diag, upper)
 
     @pytest.mark.parametrize("batch", [(1,), (7,)])
     def test_plane_apply_matches_vector_apply(self, batch):
@@ -419,16 +427,34 @@ class TestDefaultFormulations2D:
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
                              ids=lambda f: f.label)
     def test_1d_memory_within_budget(self, f):
-        # the working vectors beyond the stored levels, at the default grid
-        # where _VECTORS_1D was sized
-        grid = GridSpec()
-        levels = grid.time_steps + len(f.breakpoints) + 2
+        # an upper bound at every grid: the fixed part dominates the
+        # smallest, the levels' time-grid entries the one of many steps
         spec = derive_reduced(products.pde2_spec(f), f.numeraire_axis)
-        peak = self._peak(solve_1d, spec, grid)
-        assert peak <= 8 * (levels + pde._VECTORS_1D) * grid.nodes_per_axis
+        for grid in (GridSpec(16, 8), GridSpec(32, 16), GridSpec(100, 50), GridSpec(),
+                     GridSpec(16, 2000)):
+            levels = grid.time_steps + len(f.breakpoints) + 2
+            peak = self._peak(solve_1d, spec, grid)
+            assert peak <= 8 * pde._words_1d(grid.nodes_per_axis, levels), grid
 
 
 class TestDeriveReduced:
+    # the reduced solve at the anchor on GridSpec(100, 50), as computed before
+    # the float time grid, the one-pass half-width and the h L factorisation:
+    # each of those keeps every bit
+    PINNED = {
+        "esop": 0.2086386713357006,
+        "fx_gbp": 16.006116235327532,
+        "savings": 0.26202637113338156,
+        "convertible": 1.1477199439306716,
+        "corporate": 1.125863462362182,
+    }
+
+    @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
+                             ids=lambda f: f.label)
+    def test_pinned_values(self, f):
+        spec = derive_reduced(products.pde2_spec(f), f.numeraire_axis)
+        assert solve_1d(spec, GridSpec(100, 50))(spec.anchor, 0.0) == self.PINNED[f.label]
+
     def test_exchange_coefficients(self):
         red = derive_reduced(_exchange_spec_2d(rate=0.03), numeraire_axis=1)
         assert red.diffusion(0.3) == pytest.approx(0.04 - 0.02 + 0.09, abs=1e-15)

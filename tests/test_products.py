@@ -2,13 +2,15 @@
 reduced PDE they derive against the closed forms on random valid specs."""
 
 import ast
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numerkit import products
+from numerkit import products, ratecurve
 from numerkit.errors import PricingError
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
 from numerkit.pde import GridSpec
@@ -38,6 +40,24 @@ class TestIndependence:
         names |= {node.id for node in ast.walk(self.TREE)
                   if isinstance(node, ast.Name)}
         assert "integrated_variance" not in names
+
+
+class TestVasicekBond:
+    @pytest.mark.parametrize("theta", [0.05, 0.5, 5.0])
+    def test_rate_round_trips_through_the_bond_price(self, theta):
+        # Y carries a rounding of a few ulps, and r = (ln A - ln Y) / B
+        # divides it by B, which vanishes at maturity: the round trip holds
+        # to 1e-15 in B r, relative to ln Y once that exceeds one
+        model = VasicekModel(theta=theta, mu_r=0.04, sigma_r=0.01, lam=0.1)
+        maturity = 2.0
+        rate = products.VasicekBond(model, maturity)
+        for t in np.linspace(0.0, 0.99 * maturity, 12).tolist():
+            b = ratecurve.b_factor(model, t, maturity)
+            for r in np.linspace(-0.05, 0.15, 21).tolist():
+                y = ratecurve.bond_price(model, r, t, maturity)
+                tol = 1e-15 * max(1.0, abs(math.log(y))) / b
+                assert rate(t, 1.0, y) == pytest.approx(r, rel=0.0, abs=tol)
+                assert rate(t, 1.0, np.array([y]))[0] == pytest.approx(r, rel=0.0, abs=tol)
 
 
 class TestFormulations:
