@@ -25,10 +25,7 @@ import numpy as np
 from . import ratecurve
 from .errors import DimensionError, PricingError, ValidationFailure
 from .model import (
-    AssetDynamics,
     CovarianceMatrix,
-    HomogeneousPayoff,
-    MultiAssetProblem,
     covariance_from_loadings,
     json_number,
     product_from_dict,
@@ -144,7 +141,7 @@ def _array(name: str, values, depth: int = 1) -> list:
 _PAYOFF_KINDS = ("exchange", "relative_call", "forward", "max")
 
 
-def _registry_payoff(cfg: dict, dim: int) -> HomogeneousPayoff:
+def _registry_payoff(cfg: dict, dim: int):
     """Homogeneous payoffs addressable from JSON input.
 
     exchange:       max(S_i - S_j, 0)
@@ -164,57 +161,46 @@ def _registry_payoff(cfg: dict, dim: int) -> HomogeneousPayoff:
         if not 0 <= idx < dim:
             raise ValueError(f"{name} index {idx} out of range for {dim} assets")
     if kind == "exchange":
-        fn = lambda s: max(float(s[i]) - float(s[j]), 0.0)
-    elif kind == "relative_call":
-        fn = lambda s: max(float(s[i]) - k * float(s[0]), 0.0)
-    elif kind == "forward":
-        fn = lambda s: float(s[i]) - k * float(s[0])
-    else:
-        fn = lambda s: float(np.max(s))
-    return HomogeneousPayoff(evaluate=fn)
+        return lambda s: max(float(s[i]) - float(s[j]), 0.0)
+    if kind == "relative_call":
+        return lambda s: max(float(s[i]) - k * float(s[0]), 0.0)
+    if kind == "forward":
+        return lambda s: float(s[i]) - k * float(s[0])
+    return lambda s: float(np.max(s))
 
 
 def _cmd_reduce(args) -> int:
     cfg = _load_json(args.input)
     if "loadings" in cfg:
         rows = _array("loadings", cfg["loadings"], depth=2)
-        spots = _array("spots", cfg.get("spots", [1.0] * len(rows)))
-        if len(spots) != len(rows):
-            raise ValueError("spots and loadings must have the same length")
-        assets = tuple(AssetDynamics(spot=s, loadings=tuple(row))
-                       for s, row in zip(spots, rows))
-        cov = covariance_from_loadings(assets)
+        a = covariance_from_loadings(rows).as_array()
+        mismatch = "spots and loadings must have the same length"
     elif "covariance" in cfg:
-        cov = CovarianceMatrix(_array("covariance", cfg["covariance"], depth=2))
-        spots = _array("spots", cfg.get("spots", [1.0] * cov.dim))
-        if len(spots) != cov.dim:
-            raise ValueError("spots must match the covariance dimension")
-        width = cov.dim
-        assets = tuple(AssetDynamics(spot=s, loadings=(0.0,) * width)
-                       for s in spots)
+        values = _array("covariance", cfg["covariance"], depth=2)
+        a = CovarianceMatrix(values).as_array()
+        mismatch = "spots must match the covariance dimension"
     else:
         raise ValueError("input must provide 'covariance' or 'loadings'")
+    # spots are checked, not read: the quotient does not depend on them
+    spots = _array("spots", cfg.get("spots", [1.0] * len(a)))
+    if len(spots) != len(a):
+        raise ValueError(mismatch)
+    if not all(0.0 < s < math.inf for s in spots):
+        raise ValueError("asset spot must be positive and finite")
     maturity = json_number("maturity", cfg.get("maturity", 1.0))
-    payoff = _registry_payoff(cfg.get("payoff", {}), cov.dim)
-    problem = MultiAssetProblem(
-        assets=assets,
-        covariance=cov,
-        payoff=payoff,
-        maturity=maturity,
-    )
-    reduced = reduce_problem(problem)
-    psd = certify_psd(reduced.b_matrix)
+    if not maturity > 0.0:
+        raise ValueError("maturity must be positive")
+    b = reduce_problem(a, _registry_payoff(cfg.get("payoff", {}), len(a)))
     payload = {
-        "dim": reduced.dim,
-        "b_matrix": [list(map(float, row)) for row in reduced.b_matrix],
-        "psd": bool(psd),
-        "maturity": reduced.maturity,
+        "dim": len(b),
+        "b_matrix": [list(map(float, row)) for row in b],
+        "psd": bool(certify_psd(b)),
+        "maturity": maturity,
     }
     if args.format == "csv":
         lines = ["i,j,b"]
-        for a in range(reduced.dim):
-            for b in range(reduced.dim):
-                lines.append("%d,%d,%.17g" % (a, b, reduced.b_matrix[a, b]))
+        for i, row in enumerate(b):
+            lines.extend("%d,%d,%.17g" % (i, j, v) for j, v in enumerate(row))
         _emit("\n".join(lines) + "\n", args.output)
     else:
         _emit(json.dumps(payload, indent=2) + "\n", args.output)
@@ -240,6 +226,8 @@ def _cmd_curve(args) -> int:
             "bond_price": ratecurve.bond_price(model, model.r0, 0.0, m),
             "sigma_p": ratecurve.sigma_p(model, 0.0, m),
         })
+        if not all(map(math.isfinite, rows[-1].values())):
+            raise PricingError(f"curve at maturity {m:g} is not finite")
     if args.format == "csv":
         lines = ["maturity,bond_price,sigma_p"]
         for row in rows:

@@ -29,10 +29,6 @@ class DegenerateCovarianceError(PricingError):
     """Reduced covariance matrix is singular (or numerically so)."""
 
 
-class UnsupportedDimensionError(PricingError):
-    """Quadrature evaluation requested for an unsupported dimension."""
-
-
 class TimeDomainError(PricingError):
     """Valuation time outside the contract's validity window."""
 

@@ -1,16 +1,16 @@
-"""Problem statement types: asset dynamics, covariance, payoffs, product specs.
+"""Problem statement types: the covariance of log-returns, product specs.
 
-Everything downstream (reduction, closed forms, PDE and Monte Carlo engines)
-consumes the types defined here.  Product specs are plain frozen dataclasses
-with a canonical JSON form: a "type" discriminator plus flat numeric fields,
-the Vasicek block nested under "vasicek".
+A covariance is validated once and handed on as a plain array.  Product specs
+are plain frozen dataclasses with a canonical JSON form: a "type"
+discriminator plus flat numeric fields, the Vasicek block nested under
+"vasicek".
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -19,23 +19,6 @@ from .ratecurve import VasicekModel
 
 SYMMETRY_RTOL = 1e-12
 PSD_EIG_FLOOR = 1e-10  # scaled by trace
-
-
-@dataclass(frozen=True)
-class AssetDynamics:
-    """One lognormal asset: spot and its loadings on the common drivers."""
-
-    spot: float
-    loadings: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "loadings", tuple(float(v) for v in self.loadings))
-        if not (self.spot > 0.0) or not math.isfinite(self.spot):
-            raise ValueError("asset spot must be positive and finite")
-        if len(self.loadings) < 1:
-            raise DimensionError("asset needs at least one driver loading")
-        if not all(math.isfinite(v) for v in self.loadings):
-            raise ValueError("asset loadings must be finite")
 
 
 class CovarianceMatrix:
@@ -52,18 +35,19 @@ class CovarianceMatrix:
         if not np.all(np.isfinite(a)):
             raise ValueError("covariance entries must be finite")
         scale = max(1.0, float(np.max(np.abs(a))))
-        if np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
+        with np.errstate(over="ignore"):  # entries near 1e308
+            asymmetry = np.max(np.abs(a - a.T))
+            a = 0.5 * a + 0.5 * a.T  # a + a.T would overflow
+            trace = float(np.trace(a))
+        if asymmetry > SYMMETRY_RTOL * scale:
             raise ValueError("covariance must be symmetric to 1e-12 relative")
-        a = 0.5 * (a + a.T)
+        if not math.isfinite(trace):
+            raise ValueError("covariance trace overflows double precision")
         eig_min = float(np.linalg.eigvalsh(a)[0])
-        if eig_min < -PSD_EIG_FLOOR * max(float(np.trace(a)), 0.0) - 0.0:
+        if eig_min < -PSD_EIG_FLOOR * max(trace, 0.0) - 0.0:
             raise ValueError(f"covariance is not positive semidefinite (min eig {eig_min:g})")
         a.flags.writeable = False
         self._a = a
-
-    @property
-    def dim(self) -> int:
-        return self._a.shape[0]
 
     def as_array(self) -> np.ndarray:
         return self._a
@@ -72,48 +56,22 @@ class CovarianceMatrix:
         return f"CovarianceMatrix({self._a.tolist()!r})"
 
 
-@dataclass(frozen=True)
-class HomogeneousPayoff:
-    """Terminal payoff P(S0, ..., Sn) expected to be homogeneous of degree one.
-
-    ``evaluate`` maps a length-(n+1) vector of asset prices to a real payoff.
-    Homogeneity is certified separately by numeraire.check_homogeneity.
-    """
-
-    evaluate: Callable[[np.ndarray], float]
-
-    def __call__(self, prices) -> float:
-        return float(self.evaluate(np.asarray(prices, dtype=float)))
-
-
-@dataclass(frozen=True)
-class MultiAssetProblem:
-    """A terminal-payoff pricing problem on n+1 jointly lognormal assets."""
-
-    assets: tuple[AssetDynamics, ...]
-    covariance: CovarianceMatrix
-    payoff: HomogeneousPayoff
-    maturity: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "assets", tuple(self.assets))
-        if len(self.assets) < 2:
-            raise DimensionError("need at least two assets (numeraire plus one)")
-        if self.covariance.dim != len(self.assets):
-            raise DimensionError("covariance dimension must match the asset count")
-        if not (self.maturity > 0.0):
-            raise ValueError("maturity must be positive")
-
-
-def covariance_from_loadings(assets: Sequence[AssetDynamics]) -> CovarianceMatrix:
-    """Assemble the covariance a_ij = sum_k L_ik L_jk from asset loadings."""
-    if not assets:
+def covariance_from_loadings(rows) -> CovarianceMatrix:
+    """Assemble the covariance a_ij = sum_k L_ik L_jk from loading rows L_i,
+    one per asset, each with one loading per common driver."""
+    if len(rows) == 0:
         raise DimensionError("no assets given")
-    width = len(assets[0].loadings)
-    if any(len(a.loadings) != width for a in assets):
+    width = len(rows[0])
+    if any(len(row) != width for row in rows):
         raise DimensionError("asset loading rows must all have the same length")
-    L = np.array([a.loadings for a in assets], dtype=float)
-    return CovarianceMatrix(L @ L.T)
+    if width < 1:
+        raise DimensionError("asset needs at least one driver loading")
+    L = np.array(rows, dtype=float)
+    if not np.isfinite(L).all():
+        raise ValueError("asset loadings must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = L @ L.T
+    return CovarianceMatrix(a)
 
 
 # ---------------------------------------------------------------------------

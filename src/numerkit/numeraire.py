@@ -1,19 +1,17 @@
 """Dimension reduction by change of numeraire.
 
 A degree-one homogeneous claim on n+1 lognormal assets is worth S0 * U where U
-solves a driftless n-dimensional equation in the price ratios z_i = S_i / S0.
-This module builds that reduced problem (covariance quotient + ratio payoff),
-certifies the quotient covariance in any dimension, and prices a one-ratio
-reduced problem directly by Gaussian integration, an independent oracle for
-the finite-difference and simulation engines.
+solves a driftless n-dimensional equation in the price ratios z_i = S_i / S0,
+with ratio payoff F(z) = P(1, z).  This module checks the homogeneity, forms
+the quotient covariance of the ratios in any dimension, certifies it, and
+prices one lognormal ratio directly by Gaussian integration, an independent
+oracle for the finite-difference and simulation engines.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -22,43 +20,14 @@ from .errors import (
     DegenerateCovarianceError,
     DimensionError,
     PayoffEvaluationError,
+    PricingError,
     ReductionError,
-    TimeDomainError,
-    UnsupportedDimensionError,
 )
-from .model import MultiAssetProblem
 
 _TAIL = 42.0  # standard deviations; exhausts double precision either side
 _HOMOGENEITY_SAMPLES = 64
 _HOMOGENEITY_TOL = 1e-8  # relative to 1 + |a P(S)|
 _PSD_TOL = 1e-10  # smallest eigenvalue, relative to max(|b|, 1)
-
-
-@dataclass(frozen=True)
-class ReducedProblem:
-    """Driftless problem in the price ratios z = (S_1/S_0, ..., S_n/S_0).
-
-    ``payoff_f`` maps a ratio vector to the numeraire-denominated payoff
-    F(z) = P(1, z).  ``kinks`` optionally lists ratio levels where F has a
-    kink along any axis; the one-dimensional quadrature splits its panels
-    there (without hints it still converges, just less sharply).
-    """
-
-    b_matrix: np.ndarray
-    payoff_f: Callable[[np.ndarray], float]
-    maturity: float
-    kinks: tuple = ()
-
-    def __post_init__(self):
-        b = np.asarray(self.b_matrix, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise DimensionError("b_matrix must be square")
-        b.setflags(write=False)
-        object.__setattr__(self, "b_matrix", b)
-
-    @property
-    def dim(self) -> int:
-        return self.b_matrix.shape[0]
 
 
 def check_homogeneity(payoff, dim: int) -> bool:
@@ -83,31 +52,21 @@ def check_homogeneity(payoff, dim: int) -> bool:
     return True
 
 
-def reduce(problem: MultiAssetProblem) -> ReducedProblem:
-    """Quotient an (n+1)-asset homogeneous problem by its first asset.
-
-    The reduced covariance is b[i][j] = a00 - ai0 - a0j + aij (indices 1-based
-    into the original matrix); the reduced payoff fixes the numeraire price
-    at one.  Raises if the payoff fails the homogeneity check.
+def reduce(covariance, payoff) -> np.ndarray:
+    """The quotient covariance b[i][j] = a00 - ai0 - a0j + aij (indices
+    1-based into a) of an (n+1)-asset claim with log-return covariance a,
+    quoted in its first asset.  Raises DimensionError below two assets and
+    ReductionError when ``payoff`` (of the n+1 prices) fails the
+    homogeneity check.
     """
-    payoff = problem.payoff
-    n_all = problem.covariance.dim
-    if not check_homogeneity(payoff, n_all):
+    a = np.asarray(covariance, dtype=float)
+    if a.shape[0] < 2:
+        raise DimensionError("need at least two assets (numeraire plus one)")
+    if not check_homogeneity(payoff, a.shape[0]):
         raise ReductionError(
             "payoff is not homogeneous of degree one; change of numeraire "
             "does not eliminate the level variable")
-    a = problem.covariance.as_array()
-    b = a[0, 0] - a[1:, :1] - a[:1, 1:] + a[1:, 1:]
-
-    def payoff_f(z) -> float:
-        z = np.asarray(z, dtype=float).ravel()
-        return float(payoff(np.concatenate(([1.0], z))))
-
-    return ReducedProblem(
-        b_matrix=b,
-        payoff_f=payoff_f,
-        maturity=problem.maturity,
-    )
+    return a[0, 0] - a[1:, :1] - a[:1, 1:] + a[1:, 1:]
 
 
 def certify_psd(b) -> bool:
@@ -124,7 +83,7 @@ def certify_psd(b) -> bool:
     scale = float(np.max(np.abs(b)))
     if not np.allclose(b, b.T, rtol=0.0, atol=1e-12 * (1.0 + scale)):
         raise DimensionError("matrix must be symmetric")
-    eig = np.linalg.eigvalsh(0.5 * (b + b.T))
+    eig = np.linalg.eigvalsh(0.5 * b + 0.5 * b.T)  # b + b.T overflows at 1e308
     return bool(eig.min() >= -_PSD_TOL * max(scale, 1.0))
 
 
@@ -139,46 +98,35 @@ def _mapped_kinks(kinks, z0: float, half_var: float, s: float):
     return sorted(pts)
 
 
-def quadrature_price(reduced: ReducedProblem, z, t: float = 0.0) -> float:
-    """E[F(Z_T)] for a one-ratio reduced problem, by direct integration.
+def quadrature_price(variance: float, ratio: float, payoff, kinks=()) -> float:
+    """E[F(Z)] for one driftless lognormal ratio, by direct integration.
 
-    Under the numeraire measure ln Z_T is Gaussian with mean
-    ln z - B tau / 2 and variance B tau.  Adaptive Gauss-Kronrod with panel
-    splits at declared payoff kinks, and F(z) itself when the variance B tau
-    is zero.  The reduced equation is undiscounted; discounting re-enters
-    through the numeraire when the caller forms V = S0 * U.
+    Z starts at ``ratio`` and ln Z has ``variance`` by the payoff date;
+    ``payoff`` is F and ``kinks`` the ratio levels where F kinks.  Adaptive
+    Gauss-Kronrod with panel splits at the kinks, and F(ratio) itself when the
+    variance is zero.  The reduced equation is undiscounted; discounting
+    re-enters through the numeraire when the caller forms V = S0 * U.
+    Raises ValueError on a non-positive ratio, PricingError on an infinite
+    or NaN one.
     """
-    n = reduced.dim
-    if n != 1:
-        raise UnsupportedDimensionError(
-            f"quadrature pricer supports one ratio, got {n}")
-    if not 0.0 <= t < reduced.maturity:
-        raise TimeDomainError(
-            f"t={t} outside [0, {reduced.maturity}) for quadrature pricing")
-    tau = reduced.maturity - t
-
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    if z.size != n:
-        raise DimensionError(f"state has {z.size} ratios, problem has {n}")
-    if np.any(z <= 0.0):
+    if ratio <= 0.0:
         raise ValueError("price ratios must be positive")
-
-    var = float(reduced.b_matrix[0, 0]) * tau
-    if not 0.0 <= var < math.inf:
+    if not ratio < math.inf:
+        raise PricingError(f"price ratio is not finite: {ratio}")
+    if not 0.0 <= variance < math.inf:
         raise DegenerateCovarianceError(
-            f"reduced variance must be finite and non-negative: B tau = {var:.3e}")
-    if var == 0.0:
-        return float(reduced.payoff_f(z))
-    s = math.sqrt(var)
-    half_var = 0.5 * var
-    mu = math.log(z[0]) - half_var
-    f = reduced.payoff_f
+            f"reduced variance must be finite and non-negative: {variance:.3e}")
+    if variance == 0.0:
+        return float(payoff(ratio))
+    s = math.sqrt(variance)
+    half_var = 0.5 * variance
+    mu = math.log(ratio) - half_var
     phi_norm = 1.0 / math.sqrt(2.0 * math.pi)
 
     def integrand(x: float) -> float:
-        return f(np.array([math.exp(mu + s * x)])) * phi_norm * math.exp(-0.5 * x * x)
+        return payoff(math.exp(mu + s * x)) * phi_norm * math.exp(-0.5 * x * x)
 
-    pts = _mapped_kinks(reduced.kinks, float(z[0]), half_var, s)
+    pts = _mapped_kinks(kinks, ratio, half_var, s)
     val, _ = quad(integrand, -_TAIL, _TAIL, points=pts or None,
                   limit=400, epsabs=1e-14, epsrel=1e-11)
     if 0.0 < abs(val) < 1e-6:

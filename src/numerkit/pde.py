@@ -351,13 +351,14 @@ class _Tridiag:
             np.multiply(diag, -h, out=di)
             di += 1.0
             buf = np.empty(shape[1:])
-            np.divide(1.0, di[0], out=di[0])
-            up[0] *= di[0]
-            for lo_i, cp_prev, cp_i, inv_i in zip(lo[1:], up, up[1:], di[1:]):
-                np.subtract(inv_i, np.multiply(lo_i, cp_prev, out=buf), out=inv_i)
-                np.divide(1.0, inv_i, out=inv_i)
-                cp_i *= inv_i
-            lo *= di
+            with np.errstate(all="ignore"):  # _check_pivots refuses a zero pivot
+                np.divide(1.0, di[0], out=di[0])
+                up[0] *= di[0]
+                for lo_i, cp_prev, cp_i, inv_i in zip(lo[1:], up, up[1:], di[1:]):
+                    np.subtract(inv_i, np.multiply(lo_i, cp_prev, out=buf), out=inv_i)
+                    np.divide(1.0, inv_i, out=inv_i)
+                    cp_i *= inv_i
+                lo *= di
             self._sweep = (lo, up, di)
         _check_pivots(self._sweep[2])  # the inverse pivots
 

@@ -30,7 +30,6 @@ from scipy.integrate import quad
 from . import ratecurve
 from .errors import PricingError
 from .model import Convertible, Corporate, Esop, FxStrike, Savings, require_valid
-from .numeraire import ReducedProblem
 from .pde import Pde2Spec
 
 
@@ -227,24 +226,20 @@ def _numeraire_on_y(f: Formulation) -> Formulation:
 
 
 def quadrature_problem(f: Formulation) -> tuple:
-    """(ReducedProblem, ratio, multiplier): the claim is worth multiplier *
-    quadrature_price(problem, ratio) in the product's quote currency.
+    """(variance, ratio, payoff, kinks, multiplier): the claim is worth
+    multiplier * quadrature_price(variance, ratio, payoff, kinks) in the
+    product's quote currency.
 
-    The ratio Z = X/Y of the numeraire formulation is lognormal with the
-    quotient variance of sigma_x^2 - 2 c sigma_x sigma_y + sigma_y^2; its
-    drift q_y - q_x moves into the starting ratio and its discount q_y into
-    the multiplier, which leaves the driftless problem of the quadrature.
+    The ratio Z = X/Y of the numeraire formulation is lognormal; ln Z has the
+    integral of sigma_x^2 - 2 c sigma_x sigma_y + sigma_y^2 as its variance,
+    and the payoff is the claim's with Y at one.  Z's drift q_y - q_x moves
+    into the starting ratio and its discount q_y into the multiplier.
     """
     g = _numeraire_on_y(f)
     sx, sy, c, T = g.sigma_x, g.sigma_y, g.corr, g.maturity
     var = integral(g, lambda t: sx(t) * sx(t) - 2.0 * c * sx(t) * sy(t)
                    + sy(t) * sy(t))
     x0, y0 = g.anchor
-    problem = ReducedProblem(
-        b_matrix=np.array([[var / T]]),
-        payoff_f=lambda z: float(g.terminal(float(z[0]), 1.0)),
-        maturity=T,
-        kinks=(g.kink,),
-    )
-    return (problem, x0 / y0 * math.exp((g.q_y - g.q_x) * T),
+    return (var, x0 / y0 * math.exp((g.q_y - g.q_x) * T),
+            lambda z: float(g.terminal(z, 1.0)), (g.kink,),
             g.to_canonical * y0 * math.exp(-g.q_y * T))

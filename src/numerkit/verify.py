@@ -150,8 +150,8 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
             raise PricingError(
                 f"no homogeneous two-factor formulation for {engines.label}")
         if method == "quadrature":
-            problem, ratio, multiplier = quadrature_problem(source.formulation)
-            value = multiplier * quadrature_price(problem, ratio)
+            *args, multiplier = quadrature_problem(source.formulation)
+            value = multiplier * quadrature_price(*args)
         else:
             reduced = derive_reduced(source.pde2, source.numeraire_axis)
             numeraire = source.state0[source.numeraire_axis]

@@ -15,14 +15,9 @@ import numpy as np
 from scipy.integrate import quad as _quad
 
 from numerkit import analytic, ratecurve
-from numerkit.model import (
-    AssetDynamics,
-    HomogeneousPayoff,
-    MultiAssetProblem,
-    covariance_from_loadings,
-)
+from numerkit.model import covariance_from_loadings
 from numerkit.montecarlo import McSpec, mc_bond_price, price_mc
-from numerkit.numeraire import ReducedProblem, certify_psd, quadrature_price
+from numerkit.numeraire import certify_psd, quadrature_price
 from numerkit.numeraire import reduce as reduce_problem
 from numerkit.pde import GridSpec, reduction_gap, solve_2d
 from numerkit.verify import (
@@ -122,23 +117,19 @@ def test_criterion_4_quadrature_call_accuracy():
     """One-ratio quadrature vs the call formula, rel < 1e-6 over the domain
     z in [0.5, 2] x tau in [0.1, 2]; kernel normalization to 1e-8."""
     worst = 0.0
+    call = lambda z: max(z - 1.0, 0.0)
     for sigma in (0.1, 0.2, 0.4):
         for tau in (0.1, 0.3, 0.5, 1.0, 1.5, 2.0):
-            reduced = ReducedProblem(
-                b_matrix=np.array([[sigma * sigma]]),
-                payoff_f=lambda z: max(z[0] - 1.0, 0.0),
-                maturity=tau, kinks=(1.0,))
             for z in (0.5, 0.6, 0.7, 0.85, 1.0, 1.2, 1.4, 1.7, 2.0):
                 reference = analytic.bs_call(z, 1.0, 0.0, 0.0, sigma, tau)
-                got = quadrature_price(reduced, [z], 0.0)
+                got = quadrature_price(sigma * sigma * tau, z, call,
+                                       kinks=(1.0,))
                 worst = max(worst, abs(got - reference) / reference
                             if reference > 0.0 else abs(got))
     worst_norm = 0.0
     for sigma, tau in ((0.1, 0.1), (0.1, 2.0), (0.4, 0.1), (0.4, 2.0)):
-        reduced = ReducedProblem(b_matrix=np.array([[sigma * sigma]]),
-                                 payoff_f=lambda z: 1.0, maturity=tau)
-        worst_norm = max(worst_norm,
-                         abs(quadrature_price(reduced, [1.0], 0.0) - 1.0))
+        worst_norm = max(worst_norm, abs(quadrature_price(
+            sigma * sigma * tau, 1.0, lambda z: 1.0) - 1.0))
     ok = worst < 1e-6 and worst_norm < 1e-8
     assert _report(4, "quadrature-call-accuracy", ok,
                    "worst rel %.3e, worst normalization drift %.3e"
@@ -148,20 +139,14 @@ def test_criterion_4_quadrature_call_accuracy():
 def test_criterion_5_psd_certification():
     """1000 random loading matrices: every reduced covariance certifies PSD."""
     rng = np.random.default_rng(20240915)
-    payoff = HomogeneousPayoff(lambda s: float(np.max(s)))
+    payoff = lambda s: float(np.max(s))
     passes = 0
     for _ in range(1000):
         n = int(rng.integers(2, 6))
         k = int(rng.integers(1, n + 1))
         loadings = rng.normal(size=(n, k)) * rng.uniform(0.05, 0.6)
-        assets = tuple(AssetDynamics(spot=1.0, loadings=tuple(row))
-                       for row in loadings)
-        problem = MultiAssetProblem(
-            assets=assets,
-            covariance=covariance_from_loadings(assets),
-            payoff=payoff,
-            maturity=1.0)
-        if certify_psd(reduce_problem(problem).b_matrix):
+        cov = covariance_from_loadings(loadings)
+        if certify_psd(reduce_problem(cov.as_array(), payoff)):
             passes += 1
     ok = passes == 1000
     assert _report(5, "psd-certification", ok, "%d/1000 certified" % passes)

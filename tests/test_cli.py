@@ -279,9 +279,18 @@ class TestReduce:
          "payoff": {"kind": "max"}},
         {"loadings": [[0.2], [0.3]], "maturity": None,
          "payoff": {"kind": "max"}},
+        {"loadings": [[0.2], [0.3]], "spots": [1.0, -1.0],
+         "payoff": {"kind": "max"}},
+        {"loadings": [[0.2], [0.3]], "spots": [1.0, math.nan],
+         "payoff": {"kind": "max"}},
+        {"covariance": [[0.04, 0.0], [0.0, 0.09]], "spots": [1.0],
+         "payoff": {"kind": "max"}},
+        {"loadings": [[0.2], [0.3]], "maturity": 0.0,
+         "payoff": {"kind": "max"}},
     ], ids=["null_asset", "fractional_asset", "array_payoff",
             "null_covariance_entry", "scalar_loading_row", "null_spots",
-            "null_maturity"])
+            "null_maturity", "negative_spot", "nan_spot", "short_spots",
+            "zero_maturity"])
     def test_malformed_input_exits_two(self, tmp_path, capsys, cfg):
         path = _write(tmp_path, "problem.json", cfg)
         assert main(["reduce", "--input", path]) == 2
@@ -370,28 +379,53 @@ class TestCurve:
         assert "Traceback" not in capsys.readouterr().err
 
 
-# every value below replaces each field (and each Vasicek field) in turn
+# every value below replaces each field, nested field (of a Vasicek block or
+# a payoff), list element and matrix entry in turn
 SUBSTITUTES = [None, [], [1, 2], {}, "x", True, 0, -1, 1.5, float("nan"),
                1e308, -1e308, 1e-300, 1e6, 50, 1e-9]
 
 
-def _substituted(base):
-    for field in base:
-        if field == "type":
-            continue
-        for value in SUBSTITUTES:
-            yield {**base, field: value}
-        if field == "vasicek":
-            for sub in base["vasicek"]:
-                for value in SUBSTITUTES:
-                    yield {**base, "vasicek": {**base["vasicek"], sub: value}}
+def _substituted(node):
+    """Copies of a JSON object or array, each with one field, nested field,
+    list element or matrix entry replaced by one of SUBSTITUTES; a "type"
+    tag is kept."""
+    keys = range(len(node)) if isinstance(node, list) else \
+        [key for key in node if key != "type"]
+    for key in keys:
+        child = node[key]
+        nested = _substituted(child) if isinstance(child, (dict, list)) else ()
+        for value in [*SUBSTITUTES, *nested]:
+            copy = list(node) if isinstance(node, list) else dict(node)
+            copy[key] = value
+            yield copy
+
+
+# the README's reduce and curve examples, and a covariance with spots
+REDUCE_AND_CURVE = [
+    ("reduce", {"loadings": [[0.2, 0.0], [0.1, 0.25], [0.3, -0.1]],
+                "maturity": 2.0,
+                "payoff": {"kind": "exchange", "asset": 1, "against": 2}}),
+    ("reduce", {"covariance": [[0.04, 0.01, 0.0], [0.01, 0.09, 0.02],
+                               [0.0, 0.02, 0.0625]],
+                "spots": [1.0, 2.0, 0.5], "maturity": 1.5,
+                "payoff": {"kind": "relative_call", "asset": 2,
+                           "strike_ratio": 1.1}}),
+    ("curve", {"vasicek": {"theta": 0.5, "mu_r": 0.05, "sigma_r": 0.01,
+                           "lambda": 0.0, "r0": 0.03},
+               "maturities": [1.0, 2.0, 5.0, 10.0]}),
+]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestSubstitutionGrid:
     """Each default product with one field replaced by a hostile value, on
-    the routes without simulation: every run ends in a documented exit
-    code, never in a traceback or a numpy RuntimeWarning, and a run that
-    exits 0 prints a finite value."""
+    the routes without simulation, and the reduce and curve inputs with one
+    position replaced: every run ends in a documented exit code, never in a
+    traceback or a numpy RuntimeWarning, and a run that exits 0 prints
+    finite values."""
 
     @pytest.mark.parametrize("product", default_suite(),
                              ids=lambda p: type(p).__name__)
@@ -417,6 +451,45 @@ class TestSubstitutionGrid:
                 codes.setdefault(code, []).append((method, spec))
         stray = {code: runs[:3] for code, runs in codes.items() if code not in (0, 2, 3)}
         assert not stray, stray
+
+    def test_reduce_and_curve_exit_codes_documented(self, tmp_path, capsys):
+        # 768 runs; a run that exits 0 prints strict JSON (no NaN or Infinity)
+        path = tmp_path / "input.json"
+        codes = {}
+        for command, base in REDUCE_AND_CURVE:
+            for cfg in _substituted(base):
+                path.write_text(json.dumps(cfg))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main([command, "--input", str(path)])
+                    except Exception as exc:  # the failure this test looks for
+                        code = type(exc).__name__
+                out, err = capsys.readouterr()
+                runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+                if runtime:
+                    code = f"RuntimeWarning: {runtime[0].message}"
+                if "Traceback" in err:
+                    code = "traceback"
+                if code == 0:
+                    try:
+                        json.loads(out, parse_constant=_reject_constant)
+                    except ValueError as exc:
+                        code = str(exc)
+                codes.setdefault(code, []).append((command, cfg))
+        stray = {code: runs[:3] for code, runs in codes.items() if code not in (0, 2, 3)}
+        assert not stray, stray
+        assert sum(map(len, codes.values())) == 768
+
+    def test_overflowing_ratio_exits_three_without_warning(self, tmp_path, capsys):
+        # fx = 1e308 puts the pound formulation's ratio spot / (1 / fx) at
+        # inf; quadrature refuses it before integrating
+        spec = dict(product_to_dict(default_suite()[1]), fx=1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["price", "--input", _write(tmp_path, "fx.json", spec),
+                         "--method", "quadrature"]) == 3
+        assert "price ratio is not finite" in capsys.readouterr().err
 
     @pytest.mark.parametrize("method", ["pde_full", "pde_reduced"])
     def test_unrepresentable_grid_exits_three(self, tmp_path, capsys, method):

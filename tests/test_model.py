@@ -7,14 +7,11 @@ import pytest
 
 from numerkit.errors import DimensionError
 from numerkit.model import (
-    AssetDynamics,
     Convertible,
     Corporate,
     CovarianceMatrix,
     Esop,
     FxStrike,
-    HomogeneousPayoff,
-    MultiAssetProblem,
     PriceQuote,
     Savings,
     covariance_from_loadings,
@@ -97,27 +94,18 @@ class TestValidate:
 class TestCovariance:
     def test_from_loadings_single_factor(self):
         # L = [[0.2], [0.3]] -> [[0.04, 0.06], [0.06, 0.09]]
-        cov = covariance_from_loadings([
-            AssetDynamics(spot=1.0, loadings=(0.2,)),
-            AssetDynamics(spot=1.0, loadings=(0.3,)),
-        ])
+        cov = covariance_from_loadings([[0.2], [0.3]])
         assert np.allclose(cov.as_array(),
                            [[0.04, 0.06], [0.06, 0.09]], atol=1e-16)
 
     def test_from_loadings_diagonal(self):
-        cov = covariance_from_loadings([
-            AssetDynamics(spot=1.0, loadings=(0.2, 0.0)),
-            AssetDynamics(spot=1.0, loadings=(0.0, 0.3)),
-        ])
+        cov = covariance_from_loadings([[0.2, 0.0], [0.0, 0.3]])
         assert np.allclose(cov.as_array(), [[0.04, 0.0], [0.0, 0.09]],
                            atol=1e-16)
 
     def test_ragged_loadings_rejected(self):
         with pytest.raises(DimensionError):
-            covariance_from_loadings([
-                AssetDynamics(spot=1.0, loadings=(0.2,)),
-                AssetDynamics(spot=1.0, loadings=(0.1, 0.3)),
-            ])
+            covariance_from_loadings([[0.2], [0.1, 0.3]])
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -127,28 +115,24 @@ class TestCovariance:
         with pytest.raises(ValueError):
             CovarianceMatrix([[0.04, 0.09], [0.09, 0.04]])
 
+    def test_near_overflow_diagonal_kept(self):
+        # symmetrised as a / 2 + a' / 2: a + a' would overflow to inf
+        cov = CovarianceMatrix([[1e308, 0.0], [0.0, 0.09]])
+        assert cov.as_array()[0, 0] == 1e308
+
+    def test_overflowing_trace_rejected(self):
+        with pytest.raises(ValueError, match="trace"):
+            CovarianceMatrix([[1e308, 0.0], [0.0, 1e308]])
+
+    def test_overflowing_loadings_rejected(self):
+        # L L' overflows; refused as a covariance that is not finite
+        with pytest.raises(ValueError, match="finite"):
+            covariance_from_loadings([[1e308], [0.3]])
+
     def test_matrix_is_readonly(self):
         cov = CovarianceMatrix([[0.04, 0.0], [0.0, 0.09]])
         with pytest.raises(ValueError):
             cov.as_array()[0, 0] = 1.0
-
-
-class TestMultiAssetProblem:
-    def test_dimension_mismatch(self):
-        assets = (AssetDynamics(1.0, (0.2,)), AssetDynamics(1.0, (0.3,)))
-        cov = CovarianceMatrix(np.eye(3) * 0.04)
-        payoff = HomogeneousPayoff(lambda s: float(max(s[1] - s[0], 0.0)))
-        with pytest.raises(DimensionError):
-            MultiAssetProblem(assets=assets, covariance=cov, payoff=payoff,
-                              maturity=1.0)
-
-    def test_single_asset_rejected(self):
-        with pytest.raises(DimensionError):
-            MultiAssetProblem(
-                assets=(AssetDynamics(1.0, (0.2,)),),
-                covariance=CovarianceMatrix([[0.04]]),
-                payoff=HomogeneousPayoff(lambda s: float(s[0])),
-                maturity=1.0)
 
 
 class TestJsonCodec:

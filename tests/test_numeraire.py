@@ -11,33 +11,16 @@ from numerkit.errors import (
     DegenerateCovarianceError,
     DimensionError,
     PayoffEvaluationError,
+    PricingError,
     ReductionError,
-    TimeDomainError,
-    UnsupportedDimensionError,
 )
-from numerkit.model import (
-    AssetDynamics,
-    CovarianceMatrix,
-    HomogeneousPayoff,
-    MultiAssetProblem,
-    covariance_from_loadings,
-)
+from numerkit.model import CovarianceMatrix, covariance_from_loadings
 from numerkit.numeraire import (
-    ReducedProblem,
     certify_psd,
     check_homogeneity,
     quadrature_price,
     reduce,
 )
-
-
-def _problem(cov, payoff, spots=None, maturity=1.0):
-    dim = cov.dim
-    spots = spots or [1.0] * dim
-    assets = tuple(AssetDynamics(spot=s, loadings=(0.0,)) for s in spots)
-    return MultiAssetProblem(assets=assets, covariance=cov,
-                             payoff=HomogeneousPayoff(payoff),
-                             maturity=maturity)
 
 
 class TestCheckHomogeneity:
@@ -65,55 +48,44 @@ class TestCheckHomogeneity:
 class TestReduce:
     def test_two_asset_arithmetic(self):
         cov = CovarianceMatrix([[0.04, 0.03], [0.03, 0.09]])
-        red = reduce(_problem(cov, lambda s: max(s[1] - s[0], 0.0)))
-        assert red.b_matrix.shape == (1, 1)
-        assert red.b_matrix[0, 0] == pytest.approx(0.07, abs=1e-16)
+        b = reduce(cov.as_array(), lambda s: max(s[1] - s[0], 0.0))
+        assert b.shape == (1, 1)
+        assert b[0, 0] == pytest.approx(0.07, abs=1e-16)
 
     def test_three_asset_diagonal(self):
         s0, s1, s2 = 0.2, 0.3, 0.15
         cov = CovarianceMatrix(np.diag([s0 ** 2, s1 ** 2, s2 ** 2]))
-        red = reduce(_problem(cov, lambda s: max(s[1] - s[2], 0.0)))
+        b = reduce(cov.as_array(), lambda s: max(s[1] - s[2], 0.0))
         expect = [[s0 ** 2 + s1 ** 2, s0 ** 2],
                   [s0 ** 2, s0 ** 2 + s2 ** 2]]
-        assert np.allclose(red.b_matrix, expect, atol=1e-16)
+        assert np.allclose(b, expect, atol=1e-16)
 
     def test_random_loadings_entrywise(self):
         # brute-force eta-vector expansion: b_ij = (e_i - e_0)' A (e_j - e_0)
         rng = np.random.default_rng(23)
         for _ in range(20):
             L = rng.normal(size=(3, 2)) * 0.3
-            assets = [AssetDynamics(1.0, tuple(row)) for row in L]
-            cov = covariance_from_loadings(assets)
-            red = reduce(_problem(cov, lambda s: max(s[1] - s[2], 0.0)))
+            cov = covariance_from_loadings(L)
             a = cov.as_array()
+            b = reduce(a, lambda s: max(s[1] - s[2], 0.0))
             for i in range(1, 3):
                 for j in range(1, 3):
                     eta_i = np.zeros(3)
                     eta_i[[0, i]] = (-1.0, 1.0)
                     eta_j = np.zeros(3)
                     eta_j[[0, j]] = (-1.0, 1.0)
-                    assert red.b_matrix[i - 1, j - 1] == pytest.approx(
+                    assert b[i - 1, j - 1] == pytest.approx(
                         eta_i @ a @ eta_j, abs=1e-15)
-
-    def test_payoff_fixes_numeraire_at_one(self):
-        cov = CovarianceMatrix([[0.04, 0.03], [0.03, 0.09]])
-        red = reduce(_problem(cov, lambda s: 2.0 * s[0] + 3.0 * s[1]))
-        assert red.payoff_f(np.array([1.5])) == pytest.approx(2.0 + 4.5)
-        assert red.maturity == 1.0
-
-    def test_scale_invariance(self):
-        cov = CovarianceMatrix([[0.04, 0.03], [0.03, 0.09]])
-        payoff = lambda s: max(s[1] - s[0], 0.0)
-        red_a = reduce(_problem(cov, payoff, spots=[1.0, 2.0]))
-        red_b = reduce(_problem(cov, payoff, spots=[5.0, 10.0]))
-        assert np.array_equal(red_a.b_matrix, red_b.b_matrix)
-        for z in (0.5, 1.0, 2.0):
-            assert red_a.payoff_f(np.array([z])) == red_b.payoff_f(np.array([z]))
 
     def test_non_homogeneous_rejected(self):
         cov = CovarianceMatrix([[0.04, 0.03], [0.03, 0.09]])
         with pytest.raises(ReductionError):
-            reduce(_problem(cov, lambda s: max(s[1] - 1.0, 0.0)))
+            reduce(cov.as_array(), lambda s: max(s[1] - 1.0, 0.0))
+
+    def test_single_asset_rejected(self):
+        with pytest.raises(DimensionError):
+            reduce(CovarianceMatrix([[0.04]]).as_array(),
+                   lambda s: float(s[0]))
 
 
 class TestCertifyPsd:
@@ -140,75 +112,55 @@ class TestCertifyPsd:
             n = int(rng.integers(2, 6))
             k = int(rng.integers(1, n + 1))
             L = rng.normal(size=(n, k)) * rng.uniform(0.05, 0.6)
-            assets = [AssetDynamics(1.0, tuple(row)) for row in L]
-            cov = covariance_from_loadings(assets)
-            red = reduce(_problem(cov, lambda s: float(np.max(s))))
-            assert certify_psd(red.b_matrix)
+            cov = covariance_from_loadings(L)
+            b = reduce(cov.as_array(), lambda s: float(np.max(s)))
+            assert certify_psd(b)
 
 
 class TestQuadraturePrice:
     def test_call_reference(self):
-        # B = [0.04], tau = 1, z = 1: 2 N(0.1) - 1 in 40-digit arithmetic
-        red = ReducedProblem(b_matrix=np.array([[0.04]]),
-                             payoff_f=lambda z: max(z[0] - 1.0, 0.0),
-                             maturity=1.0, kinks=(1.0,))
-        assert quadrature_price(red, [1.0], 0.0) == pytest.approx(
+        # variance 0.04, z = 1: 2 N(0.1) - 1 in 40-digit arithmetic
+        call = lambda z: max(z - 1.0, 0.0)
+        assert quadrature_price(0.04, 1.0, call, kinks=(1.0,)) == pytest.approx(
             0.079655674554057962931, rel=1e-10)
 
     def test_call_matches_bs_over_grid(self):
+        call = lambda z: max(z - 1.0, 0.0)
         for b11 in (0.01, 0.04, 0.16):
-            red = ReducedProblem(b_matrix=np.array([[b11]]),
-                                 payoff_f=lambda z: max(z[0] - 1.0, 0.0),
-                                 maturity=2.0, kinks=(1.0,))
             for z in (0.5, 0.8, 1.0, 1.25, 2.0):
                 for t in (0.0, 1.0, 1.9):
-                    got = quadrature_price(red, [z], t)
+                    got = quadrature_price(b11 * (2.0 - t), z, call,
+                                           kinks=(1.0,))
                     ref = bs_call(z, 1.0, 0.0, 0.0, math.sqrt(b11), 2.0 - t)
                     assert got == pytest.approx(ref, rel=1e-8, abs=1e-12)
 
     def test_forward_is_martingale(self):
-        red = ReducedProblem(b_matrix=np.array([[0.09]]),
-                             payoff_f=lambda z: float(z[0]), maturity=1.0)
         for z in (0.25, 1.0, 3.7):
-            assert quadrature_price(red, [z], 0.0) == pytest.approx(
+            assert quadrature_price(0.09, z, lambda z: z) == pytest.approx(
                 z, rel=1e-10)
 
     def test_normalization_1d(self):
-        red = ReducedProblem(b_matrix=np.array([[0.04]]),
-                             payoff_f=lambda z: 1.0, maturity=1.0)
-        assert quadrature_price(red, [1.0], 0.0) == pytest.approx(
+        assert quadrature_price(0.04, 1.0, lambda z: 1.0) == pytest.approx(
             1.0, abs=1e-8)
 
-    def test_unsupported_dimension(self):
-        # one ratio only; reduce() still quotients any dimension
-        for n in (2, 3):
-            red = ReducedProblem(b_matrix=np.eye(n) * 0.04,
-                                 payoff_f=lambda z: 1.0, maturity=1.0)
-            with pytest.raises(UnsupportedDimensionError):
-                quadrature_price(red, [1.0] * n, 0.0)
-
     def test_zero_variance_is_payoff_at_state(self):
-        red = ReducedProblem(b_matrix=np.array([[0.0]]),
-                             payoff_f=lambda z: max(float(z[0]) - 0.9, 0.0),
-                             maturity=1.0, kinks=(0.9,))
-        assert quadrature_price(red, [1.25], 0.0) == pytest.approx(0.35,
-                                                                   rel=1e-15)
+        got = quadrature_price(0.0, 1.25, lambda z: max(z - 0.9, 0.0),
+                               kinks=(0.9,))
+        assert got == pytest.approx(0.35, rel=1e-15)
 
     @pytest.mark.parametrize("b11", [-1e-6, math.inf, math.nan])
     def test_invalid_variance(self, b11):
-        red = ReducedProblem(b_matrix=np.array([[b11]]),
-                             payoff_f=lambda z: 1.0, maturity=1.0)
         with pytest.raises(DegenerateCovarianceError):
-            quadrature_price(red, [1.0], 0.0)
+            quadrature_price(b11, 1.0, lambda z: 1.0)
 
-    def test_time_domain(self):
-        red = ReducedProblem(b_matrix=np.array([[0.04]]),
-                             payoff_f=lambda z: 1.0, maturity=1.0)
-        with pytest.raises(TimeDomainError):
-            quadrature_price(red, [1.0], 1.0)
+    @pytest.mark.parametrize("ratio", [0.0, -1.0, -math.inf])
+    def test_non_positive_ratio(self, ratio):
+        with pytest.raises(ValueError):
+            quadrature_price(0.04, ratio, lambda z: 1.0)
 
-    def test_state_dimension_mismatch(self):
-        red = ReducedProblem(b_matrix=np.array([[0.04]]),
-                             payoff_f=lambda z: 1.0, maturity=1.0)
-        with pytest.raises(DimensionError):
-            quadrature_price(red, [1.0, 2.0], 0.0)
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_non_finite_ratio_refused_before_integrating(self, ratio):
+        def payoff(z):
+            raise AssertionError("payoff evaluated")
+        with pytest.raises(PricingError, match="not finite"):
+            quadrature_price(0.04, ratio, payoff)
