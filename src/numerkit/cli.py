@@ -25,7 +25,7 @@ import numpy as np
 from . import ratecurve
 from .errors import DimensionError, PricingError, ValidationFailure
 from .model import (
-    CovarianceMatrix,
+    covariance,
     covariance_from_loadings,
     json_number,
     product_from_dict,
@@ -173,11 +173,11 @@ def _cmd_reduce(args) -> int:
     cfg = _load_json(args.input)
     if "loadings" in cfg:
         rows = _array("loadings", cfg["loadings"], depth=2)
-        a = covariance_from_loadings(rows).as_array()
+        a = covariance_from_loadings(rows)
         mismatch = "spots and loadings must have the same length"
     elif "covariance" in cfg:
         values = _array("covariance", cfg["covariance"], depth=2)
-        a = CovarianceMatrix(values).as_array()
+        a = covariance(values)
         mismatch = "spots must match the covariance dimension"
     else:
         raise ValueError("input must provide 'covariance' or 'loadings'")

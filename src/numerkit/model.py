@@ -21,42 +21,34 @@ SYMMETRY_RTOL = 1e-12
 PSD_EIG_FLOOR = 1e-10  # scaled by trace
 
 
-class CovarianceMatrix:
-    """Symmetric positive semidefinite covariance of log-returns (per year).
-
-    Validation happens here once so downstream code can assume a clean matrix:
-    symmetry within 1e-12 relative, smallest eigenvalue >= -1e-10 * trace.
+def covariance(values) -> np.ndarray:
+    """Symmetric positive semidefinite covariance of log-returns (per year),
+    validated once and returned as a read-only array, so downstream code can
+    assume a clean matrix: symmetry within 1e-12 relative, smallest
+    eigenvalue >= -1e-10 * trace.
     """
-
-    def __init__(self, values):
-        a = np.asarray(values, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionError(f"covariance must be square, got shape {a.shape}")
-        if not np.all(np.isfinite(a)):
-            raise ValueError("covariance entries must be finite")
-        scale = max(1.0, float(np.max(np.abs(a))))
-        with np.errstate(over="ignore"):  # entries near 1e308
-            asymmetry = np.max(np.abs(a - a.T))
-            a = 0.5 * a + 0.5 * a.T  # a + a.T would overflow
-            trace = float(np.trace(a))
-        if asymmetry > SYMMETRY_RTOL * scale:
-            raise ValueError("covariance must be symmetric to 1e-12 relative")
-        if not math.isfinite(trace):
-            raise ValueError("covariance trace overflows double precision")
-        eig_min = float(np.linalg.eigvalsh(a)[0])
-        if eig_min < -PSD_EIG_FLOOR * max(trace, 0.0) - 0.0:
-            raise ValueError(f"covariance is not positive semidefinite (min eig {eig_min:g})")
-        a.flags.writeable = False
-        self._a = a
-
-    def as_array(self) -> np.ndarray:
-        return self._a
-
-    def __repr__(self):
-        return f"CovarianceMatrix({self._a.tolist()!r})"
+    a = np.asarray(values, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionError(f"covariance must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("covariance entries must be finite")
+    scale = max(1.0, float(np.max(np.abs(a))))
+    with np.errstate(over="ignore"):  # entries near 1e308
+        asymmetry = np.max(np.abs(a - a.T))
+        a = 0.5 * a + 0.5 * a.T  # a + a.T would overflow
+        trace = float(np.trace(a))
+    if asymmetry > SYMMETRY_RTOL * scale:
+        raise ValueError("covariance must be symmetric to 1e-12 relative")
+    if not math.isfinite(trace):
+        raise ValueError("covariance trace overflows double precision")
+    eig_min = float(np.linalg.eigvalsh(a)[0])
+    if eig_min < -PSD_EIG_FLOOR * max(trace, 0.0) - 0.0:
+        raise ValueError(f"covariance is not positive semidefinite (min eig {eig_min:g})")
+    a.flags.writeable = False
+    return a
 
 
-def covariance_from_loadings(rows) -> CovarianceMatrix:
+def covariance_from_loadings(rows) -> np.ndarray:
     """Assemble the covariance a_ij = sum_k L_ik L_jk from loading rows L_i,
     one per asset, each with one loading per common driver."""
     if len(rows) == 0:
@@ -71,7 +63,7 @@ def covariance_from_loadings(rows) -> CovarianceMatrix:
         raise ValueError("asset loadings must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         a = L @ L.T
-    return CovarianceMatrix(a)
+    return covariance(a)
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,20 @@ class McSpec:
     def __post_init__(self):
         if self.paths < 1:
             raise ValueError("paths must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        if not 0 <= self.seed < 2 ** 64:
+            # the first word of the Philox key
+            raise ValueError("seed must be in [0, 2**64)")
 
 
 @dataclass(frozen=True)
 class McResult:
     estimate: float
     std_error: float
-    paths_used: int
 
 
 def _rng(seed: int, block: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, block]))
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
 
 
 def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
@@ -71,8 +72,7 @@ def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
         delta = block_mean - mean
         mean += delta * n / (done + n)
         m2 += float(np.dot(vals, vals)) + delta * delta * n * done / (done + n)
-    return McResult(estimate=mean, std_error=math.sqrt(m2) / mc.paths,
-                    paths_used=mc.paths)
+    return McResult(estimate=mean, std_error=math.sqrt(m2) / mc.paths)
 
 
 def _vasicek_law(model: ratecurve.VasicekModel, sigma_a: float, rho: float,

@@ -1,6 +1,11 @@
 """Finite-difference solvers for the full 2-D pricing equations and their
 1-D reduced forms, plus the reduction-gap diagnostic.
 
+A spec gives one coefficient set per evaluation, so a rate that several
+coefficients share is read once.  The reduction divides the 2-D equation by
+its y axis; which asset is y is the product description's choice
+(``products.numeraire_on_y``).
+
 Both solvers march Crank-Nicolson-style on log-spaced grids.  Stencils are
 3-point non-uniform differences in the *original* coordinates, which are exact
 on quadratics; linear terminal data therefore propagates exactly (up to
@@ -43,6 +48,7 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 
 
 _SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
+_HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the half-width sums
 
 # Largest footprint a solve may allocate, checked from its GridSpec before
 # any array is built: the stored levels plus _VECTORS_1D working vectors of a
@@ -68,11 +74,10 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Pde1Spec:
-    """U_t + (1/2) diffusion(t) z^2 U_zz + drift(t) z U_z - discount(t) U = 0."""
+    """U_t + (1/2) a(t) z^2 U_zz + b(t) z U_z - c(t) U = 0, with the
+    diffusion, drift and discount (a, b, c) = coefficients(t)."""
 
-    diffusion: Callable[[float], float]
-    drift: Callable[[float], float]
-    discount: Callable[[float], float]
+    coefficients: Callable[[float], tuple]
     terminal: Callable[[np.ndarray], np.ndarray]
     maturity: float
     anchor: float = 1.0
@@ -86,16 +91,14 @@ class Pde2Spec:
     V_t + (1/2)[axx x^2 V_xx + 2 axy x y V_xy + ayy y^2 V_yy]
         + mux(t,x,y) x V_x + muy(t,x,y) y V_y - c(t,x,y) V = 0.
 
-    Diffusion coefficients are functions of t alone; drifts and discount may
-    depend on the state and must broadcast over (nx,1) x (1,ny) meshes.
+    ``diffusion(t)`` is (axx, axy, ayy), functions of t alone;
+    ``rates(t, x, y)`` is (mux, muy, c), each a scalar or an array that
+    broadcasts over (nx,1) x (1,ny) meshes, so drifts and discount may depend
+    on the state.
     """
 
-    diffusion_xx: Callable[[float], float]
-    diffusion_xy: Callable[[float], float]
-    diffusion_yy: Callable[[float], float]
-    drift_x: Callable
-    drift_y: Callable
-    discount: Callable
+    diffusion: Callable[[float], tuple]
+    rates: Callable[[float, object, object], tuple]
     terminal: Callable[[np.ndarray, np.ndarray], np.ndarray]
     maturity: float
     anchor: tuple[float, float] = (1.0, 1.0)
@@ -141,9 +144,10 @@ def _time_grid(maturity: float, steps: int, breakpoints):
     return np.concatenate(levels), np.concatenate(steps_out)
 
 
-def _half_width(diffusion, drift, maturity: float, breakpoints, n: int = 256) -> float:
+def _half_width(coefficients, maturity: float, breakpoints) -> float:
     """Log-space grid half-width: _SPAN_SIGMAS standard deviations of the
-    integrated diffusion plus the integrated log drift, at least 1e-2.
+    integrated diffusion plus the integrated log drift, at least 1e-2, for
+    ``coefficients(t)`` that starts with the diffusion and the drift.
 
     Midpoint sums split at breakpoints, both accumulated in one pass that
     evaluates each coefficient once per midpoint and keeps no list of them.
@@ -153,13 +157,14 @@ def _half_width(diffusion, drift, maturity: float, breakpoints, n: int = 256) ->
     var = shift = 0.0
     cuts = sorted({0.0, maturity, *(c for c in breakpoints if 0.0 < c < maturity)})
     for lo, hi in zip(cuts[:-1], cuts[1:]):
-        h = (hi - lo) / n
+        h = (hi - lo) / _HALF_WIDTH_POINTS
         sum_a = sum_m = 0.0
-        for i in range(n):
+        for i in range(_HALF_WIDTH_POINTS):
             t = lo + (i + 0.5) * h
-            a = float(diffusion(t))
+            a, mu = coefficients(t)[:2]
+            a = float(a)
             sum_a += a
-            sum_m += float(drift(t) - 0.5 * a)
+            sum_m += float(mu - 0.5 * a)
         var += h * sum_a
         shift += h * sum_m
     return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
@@ -422,7 +427,7 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     n, levels = grid.nodes_per_axis, grid.time_steps + len(spec.breakpoints) + 2
     _check_budget(_words_1d(n, levels), "a 1-D solve")
     T = spec.maturity
-    half = _half_width(spec.diffusion, spec.drift, T, spec.breakpoints)
+    half = _half_width(spec.coefficients, T, spec.breakpoints)
     z, s2, s1 = _log_grid(spec.anchor, half, n)
 
     times, steps = _time_grid(T, grid.time_steps, spec.breakpoints)
@@ -438,7 +443,7 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
         damped = tl[k + 1] in restart
         # Rannacher: two implicit half steps, coefficients at half midpoints
         for t in (t0 + 0.75 * dt, t0 + 0.25 * dt) if damped else (t0 + 0.5 * dt,):
-            key = (spec.diffusion(t), spec.drift(t), spec.discount(t), 0.5 * dt)
+            key = (*spec.coefficients(t), 0.5 * dt)
             if key != held:
                 held = key
                 hl = _bands(*key[:3], s2, s1)
@@ -515,16 +520,12 @@ class _CraigSneyd:
         Craig-Sneyd update of the mixed term and a second pair, which
         without a mixed term would repeat the first."""
         spec, xg, yg, w, wt = self.spec, self.xg, self.yg, self.w, self._wt
-        axx = float(spec.diffusion_xx(t_mid))
-        axy = float(spec.diffusion_xy(t_mid))
-        ayy = float(spec.diffusion_yy(t_mid))
-        X = xg[:, None]
-        Y = yg[None, :]
-        mux = np.asarray(spec.drift_x(t_mid, X, Y), dtype=float)
-        muy = np.asarray(spec.drift_y(t_mid, X, Y), dtype=float)
-        gamma = 0.5 * np.atleast_2d(np.asarray(spec.discount(t_mid, X, Y), dtype=float))
-        bands1, op1 = self._operator(0, axx, np.atleast_2d(mux), gamma, h)
-        bands2, op2 = self._operator(1, ayy, np.atleast_2d(muy).T, gamma.T, h)
+        axx, axy, ayy = map(float, spec.diffusion(t_mid))
+        mux, muy, c = (np.atleast_2d(np.asarray(v, dtype=float))
+                       for v in spec.rates(t_mid, xg[:, None], yg[None, :]))
+        gamma = 0.5 * c
+        bands1, op1 = self._operator(0, axx, mux, gamma, h)
+        bands2, op2 = self._operator(1, ayy, muy.T, gamma.T, h)
         # the mixed term axy x y D1x D1y, with axy x folded into the x
         # stencil and y into the y stencil
         kx = axy * self.sx[1] if axy != 0.0 else None
@@ -592,9 +593,10 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     levels = grid.time_steps + len(bps) + 2  # the time grid's nodes and lengths
     _check_budget(_PLANES_2D * n * n + 2 * levels, "a 2-D solve")
     x0, y0 = spec.anchor
-    half = [_half_width(diff_fn, lambda t, f=drift_fn: float(f(t, x0, y0)), T, bps)
-            for diff_fn, drift_fn in ((spec.diffusion_xx, spec.drift_x),
-                                      (spec.diffusion_yy, spec.drift_y))]
+    # per axis, its diffusion and its drift at the anchor
+    half = [_half_width(lambda t, i=i: (spec.diffusion(t)[2 * i],
+                                        spec.rates(t, x0, y0)[i]), T, bps)
+            for i in (0, 1)]
     x_axis = _log_grid(x0, half[0], n)
     y_axis = _log_grid(y0, half[1], n)
     xg, yg = x_axis[0], y_axis[0]
@@ -622,38 +624,17 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
 # reduction gap
 
 
-def _swap_axes(spec2: Pde2Spec) -> Pde2Spec:
-    """The same equation with x and y exchanged."""
-    drift_x, drift_y, discount = spec2.drift_x, spec2.drift_y, spec2.discount
-    terminal = spec2.terminal
-    return Pde2Spec(
-        diffusion_xx=spec2.diffusion_yy,
-        diffusion_xy=spec2.diffusion_xy,
-        diffusion_yy=spec2.diffusion_xx,
-        drift_x=lambda t, X, Y: drift_y(t, Y, X),
-        drift_y=lambda t, X, Y: drift_x(t, Y, X),
-        discount=lambda t, X, Y: discount(t, Y, X),
-        terminal=lambda x, y: terminal(y, x),
-        maturity=spec2.maturity,
-        anchor=spec2.anchor[::-1],
-        breakpoints=spec2.breakpoints,
-    )
+def derive_reduced(spec2: Pde2Spec) -> Pde1Spec:
+    """Quotient the 2-D equation by its y axis, the numeraire.
 
-
-def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
-    """Quotient the 2-D equation by the numeraire axis.
-
-    With y the numeraire and z = x/y, V = y U(z):
+    With z = x/y and V = y U(z):
       U_t + (1/2)(axx - 2 axy + ayy) z^2 U_zz + (mux - muy) z U_z - (c - muy) U = 0,
       U(z, T) = terminal(z, 1).
-    A numeraire on axis 0 swaps the axes first.  The drift/discount
-    combinations must be state-independent for the reduction to hold; this
-    is checked on a sample of states.
+    The drift and discount combinations must be state-independent for the
+    reduction to hold; this is checked on a sample of states.  Each
+    evaluation of the reduced coefficients reads ``diffusion`` and ``rates``
+    once, at the anchor.
     """
-    if numeraire_axis == 0:
-        spec2 = _swap_axes(spec2)
-    elif numeraire_axis != 1:
-        raise ValueError("numeraire_axis must be 0 or 1")
     x0, y0 = spec2.anchor
     T = spec2.maturity
     payoff = lambda z: np.asarray(spec2.terminal(np.asarray(z), np.asarray(1.0)), dtype=float)
@@ -666,9 +647,9 @@ def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
         Xs = x0 * scales[:, None]
         Ys = y0 * scales[None, :]
         for t in (0.0, 0.5 * T, 0.999 * T):
-            muy = np.asarray(spec2.drift_y(t, Xs, Ys), dtype=float)
-            for fn, label in ((spec2.drift_x, "drift"), (spec2.discount, "discount")):
-                arr = np.broadcast_to(np.asarray(fn(t, Xs, Ys), dtype=float) - muy, (3, 3))
+            mux, muy, c = (np.asarray(v, dtype=float) for v in spec2.rates(t, Xs, Ys))
+            for coef, label in ((mux, "drift"), (c, "discount")):
+                arr = np.broadcast_to(coef - muy, (3, 3))
                 spread = float(np.max(arr) - np.min(arr))
                 if spread > 1e-10 * (1.0 + float(np.max(np.abs(arr)))):
                     raise ReductionError(
@@ -680,36 +661,29 @@ def derive_reduced(spec2: Pde2Spec, numeraire_axis: int) -> Pde1Spec:
         if np.max(np.abs(t2 - a * t1v)) > 1e-9 * (1.0 + float(np.max(np.abs(t2)))):
             raise ReductionError("terminal payoff is not homogeneous of degree one")
 
-    axx, axy, ayy = spec2.diffusion_xx, spec2.diffusion_xy, spec2.diffusion_yy
-    mux, muy, c = spec2.drift_x, spec2.drift_y, spec2.discount
-    return Pde1Spec(
-        diffusion=lambda t: axx(t) - 2.0 * axy(t) + ayy(t),
-        drift=lambda t: float(mux(t, x0, y0)) - float(muy(t, x0, y0)),
-        discount=lambda t: float(c(t, x0, y0)) - float(muy(t, x0, y0)),
-        terminal=payoff,
-        maturity=T,
-        anchor=x0 / y0,
-        breakpoints=spec2.breakpoints,
-    )
+    def coefficients(t):
+        axx, axy, ayy = spec2.diffusion(t)
+        mux, muy, c = (float(v) for v in spec2.rates(t, x0, y0))
+        return axx - 2.0 * axy + ayy, mux - muy, c - muy
+
+    return Pde1Spec(coefficients=coefficients, terminal=payoff, maturity=T,
+                    anchor=x0 / y0, breakpoints=spec2.breakpoints)
 
 
-def reduction_gap(spec2: Pde2Spec, numeraire_axis: int, grid: GridSpec) -> float:
+def reduction_gap(spec2: Pde2Spec, grid: GridSpec) -> float:
     """Max relative gap between the 2-D solve and the numeraire-quotient 1-D solve.
 
     At each probe (x, y) of the 3 x 3 grid within 5% of the anchor, compares
-    V2d(x, y, 0) against N * U1d(ratio, 0) where N is the numeraire
-    coordinate and ratio the quotient coordinate.
+    V2d(x, y, 0) against y * U1d(x / y, 0): y is the numeraire.
     """
     full = solve_2d(spec2, grid)
-    red = solve_1d(derive_reduced(spec2, numeraire_axis), grid)
+    red = solve_1d(derive_reduced(spec2), grid)
     x0, y0 = spec2.anchor
     cs = (0.95, 1.0, 1.05)
-    probes = [(x0 * cx, y0 * cy) for cx in cs for cy in cs]
     worst = 0.0
-    for probe in probes:
-        v2 = full(*probe, 0.0)
-        numeraire, other = probe[numeraire_axis], probe[1 - numeraire_axis]
-        v1 = numeraire * red(other / numeraire, 0.0)
+    for x, y in [(x0 * cx, y0 * cy) for cx in cs for cy in cs]:
+        v2 = full(x, y, 0.0)
+        v1 = y * red(x / y, 0.0)
         denom = max(abs(v2), abs(v1))
         gap = abs(v2 - v1) if denom < 1e-12 else abs(v2 - v1) / denom
         worst = max(worst, gap)

@@ -187,22 +187,21 @@ def formulations(product) -> tuple:
 
 def pde2_spec(f: Formulation) -> Pde2Spec:
     """The two-factor pricing equation: diffusions sigma_x^2, c sigma_x
-    sigma_y and sigma_y^2, drifts r - q, discount r."""
-    sx, sy, c, qx, qy = f.sigma_x, f.sigma_y, f.corr, f.q_x, f.q_y
-    rate = f.rate if isinstance(f.rate, VasicekBond) else (
-        lambda t, X, Y, r=f.rate: r)
-    return Pde2Spec(
-        diffusion_xx=lambda t: sx(t) ** 2,
-        diffusion_xy=lambda t: c * sx(t) * sy(t),
-        diffusion_yy=lambda t: sy(t) ** 2,
-        drift_x=lambda t, X, Y: rate(t, X, Y) - qx,
-        drift_y=lambda t, X, Y: rate(t, X, Y) - qy,
-        discount=rate,
-        terminal=f.terminal,
-        maturity=f.maturity,
-        anchor=f.anchor,
-        breakpoints=f.breakpoints,
-    )
+    sigma_y and sigma_y^2, drifts r - q, discount r, with r read once per
+    evaluation."""
+    sx, sy, c, qx, qy, rate = f.sigma_x, f.sigma_y, f.corr, f.q_x, f.q_y, f.rate
+
+    def diffusion(t):
+        vx, vy = sx(t), sy(t)
+        return vx ** 2, c * vx * vy, vy ** 2
+
+    def rates(t, X, Y):
+        r = rate(t, X, Y) if isinstance(rate, VasicekBond) else rate
+        return r - qx, r - qy, r
+
+    return Pde2Spec(diffusion=diffusion, rates=rates, terminal=f.terminal,
+                    maturity=f.maturity, anchor=f.anchor,
+                    breakpoints=f.breakpoints)
 
 
 def integral(f: Formulation, fn: Callable[[float], float]) -> float:
@@ -213,8 +212,10 @@ def integral(f: Formulation, fn: Callable[[float], float]) -> float:
                for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
-def _numeraire_on_y(f: Formulation) -> Formulation:
-    """The same claim with its numeraire as the second asset."""
+def numeraire_on_y(f: Formulation) -> Formulation:
+    """The same claim with its numeraire as the second asset, the one
+    ``pde.derive_reduced`` divides out; PricingError when the claim has no
+    numeraire (its payoff is not homogeneous of degree one)."""
     if f.numeraire_axis == 1:
         return f
     if f.numeraire_axis != 0:
@@ -235,7 +236,7 @@ def quadrature_problem(f: Formulation) -> tuple:
     and the payoff is the claim's with Y at one.  Z's drift q_y - q_x moves
     into the starting ratio and its discount q_y into the multiplier.
     """
-    g = _numeraire_on_y(f)
+    g = numeraire_on_y(f)
     sx, sy, c, T = g.sigma_x, g.sigma_y, g.corr, g.maturity
     var = integral(g, lambda t: sx(t) * sx(t) - 2.0 * c * sx(t) * sy(t)
                    + sy(t) * sy(t))

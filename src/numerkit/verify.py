@@ -39,7 +39,13 @@ from .model import (
 from .montecarlo import McSpec, price_mc
 from .numeraire import quadrature_price
 from .pde import GridSpec, derive_reduced, solve_1d, solve_2d
-from .products import Formulation, formulations, pde2_spec, quadrature_problem
+from .products import (
+    Formulation,
+    formulations,
+    numeraire_on_y,
+    pde2_spec,
+    quadrature_problem,
+)
 
 DETERMINISTIC_METHODS = ("analytic", "pde_full", "pde_reduced", "quadrature")
 ALL_METHODS = DETERMINISTIC_METHODS + ("monte_carlo",)
@@ -153,9 +159,9 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
             *args, multiplier = quadrature_problem(source.formulation)
             value = multiplier * quadrature_price(*args)
         else:
-            reduced = derive_reduced(source.pde2, source.numeraire_axis)
-            numeraire = source.state0[source.numeraire_axis]
-            value = source.to_canonical * numeraire * solve_1d(
+            g = numeraire_on_y(source.formulation)
+            reduced = derive_reduced(pde2_spec(g))
+            value = g.to_canonical * g.anchor[1] * solve_1d(
                 reduced, grid or GridSpec())(reduced.anchor, 0.0)
         quote = PriceQuote(value=value, method=method)
     if not (math.isfinite(quote.value) and math.isfinite(quote.std_error or 0.0)):
@@ -173,11 +179,14 @@ def verify_product(product, grid: Optional[GridSpec] = None,
     error is floored at 1e-12 of the closed form (the rounding of a payoff
     that is deterministic).  ``passed`` means every deterministic gap is
     within ``tol`` and the simulation is within three standard errors.
+    Raises ValueError on a NaN or negative ``tol``, which no gap can meet.
     """
     engines = build_engines(product)[0]
     unknown = set(methods) - set(ALL_METHODS)
     if unknown:
         raise PricingError(f"unknown methods: {sorted(unknown)}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     grid = grid or GridSpec()
     mc = mc or McSpec()
 

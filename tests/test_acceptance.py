@@ -20,6 +20,7 @@ from numerkit.montecarlo import McSpec, mc_bond_price, price_mc
 from numerkit.numeraire import certify_psd, quadrature_price
 from numerkit.numeraire import reduce as reduce_problem
 from numerkit.pde import GridSpec, reduction_gap, solve_2d
+from numerkit.products import numeraire_on_y, pde2_spec
 from numerkit.verify import (
     build_engines,
     default_suite,
@@ -48,7 +49,7 @@ def test_criterion_1_reduction_gap():
         engine = next(b for b in build_engines(product)
                       if b.numeraire_axis is not None)
         start = time.perf_counter()
-        gap = reduction_gap(engine.pde2, engine.numeraire_axis, GRID)
+        gap = reduction_gap(pde2_spec(numeraire_on_y(engine.formulation)), GRID)
         elapsed = time.perf_counter() - start
         worst = max(worst, gap)
         slowest = max(slowest, elapsed)
@@ -146,7 +147,7 @@ def test_criterion_5_psd_certification():
         k = int(rng.integers(1, n + 1))
         loadings = rng.normal(size=(n, k)) * rng.uniform(0.05, 0.6)
         cov = covariance_from_loadings(loadings)
-        if certify_psd(reduce_problem(cov.as_array(), payoff)):
+        if certify_psd(reduce_problem(cov, payoff)):
             passes += 1
     ok = passes == 1000
     assert _report(5, "psd-certification", ok, "%d/1000 certified" % passes)

@@ -205,6 +205,18 @@ class TestVerify:
         suite = json.loads(capsys.readouterr().out)
         assert suite["all_passed"] is False
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_nan_or_negative_tolerance_exits_two(self, tmp_path, capsys, tol):
+        spec = _write(tmp_path, "esop.json", _esop_dict())
+        assert main(["verify", "--input", spec, *self.FAST, "--tol", tol]) == 2
+        assert "tol must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+    def test_seed_outside_the_philox_key_exits_two(self, tmp_path, capsys, seed):
+        spec = _write(tmp_path, "esop.json", _esop_dict())
+        assert main(["verify", "--input", spec, *self.FAST, "--seed", seed]) == 2
+        assert "seed must be" in capsys.readouterr().err
+
     def test_csv_format(self, tmp_path, capsys):
         spec = _write(tmp_path, "esop.json", _esop_dict(beta=0.0))
         rc = main(["verify", "--input", spec, "--format", "csv", *self.FAST])

@@ -9,11 +9,11 @@ from numerkit.errors import DimensionError
 from numerkit.model import (
     Convertible,
     Corporate,
-    CovarianceMatrix,
     Esop,
     FxStrike,
     PriceQuote,
     Savings,
+    covariance,
     covariance_from_loadings,
     product_from_dict,
     product_to_dict,
@@ -95,12 +95,12 @@ class TestCovariance:
     def test_from_loadings_single_factor(self):
         # L = [[0.2], [0.3]] -> [[0.04, 0.06], [0.06, 0.09]]
         cov = covariance_from_loadings([[0.2], [0.3]])
-        assert np.allclose(cov.as_array(),
+        assert np.allclose(cov,
                            [[0.04, 0.06], [0.06, 0.09]], atol=1e-16)
 
     def test_from_loadings_diagonal(self):
         cov = covariance_from_loadings([[0.2, 0.0], [0.0, 0.3]])
-        assert np.allclose(cov.as_array(), [[0.04, 0.0], [0.0, 0.09]],
+        assert np.allclose(cov, [[0.04, 0.0], [0.0, 0.09]],
                            atol=1e-16)
 
     def test_ragged_loadings_rejected(self):
@@ -109,20 +109,20 @@ class TestCovariance:
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            CovarianceMatrix([[0.04, 0.02], [0.03, 0.09]])
+            covariance([[0.04, 0.02], [0.03, 0.09]])
 
     def test_indefinite_rejected(self):
         with pytest.raises(ValueError):
-            CovarianceMatrix([[0.04, 0.09], [0.09, 0.04]])
+            covariance([[0.04, 0.09], [0.09, 0.04]])
 
     def test_near_overflow_diagonal_kept(self):
         # symmetrised as a / 2 + a' / 2: a + a' would overflow to inf
-        cov = CovarianceMatrix([[1e308, 0.0], [0.0, 0.09]])
-        assert cov.as_array()[0, 0] == 1e308
+        cov = covariance([[1e308, 0.0], [0.0, 0.09]])
+        assert cov[0, 0] == 1e308
 
     def test_overflowing_trace_rejected(self):
         with pytest.raises(ValueError, match="trace"):
-            CovarianceMatrix([[1e308, 0.0], [0.0, 1e308]])
+            covariance([[1e308, 0.0], [0.0, 1e308]])
 
     def test_overflowing_loadings_rejected(self):
         # L L' overflows; refused as a covariance that is not finite
@@ -130,9 +130,9 @@ class TestCovariance:
             covariance_from_loadings([[1e308], [0.3]])
 
     def test_matrix_is_readonly(self):
-        cov = CovarianceMatrix([[0.04, 0.0], [0.0, 0.09]])
+        cov = covariance([[0.04, 0.0], [0.0, 0.09]])
         with pytest.raises(ValueError):
-            cov.as_array()[0, 0] = 1.0
+            cov[0, 0] = 1.0
 
 
 class TestJsonCodec:

@@ -14,7 +14,7 @@ from numerkit.errors import (
     PricingError,
     ReductionError,
 )
-from numerkit.model import CovarianceMatrix, covariance_from_loadings
+from numerkit.model import covariance, covariance_from_loadings
 from numerkit.numeraire import (
     certify_psd,
     check_homogeneity,
@@ -47,15 +47,15 @@ class TestCheckHomogeneity:
 
 class TestReduce:
     def test_two_asset_arithmetic(self):
-        cov = CovarianceMatrix([[0.04, 0.03], [0.03, 0.09]])
-        b = reduce(cov.as_array(), lambda s: max(s[1] - s[0], 0.0))
+        cov = covariance([[0.04, 0.03], [0.03, 0.09]])
+        b = reduce(cov, lambda s: max(s[1] - s[0], 0.0))
         assert b.shape == (1, 1)
         assert b[0, 0] == pytest.approx(0.07, abs=1e-16)
 
     def test_three_asset_diagonal(self):
         s0, s1, s2 = 0.2, 0.3, 0.15
-        cov = CovarianceMatrix(np.diag([s0 ** 2, s1 ** 2, s2 ** 2]))
-        b = reduce(cov.as_array(), lambda s: max(s[1] - s[2], 0.0))
+        cov = covariance(np.diag([s0 ** 2, s1 ** 2, s2 ** 2]))
+        b = reduce(cov, lambda s: max(s[1] - s[2], 0.0))
         expect = [[s0 ** 2 + s1 ** 2, s0 ** 2],
                   [s0 ** 2, s0 ** 2 + s2 ** 2]]
         assert np.allclose(b, expect, atol=1e-16)
@@ -66,7 +66,7 @@ class TestReduce:
         for _ in range(20):
             L = rng.normal(size=(3, 2)) * 0.3
             cov = covariance_from_loadings(L)
-            a = cov.as_array()
+            a = cov
             b = reduce(a, lambda s: max(s[1] - s[2], 0.0))
             for i in range(1, 3):
                 for j in range(1, 3):
@@ -78,13 +78,13 @@ class TestReduce:
                         eta_i @ a @ eta_j, abs=1e-15)
 
     def test_non_homogeneous_rejected(self):
-        cov = CovarianceMatrix([[0.04, 0.03], [0.03, 0.09]])
+        cov = covariance([[0.04, 0.03], [0.03, 0.09]])
         with pytest.raises(ReductionError):
-            reduce(cov.as_array(), lambda s: max(s[1] - 1.0, 0.0))
+            reduce(cov, lambda s: max(s[1] - 1.0, 0.0))
 
     def test_single_asset_rejected(self):
         with pytest.raises(DimensionError):
-            reduce(CovarianceMatrix([[0.04]]).as_array(),
+            reduce(covariance([[0.04]]),
                    lambda s: float(s[0]))
 
 
@@ -113,7 +113,7 @@ class TestCertifyPsd:
             k = int(rng.integers(1, n + 1))
             L = rng.normal(size=(n, k)) * rng.uniform(0.05, 0.6)
             cov = covariance_from_loadings(L)
-            b = reduce(cov.as_array(), lambda s: float(np.max(s)))
+            b = reduce(cov, lambda s: float(np.max(s)))
             assert certify_psd(b)
 
 

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from numerkit import pde, products, verify
+from numerkit import pde, products, ratecurve, verify
 from numerkit.analytic import bs_call
 from numerkit.errors import GridExtrapolationError, ReductionError, TimeDomainError
 from numerkit.pde import (
@@ -23,9 +23,7 @@ from numerkit.pde import (
 
 def _call_spec_1d(sigma=0.2, rate=0.05, strike=1.0, maturity=1.0):
     return Pde1Spec(
-        diffusion=lambda t: sigma * sigma,
-        drift=lambda t: rate,
-        discount=lambda t: rate,
+        coefficients=lambda t: (sigma * sigma, rate, rate),
         terminal=lambda z: np.maximum(z - strike, 0.0),
         maturity=maturity,
     )
@@ -33,12 +31,8 @@ def _call_spec_1d(sigma=0.2, rate=0.05, strike=1.0, maturity=1.0):
 
 def _exchange_spec_2d(rate=0.03):
     return Pde2Spec(
-        diffusion_xx=lambda t: 0.04,
-        diffusion_xy=lambda t: 0.01,
-        diffusion_yy=lambda t: 0.09,
-        drift_x=lambda t, x, y: rate,
-        drift_y=lambda t, x, y: rate,
-        discount=lambda t, x, y: rate,
+        diffusion=lambda t: (0.04, 0.01, 0.09),
+        rates=lambda t, x, y: (rate, rate, rate),
         terminal=lambda x, y: np.maximum(x - y, 0.0),
         maturity=1.0,
     )
@@ -216,8 +210,8 @@ class _Fresh(float):
 class TestHeldFactorisation:
     def _spec(self, wrap):
         return Pde1Spec(
-            diffusion=lambda t: wrap(0.09 if t < 0.4 else 0.01),
-            drift=lambda t: wrap(0.02), discount=lambda t: wrap(0.05),
+            coefficients=lambda t: (wrap(0.09 if t < 0.4 else 0.01), wrap(0.02),
+                                    wrap(0.05)),
             terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0,
             breakpoints=(0.4,))
 
@@ -237,15 +231,13 @@ class TestHeldFactorisation:
 
 class TestSolve1D:
     def test_constant_preserved(self):
-        spec = Pde1Spec(diffusion=lambda t: 0.04, drift=lambda t: 0.0,
-                        discount=lambda t: 0.0,
+        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.0),
                         terminal=lambda z: np.ones_like(z), maturity=1.0)
         sol = solve_1d(spec, GridSpec(64, 16))
         assert sol(1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_exact_when_drift_equals_discount(self):
-        spec = Pde1Spec(diffusion=lambda t: 0.04, drift=lambda t: 0.05,
-                        discount=lambda t: 0.05,
+        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.05, 0.05),
                         terminal=lambda z: np.asarray(z, dtype=float),
                         maturity=1.0)
         sol = solve_1d(spec, GridSpec(100, 50))
@@ -264,8 +256,7 @@ class TestSolve1D:
         # and a damped restart there
         t_switch = 0.4
         spec = Pde1Spec(
-            diffusion=lambda t: 0.09 if t < t_switch else 0.01,
-            drift=lambda t: 0.0, discount=lambda t: 0.0,
+            coefficients=lambda t: (0.09 if t < t_switch else 0.01, 0.0, 0.0),
             terminal=lambda z: np.maximum(z - 1.0, 0.0),
             maturity=1.0, breakpoints=(t_switch,))
         sol = solve_1d(spec, GridSpec(400, 200))
@@ -276,16 +267,14 @@ class TestSolve1D:
             assert sol(z, 0.0) == pytest.approx(ref, rel=1e-3)
 
     def test_discounting(self):
-        spec = Pde1Spec(diffusion=lambda t: 0.04, drift=lambda t: 0.0,
-                        discount=lambda t: 0.07,
+        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.07),
                         terminal=lambda z: np.ones_like(z), maturity=2.0)
         sol = solve_1d(spec, GridSpec(64, 32))
         # the damped terminal step is locally first-order, so expect ~(c dt)^2
         assert sol(1.0, 0.0) == pytest.approx(math.exp(-0.14), rel=1e-5)
 
     def test_bounded_terminal_stays_bounded(self):
-        spec = Pde1Spec(diffusion=lambda t: 0.09, drift=lambda t: 0.0,
-                        discount=lambda t: 0.0,
+        spec = Pde1Spec(coefficients=lambda t: (0.09, 0.0, 0.0),
                         terminal=lambda z: (np.asarray(z) > 1.0).astype(float),
                         maturity=1.0)
         sol = solve_1d(spec, GridSpec(100, 50))
@@ -296,8 +285,7 @@ class TestSolve1D:
         ref = bs_call(1.0, 1.0, 0.0, 0.0, 0.2, 1.0)
 
         def error(nodes, steps):
-            spec = Pde1Spec(diffusion=lambda t: 0.04, drift=lambda t: 0.0,
-                            discount=lambda t: 0.0,
+            spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.0),
                             terminal=lambda z: np.maximum(z - 1.0, 0.0),
                             maturity=1.0)
             return abs(solve_1d(spec, GridSpec(nodes, steps))(1.0, 0.0) - ref)
@@ -326,10 +314,8 @@ class TestSolve1D:
 class TestSolve2D:
     def test_linear_exact_when_drift_equals_discount(self):
         spec = Pde2Spec(
-            diffusion_xx=lambda t: 0.04, diffusion_xy=lambda t: 0.01,
-            diffusion_yy=lambda t: 0.09,
-            drift_x=lambda t, x, y: 0.05, drift_y=lambda t, x, y: 0.02,
-            discount=lambda t, x, y: 0.05,
+            diffusion=lambda t: (0.04, 0.01, 0.09),
+            rates=lambda t, x, y: (0.05, 0.02, 0.05),
             terminal=lambda x, y: x * np.ones_like(y), maturity=1.0)
         sol = solve_2d(spec, GridSpec(64, 16))
         for x in (0.8, 1.0, 1.2):
@@ -429,7 +415,7 @@ class TestDefaultFormulations2D:
     def test_1d_memory_within_budget(self, f):
         # an upper bound at every grid: the fixed part dominates the
         # smallest, the levels' time-grid entries the one of many steps
-        spec = derive_reduced(products.pde2_spec(f), f.numeraire_axis)
+        spec = derive_reduced(products.pde2_spec(products.numeraire_on_y(f)))
         for grid in (GridSpec(16, 8), GridSpec(32, 16), GridSpec(100, 50), GridSpec(),
                      GridSpec(16, 2000)):
             levels = grid.time_steps + len(f.breakpoints) + 2
@@ -452,52 +438,51 @@ class TestDeriveReduced:
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
                              ids=lambda f: f.label)
     def test_pinned_values(self, f):
-        spec = derive_reduced(products.pde2_spec(f), f.numeraire_axis)
+        spec = derive_reduced(products.pde2_spec(products.numeraire_on_y(f)))
         assert solve_1d(spec, GridSpec(100, 50))(spec.anchor, 0.0) == self.PINNED[f.label]
 
     def test_exchange_coefficients(self):
-        red = derive_reduced(_exchange_spec_2d(rate=0.03), numeraire_axis=1)
-        assert red.diffusion(0.3) == pytest.approx(0.04 - 0.02 + 0.09, abs=1e-15)
-        assert red.drift(0.3) == pytest.approx(0.0, abs=1e-15)
-        assert red.discount(0.3) == pytest.approx(0.0, abs=1e-15)
+        red = derive_reduced(_exchange_spec_2d(rate=0.03))
+        diffusion, drift, discount = red.coefficients(0.3)
+        assert diffusion == pytest.approx(0.04 - 0.02 + 0.09, abs=1e-15)
+        assert drift == pytest.approx(0.0, abs=1e-15)
+        assert discount == pytest.approx(0.0, abs=1e-15)
         assert red.maturity == 1.0
         assert red.terminal(np.array([1.4]))[0] == pytest.approx(0.4)
 
-    def test_numeraire_axis_zero(self):
-        red = derive_reduced(_exchange_spec_2d(rate=0.03), numeraire_axis=0)
-        # quotient coordinate is y/x, so the payoff flips into a put
-        assert red.terminal(np.array([0.7]))[0] == pytest.approx(0.3)
-        assert red.terminal(np.array([1.5]))[0] == pytest.approx(0.0)
-
-    def test_bad_axis(self):
-        with pytest.raises(ValueError):
-            derive_reduced(_exchange_spec_2d(), numeraire_axis=2)
+    def test_one_rate_read_per_evaluation(self, monkeypatch):
+        # the drifts and the discount of the default convertible share one
+        # bond-implied short rate, read once per evaluation
+        f = next(f for f in _formulations() if f.label == "convertible")
+        red = derive_reduced(products.pde2_spec(f))
+        calls = []
+        log_affine = ratecurve.log_affine
+        monkeypatch.setattr(ratecurve, "log_affine",
+                            lambda *a: calls.append(a) or log_affine(*a))
+        red.coefficients(0.3)
+        assert len(calls) == 1
 
     def test_inhomogeneous_terminal_rejected(self):
         spec = Pde2Spec(
-            diffusion_xx=lambda t: 0.04, diffusion_xy=lambda t: 0.01,
-            diffusion_yy=lambda t: 0.09,
-            drift_x=lambda t, x, y: 0.03, drift_y=lambda t, x, y: 0.03,
-            discount=lambda t, x, y: 0.03,
+            diffusion=lambda t: (0.04, 0.01, 0.09),
+            rates=lambda t, x, y: (0.03, 0.03, 0.03),
             terminal=lambda x, y: np.maximum(x * y - 1.0, 0.0), maturity=1.0)
         with pytest.raises(ReductionError):
-            derive_reduced(spec, numeraire_axis=1)
+            derive_reduced(spec)
 
     def test_state_dependent_drift_rejected(self):
         spec = Pde2Spec(
-            diffusion_xx=lambda t: 0.04, diffusion_xy=lambda t: 0.01,
-            diffusion_yy=lambda t: 0.09,
-            drift_x=lambda t, x, y: 0.01 * x, drift_y=lambda t, x, y: 0.0,
-            discount=lambda t, x, y: 0.0,
+            diffusion=lambda t: (0.04, 0.01, 0.09),
+            rates=lambda t, x, y: (0.01 * x, 0.0, 0.0),
             terminal=lambda x, y: np.maximum(x - y, 0.0), maturity=1.0)
         with pytest.raises(ReductionError):
-            derive_reduced(spec, numeraire_axis=1)
+            derive_reduced(spec)
 
 
 class TestReductionGap:
     def test_gap_small_and_shrinks_under_refinement(self):
         spec = _exchange_spec_2d()
-        coarse = reduction_gap(spec, 1, GridSpec(100, 50))
-        fine = reduction_gap(spec, 1, GridSpec(200, 100))
+        coarse = reduction_gap(spec, GridSpec(100, 50))
+        fine = reduction_gap(spec, GridSpec(200, 100))
         assert fine < coarse
         assert fine < 1e-3

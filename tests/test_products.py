@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from numerkit import products, ratecurve
 from numerkit.errors import PricingError
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
-from numerkit.pde import GridSpec
+from numerkit.pde import GridSpec, derive_reduced
 from numerkit.ratecurve import VasicekModel
-from numerkit.verify import price_with_method
+from numerkit.verify import default_suite, price_with_method
 
 
 class TestIndependence:
@@ -68,6 +68,43 @@ class TestFormulations:
         assert usd.numeraire_axis is None
         with pytest.raises(PricingError):
             products.quadrature_problem(usd)
+
+
+class TestPde2Spec:
+    def test_one_rate_read_per_evaluation(self, monkeypatch):
+        # r - q_x, r - q_y and r come from one read of the bond-implied rate
+        f = products.formulations(default_suite()[3])[0]
+        assert f.label == "convertible"
+        rates = products.pde2_spec(f).rates
+        calls = []
+        log_affine = ratecurve.log_affine
+        monkeypatch.setattr(ratecurve, "log_affine",
+                            lambda *a: calls.append(a) or log_affine(*a))
+        mux, muy, c = rates(0.3, *f.anchor)
+        assert len(calls) == 1
+        assert (mux, muy) == (c - f.q_x, c - f.q_y)
+
+
+class TestNumeraireOnY:
+    def test_numeraire_axis_zero(self):
+        # savings is quoted in its first asset: the swap makes it y, so the
+        # quotient coordinate is the old y over the old x
+        f = products.formulations(default_suite()[2])[0]
+        assert (f.label, f.numeraire_axis) == ("savings", 0)
+        g = products.numeraire_on_y(f)
+        assert g.numeraire_axis == 1 and g.anchor == f.anchor[::-1]
+        assert (g.sigma_x, g.sigma_y, g.q_x, g.q_y) == (f.sigma_y, f.sigma_x,
+                                                          f.q_y, f.q_x)
+        red = derive_reduced(products.pde2_spec(g))
+        for z in (0.5 * f.kink, f.kink, 2.0 * f.kink):
+            assert red.terminal(np.array([z]))[0] == f.terminal(1.0, z)
+        # unswapped, the floor and the rising leg would trade places
+        z = 0.5 * f.kink
+        assert red.terminal(np.array([z]))[0] != f.terminal(z, 1.0)
+
+    def test_numeraire_on_y_kept(self):
+        f = products.formulations(default_suite()[3])[0]
+        assert products.numeraire_on_y(f) is f
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,21 @@ class TestVerifyProduct:
                                 methods=DETERMINISTIC_METHODS, tol=1e-15)
         assert not report.passed
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0])
+    def test_nan_or_negative_tolerance_rejected(self, tol):
+        # no gap can meet it, so every report would fail
+        for run in (lambda: verify_product(_esop_plain(beta=0.0), grid=COARSE,
+                                           tol=tol, methods=("analytic",)),
+                    lambda: run_suite([_esop_plain(beta=0.0)], grid=COARSE,
+                                      tol=tol, methods=("analytic",))):
+            with pytest.raises(ValueError, match="tol"):
+                run()
+
+    def test_infinite_tolerance_accepted(self):
+        report = verify_product(_esop_plain(beta=0.0), grid=COARSE,
+                                methods=("analytic", "quadrature"), tol=math.inf)
+        assert report.passed and report.tol == math.inf
+
     def test_report_dict_shape(self):
         report = verify_product(_esop_plain(beta=0.0), grid=COARSE,
                                 methods=("analytic", "quadrature"))
