@@ -205,10 +205,17 @@ def pde2_spec(f: Formulation) -> Pde2Spec:
 
 
 def integral(f: Formulation, fn: Callable[[float], float]) -> float:
-    """Integral of fn over [0, maturity], adaptive per breakpoint segment."""
+    """Integral of fn over [0, maturity], adaptive per breakpoint segment.
+    Raises PricingError at the first value of fn that is not finite."""
+    def checked(t):
+        value = fn(t)
+        if not math.isfinite(value):
+            raise PricingError(f"integrand is not finite at t = {t}: {value}")
+        return value
+
     cuts = sorted({0.0, f.maturity,
                    *(b for b in f.breakpoints if 0.0 < b < f.maturity)})
-    return sum(quad(fn, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+    return sum(quad(checked, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
                for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
@@ -233,8 +240,9 @@ def quadrature_problem(f: Formulation) -> tuple:
 
     The ratio Z = X/Y of the numeraire formulation is lognormal; ln Z has the
     integral of sigma_x^2 - 2 c sigma_x sigma_y + sigma_y^2 as its variance,
-    and the payoff is the claim's with Y at one.  Z's drift q_y - q_x moves
-    into the starting ratio and its discount q_y into the multiplier.
+    and the payoff, which takes an array of ratios, is the claim's with Y at
+    one.  Z's drift q_y - q_x moves into the starting ratio and its discount
+    q_y into the multiplier.
     """
     g = numeraire_on_y(f)
     sx, sy, c, T = g.sigma_x, g.sigma_y, g.corr, g.maturity
@@ -242,5 +250,5 @@ def quadrature_problem(f: Formulation) -> tuple:
                    + sy(t) * sy(t))
     x0, y0 = g.anchor
     return (var, x0 / y0 * math.exp((g.q_y - g.q_x) * T),
-            lambda z: float(g.terminal(z, 1.0)), (g.kink,),
+            lambda z: g.terminal(z, 1.0), (g.kink,),
             g.to_canonical * y0 * math.exp(-g.q_y * T))

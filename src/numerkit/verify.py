@@ -251,7 +251,10 @@ def run_suite(products: Optional[Sequence] = None,
               mc: Optional[McSpec] = None,
               tol: float = 1e-3,
               methods: Sequence[str] = ALL_METHODS) -> dict:
-    """Verify a list of products and collect a JSON-ready summary."""
+    """Verify a list of products and collect a JSON-ready summary; raises
+    ValueError on a NaN or negative ``tol``, even with no products."""
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
     products = default_suite() if products is None else list(products)
     grid = grid or GridSpec()
     mc = mc or McSpec()

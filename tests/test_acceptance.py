@@ -118,7 +118,7 @@ def test_criterion_4_quadrature_call_accuracy():
     """One-ratio quadrature vs the call formula, rel < 1e-6 over the domain
     z in [0.5, 2] x tau in [0.1, 2]; kernel normalization to 1e-8."""
     worst = 0.0
-    call = lambda z: max(z - 1.0, 0.0)
+    call = lambda z: np.maximum(z - 1.0, 0.0)
     for sigma in (0.1, 0.2, 0.4):
         for tau in (0.1, 0.3, 0.5, 1.0, 1.5, 2.0):
             for z in (0.5, 0.6, 0.7, 0.85, 1.0, 1.2, 1.4, 1.7, 2.0):

@@ -13,7 +13,7 @@ import pytest
 import numerkit
 from numerkit import analytic, ratecurve
 from numerkit.cli import main
-from numerkit.model import Corporate, Esop, product_to_dict
+from numerkit.model import Corporate, Esop, product_from_dict, product_to_dict
 from numerkit.verify import default_suite
 
 VASICEK_CFG = {"vasicek": {"theta": 0.5, "mu_r": 0.05, "sigma_r": 0.01,
@@ -436,7 +436,7 @@ class TestSubstitutionGrid:
     """Each default product with one field replaced by a hostile value, on
     the routes without simulation, and the reduce and curve inputs with one
     position replaced: every run ends in a documented exit code, never in a
-    traceback or a numpy RuntimeWarning, and a run that exits 0 prints
+    traceback or a warning of any category, and a run that exits 0 prints
     finite values."""
 
     @pytest.mark.parametrize("product", default_suite(),
@@ -455,9 +455,8 @@ class TestSubstitutionGrid:
                     except Exception as exc:  # the failure this test looks for
                         code = type(exc).__name__
                 out = capsys.readouterr().out
-                runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-                if runtime:
-                    code = f"RuntimeWarning: {runtime[0].message}"
+                if caught:
+                    code = f"{caught[0].category.__name__}: {caught[0].message}"
                 if code == 0 and not math.isfinite(json.loads(out)["quote"]["value"]):
                     code = "non-finite value"
                 codes.setdefault(code, []).append((method, spec))
@@ -478,9 +477,8 @@ class TestSubstitutionGrid:
                     except Exception as exc:  # the failure this test looks for
                         code = type(exc).__name__
                 out, err = capsys.readouterr()
-                runtime = [w for w in caught if issubclass(w.category, RuntimeWarning)]
-                if runtime:
-                    code = f"RuntimeWarning: {runtime[0].message}"
+                if caught:
+                    code = f"{caught[0].category.__name__}: {caught[0].message}"
                 if "Traceback" in err:
                     code = "traceback"
                 if code == 0:
@@ -502,6 +500,25 @@ class TestSubstitutionGrid:
             assert main(["price", "--input", _write(tmp_path, "fx.json", spec),
                          "--method", "quadrature"]) == 3
         assert "price ratio is not finite" in capsys.readouterr().err
+
+    def test_kink_underflowing_against_the_ratio_is_priced(self, tmp_path, capsys):
+        # face / dilution is subnormal, and divided by the firm-to-bond ratio
+        # it rounds to zero; the kink's abscissa must not take log(0)
+        spec = dict(_corporate_dict(), shares=34684, bonds=77, conv_rate=0.3,
+                    face=5e-324, sigma_v=0.02, rho=0.01, maturity=1.1,
+                    firm_value=1436708.81,
+                    vasicek={"theta": 0.3333, "mu_r": 0.00082, "sigma_r": 0.00407,
+                             "lambda": -0.1169, "r0": 0.01284})
+        path = _write(tmp_path, "c.json", spec)
+        values = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for method in ("analytic", "quadrature"):
+                assert main(["price", "--input", path, "--method", method]) == 0
+                values[method] = json.loads(capsys.readouterr().out)["quote"]["value"]
+        product = product_from_dict(spec)
+        notional = product.face + product.dilution * product.firm_value
+        assert abs(values["quadrature"] - values["analytic"]) <= 1e-9 * notional
 
     @pytest.mark.parametrize("method", ["pde_full", "pde_reduced"])
     def test_unrepresentable_grid_exits_three(self, tmp_path, capsys, method):

@@ -120,12 +120,12 @@ class TestCertifyPsd:
 class TestQuadraturePrice:
     def test_call_reference(self):
         # variance 0.04, z = 1: 2 N(0.1) - 1 in 40-digit arithmetic
-        call = lambda z: max(z - 1.0, 0.0)
+        call = lambda z: np.maximum(z - 1.0, 0.0)
         assert quadrature_price(0.04, 1.0, call, kinks=(1.0,)) == pytest.approx(
             0.079655674554057962931, rel=1e-10)
 
     def test_call_matches_bs_over_grid(self):
-        call = lambda z: max(z - 1.0, 0.0)
+        call = lambda z: np.maximum(z - 1.0, 0.0)
         for b11 in (0.01, 0.04, 0.16):
             for z in (0.5, 0.8, 1.0, 1.25, 2.0):
                 for t in (0.0, 1.0, 1.9):
@@ -133,6 +133,34 @@ class TestQuadraturePrice:
                                            kinks=(1.0,))
                     ref = bs_call(z, 1.0, 0.0, 0.0, math.sqrt(b11), 2.0 - t)
                     assert got == pytest.approx(ref, rel=1e-8, abs=1e-12)
+
+    # undiscounted calls and puts struck at 1, out of the money from about
+    # 1e-5 down to 1e-200: z N(d1) - N(d2) and N(-d2) - z N(-d1) in 80-digit
+    # arithmetic, rounded to 40
+    @pytest.mark.parametrize("variance,ratio,put,reference", [
+        (0.04, 0.5, False, "9.431090880750187926526352278208657287341e-6"),
+        (0.04, 3.0, True, "1.168582763137138078898315952255588634296e-9"),
+        (0.01, 0.4, False, "1.702113483832015175429709423921763860682e-22"),
+        (0.0025, 0.5, False, "1.340421039964283227042124687722630023426e-46"),
+        (0.01, 8.0, True, "3.28768670135705227089055233924817345906e-98"),
+        (1.0, 1e-12, False, "7.518736612566289037911118067790091034001e-176"),
+        (0.01, 20.0, True, "2.627567618297691518531303246810056552158e-199"),
+        (0.01, 0.05, False, "1.313783809148867692029273026522072497861e-200"),
+    ])
+    def test_far_tail_relative_accuracy(self, variance, ratio, put, reference):
+        payoff = ((lambda z: np.maximum(1.0 - z, 0.0)) if put
+                  else (lambda z: np.maximum(z - 1.0, 0.0)))
+        got = quadrature_price(variance, ratio, payoff, kinks=(1.0,))
+        assert got == pytest.approx(float(reference), rel=1e-10, abs=0.0)
+
+    def test_payoff_called_once_on_an_array(self):
+        calls = []
+
+        def payoff(z):
+            calls.append(z.shape)
+            return np.maximum(z - 1.0, 0.0)
+        quadrature_price(0.04, 1.0, payoff, kinks=(1.0,))
+        assert len(calls) == 1 and len(calls[0]) == 1
 
     def test_forward_is_martingale(self):
         for z in (0.25, 1.0, 3.7):

@@ -70,6 +70,17 @@ class TestFormulations:
             products.quadrature_problem(usd)
 
 
+class TestIntegral:
+    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    def test_non_finite_integrand_refused(self, method):
+        # sigma^2 overflows: the ratio's variance integrand is inf - inf and
+        # the simulated law's inf; both are refused before quad sees them
+        esop = Esop(beta=0.85, t_reset=0.5, maturity=1.0, sigma=1e308,
+                    rate=0.05, spot=100.0)
+        with pytest.raises(PricingError, match="integrand is not finite"):
+            price_with_method(esop, method)
+
+
 class TestPde2Spec:
     def test_one_rate_read_per_evaluation(self, monkeypatch):
         # r - q_x, r - q_y and r come from one read of the bond-implied rate

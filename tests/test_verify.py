@@ -181,11 +181,13 @@ class TestVerifyProduct:
 
     @pytest.mark.parametrize("tol", [math.nan, -1.0])
     def test_nan_or_negative_tolerance_rejected(self, tol):
-        # no gap can meet it, so every report would fail
+        # no gap can meet it, so every report would fail; an empty suite
+        # reaches no verify_product, and would write a NaN tol as invalid JSON
         for run in (lambda: verify_product(_esop_plain(beta=0.0), grid=COARSE,
                                            tol=tol, methods=("analytic",)),
                     lambda: run_suite([_esop_plain(beta=0.0)], grid=COARSE,
-                                      tol=tol, methods=("analytic",))):
+                                      tol=tol, methods=("analytic",)),
+                    lambda: run_suite([], tol=tol)):
             with pytest.raises(ValueError, match="tol"):
                 run()
 
