@@ -15,12 +15,20 @@ trivial-identity checks (forward payoffs, zero-strike conversions) rely on.
 Time stepping:
   * coefficients are frozen per step at the interval midpoint (never touches
     the terminal time, where some discount coefficients are singular),
+  * the 1-D solver marches each breakpoint segment in its own clock.  Where
+    the diffusion a is a normal float it is variance time tau = int a dt
+    (Wilmott, Howison & Dewynne 1995, ch. 5): the equation has diffusion 1,
+    drift b/a and discount c/a, frozen at t(tau), so a quotient whose only
+    time dependence is a (the Vasicek products) has one operator for the
+    whole solve.  Where a vanishes, is subnormal or leaves b/a, c/a
+    infinite, it is physical time; where a = b = c = 0 the segment takes no
+    steps.  Every level keeps its physical time,
   * the first interval after the terminal date and after every declared
     coefficient breakpoint is damped: two implicit half-steps (Rannacher),
   * the 2-D scheme is a Craig-Sneyd predictor-corrector with the mixed
     derivative treated explicitly, theta = 1/2,
   * each step factors I - (dt/2) L once per axis (``_Tridiag``), and the 1-D
-    solver holds one factorisation while its coefficients and dt repeat,
+    solver holds one factorisation while its operator and step repeat,
   * every 2-D plane is C-ordered and every operator runs along its rows: the
     y axis works on a transposed copy kept current, so no plane operation
     pays a strided sweep or a per-element Python loop.
@@ -33,6 +41,7 @@ leaving linear payoffs untouched.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -48,7 +57,8 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 
 
 _SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
-_HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the half-width sums
+_HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the coefficient samples
+_NORMAL = sys.float_info.min  # a smaller diffusion is no clock to march in
 
 # Largest footprint a solve may allocate, checked from its GridSpec before
 # any array is built: the stored levels plus _VECTORS_1D working vectors of a
@@ -125,6 +135,11 @@ def _check_budget(cells: int, what: str) -> None:
             f"{_BUDGET_BYTES >> 20} MB grid budget; use fewer nodes or steps")
 
 
+def _cuts(maturity: float, breakpoints) -> list:
+    """0, the breakpoints inside (0, maturity) and the maturity, sorted."""
+    return sorted({0.0, maturity, *(b for b in breakpoints if 0.0 < b < maturity)})
+
+
 def _time_grid(maturity: float, steps: int, breakpoints):
     """(times, lengths): a partition of [0, T] with nodes on the breakpoints,
     and the length of each step.
@@ -133,7 +148,7 @@ def _time_grid(maturity: float, steps: int, breakpoints):
     breakpoint is a node, and one nominal length (b - a) / n for all its
     steps, so the steps of a segment are bit-equal.
     """
-    cuts = sorted({0.0, maturity, *(b for b in breakpoints if 0.0 < b < maturity)})
+    cuts = _cuts(maturity, breakpoints)
     lengths = np.diff(cuts)
     # allocate steps proportionally, at least one per segment
     alloc = np.maximum(1, np.round(steps * lengths / maturity).astype(int))
@@ -144,30 +159,104 @@ def _time_grid(maturity: float, steps: int, breakpoints):
     return np.concatenate(levels), np.concatenate(steps_out)
 
 
-def _half_width(coefficients, maturity: float, breakpoints) -> float:
+def _span(var: float, shift: float) -> float:
     """Log-space grid half-width: _SPAN_SIGMAS standard deviations of the
-    integrated diffusion plus the integrated log drift, at least 1e-2, for
-    ``coefficients(t)`` that starts with the diffusion and the drift.
-
-    Midpoint sums split at breakpoints, both accumulated in one pass that
-    evaluates each coefficient once per midpoint and keeps no list of them.
-    Midpoints on purpose: several discount coefficients are singular exactly
-    at the terminal date and must never be sampled there.
-    """
-    var = shift = 0.0
-    cuts = sorted({0.0, maturity, *(c for c in breakpoints if 0.0 < c < maturity)})
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        h = (hi - lo) / _HALF_WIDTH_POINTS
-        sum_a = sum_m = 0.0
-        for i in range(_HALF_WIDTH_POINTS):
-            t = lo + (i + 0.5) * h
-            a, mu = coefficients(t)[:2]
-            a = float(a)
-            sum_a += a
-            sum_m += float(mu - 0.5 * a)
-        var += h * sum_a
-        shift += h * sum_m
+    integrated diffusion ``var`` plus the integrated log drift ``shift``, at
+    least 1e-2."""
     return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
+
+
+def _sample(coefficients, lo: float, hi: float):
+    """One pass over the _HALF_WIDTH_POINTS cell midpoints of [lo, hi] of
+    ``coefficients(t) = (a, b, c)``: (var, shift, tau, dead).
+
+    ``var`` and ``shift`` are the midpoint sums of a and b - a/2 over the
+    segment.  ``tau`` is the cumulative variance at the cell edges when a
+    is a normal float and b/a, c/a are finite at every midpoint, else None;
+    ``dead`` says a = b = c = 0 at every midpoint.  Each coefficient is
+    evaluated once per midpoint and no list of them is kept.  Midpoints on
+    purpose: several discount coefficients are singular exactly at the
+    terminal date and must never be sampled there.
+    """
+    h = (hi - lo) / _HALF_WIDTH_POINTS
+    tau = np.empty(_HALF_WIDTH_POINTS + 1)
+    tau[0] = 0.0
+    sum_a = sum_m = 0.0
+    scaled = dead = True
+    normal, largest = _NORMAL, sys.float_info.max
+    with np.errstate(all="ignore"):  # a numpy ratio may overflow to inf
+        for i in range(_HALF_WIDTH_POINTS):
+            a, b, c = coefficients(lo + (i + 0.5) * h)
+            sum_a += a
+            sum_m += b - 0.5 * a
+            tau[i + 1] = sum_a
+            if scaled:  # a NaN fails every comparison
+                scaled = a >= normal and abs(b / a) <= largest and abs(c / a) <= largest
+            if dead:
+                dead = a == b == c == 0.0
+    tau *= h
+    return h * sum_a, h * sum_m, tau if scaled else None, dead
+
+
+def _half_width(coefficients, maturity: float, breakpoints) -> float:
+    """``_span`` of the midpoint sums split at the breakpoints, for
+    ``coefficients(t)`` that is the diffusion and the drift of one axis."""
+    var = shift = 0.0
+    cuts = _cuts(maturity, breakpoints)
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        v, m = _sample(lambda t: (*coefficients(t), 0.0), lo, hi)[:2]
+        var += v
+        shift += m
+    return _span(var, shift)
+
+
+def _clocks(coefficients, maturity: float, breakpoints, steps: int):
+    """(half_width, times, segments) of a 1-D solve, from one ``_sample``
+    pass per breakpoint segment.
+
+    A segment with a normal diffusion runs in variance time tau, where its
+    equation has diffusion 1, drift b/a and discount c/a; its steps are
+    equal in tau and each is frozen at t(tau), read off the piecewise-linear
+    map of the sampled cumulative variance.  A segment where a vanishes, is
+    subnormal or leaves b/a or c/a infinite runs in physical time.  A dead
+    segment (a = b = c = 0) is skipped: it takes no step, and the solution
+    at its start is the one at its end.  The other segments share the steps
+    in proportion to their physical length, at least one each.
+
+    ``times`` are the physical times of every stored level, with every
+    breakpoint among them.  ``segments`` lists, from t = 0 up, None for a
+    dead segment and otherwise (scaled, h, mids, top): whether the clock is
+    tau, half the step, each step's frozen time (floats) and the two frozen
+    times of the damped top step.
+    """
+    cuts = _cuts(maturity, breakpoints)
+    var = shift = 0.0
+    sampled = []
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        v, m, tau, dead = _sample(coefficients, lo, hi)
+        var += v
+        shift += m
+        sampled.append((lo, hi, tau, dead))
+    live = sum(hi - lo for lo, hi, _, dead in sampled if not dead)
+    times, segments = [], []
+    for lo, hi, tau, dead in sampled:
+        if dead:
+            times.append([lo])
+            segments.append(None)
+            continue
+        n = max(1, round(steps * (hi - lo) / live))
+        if tau is None:
+            clock, to_t = np.linspace(lo, hi, n + 1), np.asarray
+        else:
+            edges = np.linspace(lo, hi, _HALF_WIDTH_POINTS + 1)
+            clock = np.linspace(0.0, tau[-1], n + 1)
+            to_t = lambda u, tau=tau, edges=edges: np.interp(u, tau, edges)
+        du = (clock[-1] - clock[0]) / n
+        times.append(to_t(clock[:-1]))
+        segments.append((tau is not None, 0.5 * du, to_t(clock[:-1] + 0.5 * du).tolist(),
+                         to_t(clock[-2] + np.array([0.75, 0.25]) * du).tolist()))
+    times.append([maturity])
+    return _span(var, shift), np.concatenate(times), segments
 
 
 def _log_grid(anchor: float, half_width: float, nodes: int):
@@ -417,42 +506,54 @@ class Solution1D:
 def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     """Crank-Nicolson solve of a Pde1Spec; returns a callable U(z, t).
 
+    Each breakpoint segment marches in its own clock (``_clocks``): in
+    variance time tau = integral of a dt, where the equation is the heat
+    equation in ln z plus the drift b/a and the discount c/a, when a is a
+    normal float and those ratios are finite; in physical time otherwise; a
+    segment where a = b = c = 0 is skipped.  The top step of every segment
+    is damped (two implicit half steps).
+
     Each step evaluates the coefficients once, at a Python float time, and
-    factors I - (dt/2) L only when they or dt differ from the step before,
-    so a segment of constant coefficients holds one factorisation
-    throughout.  A new factorisation scales L by h = dt/2 once: I - hL is
-    factored from that, and I + hL is the same bands with 1 added to the
-    diagonal.
+    factors I - (du/2) L only when L's coefficients ((1, b/a, c/a) in tau,
+    (a, b, c) in t) or the step du differ from the step before.  A diffusion
+    that varies in t with b = c = 0, as the Vasicek quotients have, is
+    therefore one factorisation for the whole solve.  A new factorisation
+    scales L by h = du/2 once: I - hL is factored from that, and I + hL is
+    the same bands with 1 added to the diagonal.
     """
     n, levels = grid.nodes_per_axis, grid.time_steps + len(spec.breakpoints) + 2
     _check_budget(_words_1d(n, levels), "a 1-D solve")
-    T = spec.maturity
-    half = _half_width(spec.coefficients, T, spec.breakpoints)
+    half, times, segments = _clocks(spec.coefficients, spec.maturity,
+                                    spec.breakpoints, grid.time_steps)
     z, s2, s1 = _log_grid(spec.anchor, half, n)
-
-    times, steps = _time_grid(T, grid.time_steps, spec.breakpoints)
-    restart = {T, *(b for b in spec.breakpoints if 0.0 < b < T)}
     values = np.empty((times.size, z.size))
     values[-1] = _cell_average_1d(spec.terminal, z)
 
     held = None
     u = values[-1].copy()
-    tl, dts = times.tolist(), steps.tolist()  # floats: no numpy-scalar arithmetic
-    for k in range(len(dts) - 1, -1, -1):
-        t0, dt = tl[k], dts[k]
-        damped = tl[k + 1] in restart
-        # Rannacher: two implicit half steps, coefficients at half midpoints
-        for t in (t0 + 0.75 * dt, t0 + 0.25 * dt) if damped else (t0 + 0.5 * dt,):
-            key = (*spec.coefficients(t), 0.5 * dt)
-            if key != held:
-                held = key
-                hl = _bands(*key[:3], s2, s1)
-                hl *= key[3]
-                lu = _factor_line(*hl)  # I - hL
-                hl[1] += 1.0
-                explicit = tuple(hl)  # I + hL
-            u = dgttrs(*lu, u if damped else _apply(explicit, u), overwrite_b=1)[0]
-        values[k] = u
+    k = times.size - 1
+    for segment in reversed(segments):
+        if segment is None:  # nothing moves
+            k -= 1
+            values[k] = u
+            continue
+        scaled, h, mids, top = segment
+        for j in range(len(mids) - 1, -1, -1):
+            damped = j == len(mids) - 1
+            # Rannacher: two implicit half steps, frozen at quarter points
+            for t in top if damped else (mids[j],):
+                a, b, c = spec.coefficients(t)
+                key = (1.0, b / a, c / a, h) if scaled else (a, b, c, h)
+                if key != held:
+                    held = key
+                    hl = _bands(*key[:3], s2, s1)
+                    hl *= h
+                    lu = _factor_line(*hl)  # I - hL
+                    hl[1] += 1.0
+                    explicit = tuple(hl)  # I + hL
+                u = dgttrs(*lu, u if damped else _apply(explicit, u), overwrite_b=1)[0]
+            k -= 1
+            values[k] = u
     return Solution1D(z, times, values)
 
 

@@ -133,37 +133,43 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
     the product is degree-one homogeneous and rescale back to the canonical
     currency; everything else prices the canonical formulation directly.
     Raises ValidationFailure on an invalid spec, and PricingError when the
-    value or the standard error comes out non-finite.
+    value or the standard error comes out non-finite or the route's
+    arithmetic overflows.
     """
     if method not in ALL_METHODS:
         raise PricingError(f"unknown method: {method}")
-    bundles = build_engines(product)
-    engines = bundles[0]
-    x0, y0 = engines.state0
-    if method == "analytic":
-        quote = PriceQuote(value=engines.analytic_at(x0, y0), method=method)
-    elif method == "pde_full":
-        sol2 = solve_2d(engines.pde2, grid or GridSpec())
-        quote = PriceQuote(value=sol2(x0, y0, 0.0), method=method)
-    elif method == "monte_carlo":
-        mc = mc or McSpec()
-        res = price_mc(product, mc)
-        quote = PriceQuote(value=res.estimate, method=method,
-                           std_error=res.std_error, seed=mc.seed)
-    else:
-        source = next((b for b in bundles if b.numeraire_axis is not None), None)
-        if source is None:
-            raise PricingError(
-                f"no homogeneous two-factor formulation for {engines.label}")
-        if method == "quadrature":
-            *args, multiplier = quadrature_problem(source.formulation)
-            value = multiplier * quadrature_price(*args)
+    try:
+        bundles = build_engines(product)
+        engines = bundles[0]
+        x0, y0 = engines.state0
+        if method == "analytic":
+            quote = PriceQuote(value=engines.analytic_at(x0, y0), method=method)
+        elif method == "pde_full":
+            sol2 = solve_2d(engines.pde2, grid or GridSpec())
+            quote = PriceQuote(value=sol2(x0, y0, 0.0), method=method)
+        elif method == "monte_carlo":
+            mc = mc or McSpec()
+            res = price_mc(product, mc)
+            quote = PriceQuote(value=res.estimate, method=method,
+                               std_error=res.std_error, seed=mc.seed)
         else:
-            g = numeraire_on_y(source.formulation)
-            reduced = derive_reduced(pde2_spec(g))
-            value = g.to_canonical * g.anchor[1] * solve_1d(
-                reduced, grid or GridSpec())(reduced.anchor, 0.0)
-        quote = PriceQuote(value=value, method=method)
+            source = next((b for b in bundles if b.numeraire_axis is not None), None)
+            if source is None:
+                raise PricingError(
+                    f"no homogeneous two-factor formulation for {engines.label}")
+            if method == "quadrature":
+                *args, multiplier = quadrature_problem(source.formulation)
+                value = multiplier * quadrature_price(*args)
+            else:
+                g = numeraire_on_y(source.formulation)
+                reduced = derive_reduced(pde2_spec(g))
+                value = g.to_canonical * g.anchor[1] * solve_1d(
+                    reduced, grid or GridSpec())(reduced.anchor, 0.0)
+            quote = PriceQuote(value=value, method=method)
+    except OverflowError:  # a float ** or math function out of range
+        raise PricingError(
+            f"{method}: the arithmetic overflowed (a result is out of the "
+            "double range)") from None
     if not (math.isfinite(quote.value) and math.isfinite(quote.std_error or 0.0)):
         raise PricingError(f"non-finite quote: {quote}")
     return quote

@@ -544,6 +544,26 @@ class TestSubstitutionGrid:
         assert main(["price", "--input", _write(tmp_path, "s.json", spec)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method", ["analytic", "pde_reduced"])
+    def test_overflow_names_the_route(self, tmp_path, capsys, method):
+        # sigma ** 2 is out of the double range on both routes
+        spec = _write(tmp_path, "esop.json", dict(_esop_dict(), sigma=1e308))
+        assert main(["price", "--input", spec, "--method", method]) == 3
+        err = capsys.readouterr().err
+        assert f"{method}: the arithmetic overflowed" in err
+        assert "Traceback" not in err
+
+    def test_vanishing_diffusion_priced_in_physical_time(self, tmp_path, capsys):
+        # both volatilities square to zero, so the pound quotient only drifts
+        # and discounts: its segment marches in physical time
+        spec = dict(product_to_dict(default_suite()[1]), sigma_s=1e-170, sigma_x=1e-170)
+        path = _write(tmp_path, "fx.json", spec)
+        values = {}
+        for method in ("analytic", "pde_reduced"):
+            assert main(["price", "--input", path, "--method", method]) == 0
+            values[method] = json.loads(capsys.readouterr().out)["quote"]["value"]
+        assert values["pde_reduced"] == pytest.approx(values["analytic"], rel=1e-4)
+
 
 class TestConsoleEntry:
     def test_module_invocation(self, tmp_path):

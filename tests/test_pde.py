@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from numerkit import pde, products, ratecurve, verify
 from numerkit.analytic import bs_call
@@ -195,14 +197,18 @@ class TestTimeGrid:
 
 
 class _Fresh(float):
-    """A coefficient value that never equals another, so a solve built on it
-    factors I - h L again at every step."""
+    """A coefficient value that never equals another, nor does its quotient
+    (a solve in variance time divides by the diffusion), so a solve built on
+    it factors I - h L again at every step."""
 
     def __eq__(self, other):
         return False
 
     def __ne__(self, other):
         return True
+
+    def __truediv__(self, other):
+        return _Fresh(float(self) / other)
 
     __hash__ = float.__hash__
 
@@ -309,6 +315,69 @@ class TestSolve1D:
             sol(1e6, 0.0)
         with pytest.raises(GridExtrapolationError):
             sol(1e-6, 0.0)
+
+
+class TestClocks:
+    """Each breakpoint segment marches in its own clock: variance time where
+    the diffusion is a normal float, physical time where it vanishes, and no
+    steps at all where nothing moves."""
+
+    # a(t) = s^2 (1 + k sin(w t + phi)) with zero drift and discount is a
+    # call on a lognormal of variance V = integral of a over [0, T]; at
+    # GridSpec(200, 100) the solve lies within 2e-4 of the spot
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(s=st.floats(0.1, 0.5), k=st.floats(0.0, 0.9), w=st.floats(0.5, 8.0),
+           phi=st.floats(0.0, 6.3), maturity=st.floats(0.25, 2.0),
+           strike=st.floats(0.8, 1.25))
+    def test_time_varying_diffusion_matches_black_scholes(self, s, k, w, phi,
+                                                          maturity, strike):
+        spec = Pde1Spec(
+            coefficients=lambda t: (s * s * (1.0 + k * math.sin(w * t + phi)), 0.0, 0.0),
+            terminal=lambda z: np.maximum(z - strike, 0.0), maturity=maturity)
+        var = s * s * (maturity + k * (math.cos(phi) - math.cos(w * maturity + phi)) / w)
+        ref = bs_call(1.0, strike, 0.0, 0.0, math.sqrt(var / maturity), maturity)
+        assert abs(solve_1d(spec, GridSpec(200, 100))(1.0, 0.0) - ref) <= 2e-4
+
+    @pytest.mark.parametrize("diffusion_after", [0.0, 0.04])
+    def test_vanishing_diffusion_transports_and_discounts(self, diffusion_after):
+        # a = 0 on [0, 0.5) with drift b and discount c, then a diffusing
+        # segment without either (or the same transport again): a linear
+        # payoff g has U(z, 0) = e^{-c t} g(z e^{b t}) for t the time a = 0,
+        # exact in space; the damped steps are locally first order in time
+        b, c = 0.03, 0.05
+
+        def coefficients(t):
+            return (0.0, b, c) if t < 0.5 or not diffusion_after else (diffusion_after, 0.0, 0.0)
+
+        spec = Pde1Spec(coefficients=coefficients, terminal=lambda z: 2.0 * z + 1.0,
+                        maturity=1.0, breakpoints=(0.5,))
+        sol = solve_1d(spec, GridSpec(100, 50))
+        span = 0.5 if diffusion_after else 1.0
+        for z in (0.98, 1.0, 1.01):
+            exact = math.exp(-c * span) * (2.0 * z * math.exp(b * span) + 1.0)
+            assert sol(z, 0.0) == pytest.approx(exact, rel=1e-6)
+
+    def test_dead_segment_takes_no_steps(self):
+        # the default esop's quotient is still (a = b = c = 0) before its
+        # reset: the breakpoint is a stored time and nothing moves before it
+        f = next(f for f in _formulations() if f.label == "esop")
+        spec = derive_reduced(products.pde2_spec(f))
+        sol = solve_1d(spec, GridSpec(100, 50))
+        assert list(sol.times[:2]) == [0.0, f.breakpoints[0]]
+        assert np.array_equal(sol.values[0], sol.values[1])
+        assert sol.times.size == 50 + 2
+
+    @pytest.mark.parametrize("label", ["convertible", "corporate"])
+    def test_vasicek_quotient_factors_once(self, monkeypatch, label):
+        # its diffusion varies in t, but in variance time its coefficients
+        # are (1, 0, 0) at every step
+        f = next(f for f in _formulations() if f.label == label)
+        spec = derive_reduced(products.pde2_spec(f))
+        calls = []
+        factor = pde.dgttrf
+        monkeypatch.setattr(pde, "dgttrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        solve_1d(spec, GridSpec())
+        assert len(calls) == 1
 
 
 class TestSolve2D:
@@ -424,15 +493,16 @@ class TestDefaultFormulations2D:
 
 
 class TestDeriveReduced:
-    # the reduced solve at the anchor on GridSpec(100, 50), as computed before
-    # the float time grid, the one-pass half-width and the h L factorisation:
-    # each of those keeps every bit
+    # the reduced solve at the anchor on GridSpec(100, 50), as computed since
+    # each segment marches in its own clock: esop's steps all fall after its
+    # reset, where the equation is the heat equation in variance time, and
+    # the Vasicek quotients take equal steps in variance time
     PINNED = {
-        "esop": 0.2086386713357006,
-        "fx_gbp": 16.006116235327532,
-        "savings": 0.26202637113338156,
-        "convertible": 1.1477199439306716,
-        "corporate": 1.125863462362182,
+        "esop": 0.20864042328205815,
+        "fx_gbp": 16.00611623532756,
+        "savings": 0.2620263711333812,
+        "convertible": 1.1477199193815601,
+        "corporate": 1.125863481397475,
     }
 
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],

@@ -195,3 +195,49 @@ class TestIntegratedVariance:
             integrated_variance(MODEL, 0.2, 0.0, 1.0, 0.5, 2.0)
         with pytest.raises(ValueError):
             integrated_variance(MODEL, 0.2, 0.0, 0.0, 1.0, 0.5)
+
+
+class TestSmallTheta:
+    """theta -> 0 (sigma_r = 0.01, r = 0.05, tau = 2): the bond price tends
+    to exp(-r tau + sigma_r^2 tau^3 / 6) and the rate variance to
+    sigma_r^2 tau^3 / 3.  The references are those limits with their first
+    and second order terms in theta, from B(s) = s - theta s^2 / 2 +
+    theta^2 s^3 / 6 - ..., whose remainder is below 1e-14 relative here;
+    the closed forms, which divide by theta^2, gave a negative variance at
+    theta = 1e-9."""
+
+    SIGMA_R, R, TAU = 0.01, 0.05, 2.0
+
+    @staticmethod
+    def _moments(theta, lo, hi):
+        """Integrals of B and B^2 over [lo, hi] to second order in theta."""
+        p = lambda k: hi ** k - lo ** k
+        int_b = p(2) / 2.0 - theta * p(3) / 6.0 + theta ** 2 * p(4) / 24.0
+        int_b2 = p(3) / 3.0 - theta * p(4) / 4.0 + 7.0 * theta ** 2 * p(5) / 60.0
+        return int_b, int_b2
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-5])
+    def test_bond_price(self, theta):
+        mu_r, lam, sr, tau = 0.04, 0.1, self.SIGMA_R, self.TAU
+        model = VasicekModel(theta=theta, mu_r=mu_r, sigma_r=sr, lam=lam)
+        int_b, int_b2 = self._moments(theta, 0.0, tau)
+        b = tau - theta * tau ** 2 / 2.0 + theta ** 2 * tau ** 3 / 6.0
+        ref = math.exp(-(theta * mu_r - lam * sr) * int_b + 0.5 * sr * sr * int_b2
+                       - b * self.R)
+        assert bond_price(model, self.R, 0.0, tau) == pytest.approx(ref, rel=1e-13)
+        limit = math.exp(-self.R * tau + lam * sr * tau ** 2 / 2.0 + sr * sr * tau ** 3 / 6.0)
+        assert bond_price(model, self.R, 0.0, tau) == pytest.approx(limit, rel=theta * tau)
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-7, 1e-5])
+    @pytest.mark.parametrize("sigma_a, rho, t_exercise",
+                             [(0.0, 0.0, 2.0), (0.2, 0.3, 1.0), (0.2, -0.6, 0.5)])
+    def test_integrated_variance(self, theta, sigma_a, rho, t_exercise):
+        sr, tau = self.SIGMA_R, self.TAU
+        model = VasicekModel(theta=theta, mu_r=0.05, sigma_r=sr)
+        # s = tau - u runs over [tau - t_exercise, tau]
+        int_b, int_b2 = self._moments(theta, tau - t_exercise, tau)
+        ref = sigma_a ** 2 * t_exercise + 2.0 * rho * sigma_a * sr * int_b + sr * sr * int_b2
+        got = integrated_variance(model, sigma_a, rho, 0.0, t_exercise, tau)
+        assert got == pytest.approx(ref, rel=1e-13)
+        if sigma_a == 0.0:
+            assert got == pytest.approx(sr * sr * tau ** 3 / 3.0, rel=theta * tau)
