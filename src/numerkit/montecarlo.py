@@ -80,21 +80,35 @@ def _vasicek_law(model: ratecurve.VasicekModel, sigma_a: float, rho: float,
     """Mean and covariance of (r_T, integral of r, log S_T/S_0 - integral of r)
     under the pricing measure, for an asset of volatility ``sigma_a`` and
     correlation ``rho`` with the rate; T = ``horizon``, B = B(0, T) and m is
-    the risk-neutral level."""
-    th, sr = model.theta, model.sigma_r
-    level = ratecurve.risk_neutral_level(model)
+    the risk-neutral level.
+
+    Below theta T = ``ratecurve._SERIES_BELOW`` the closed forms (T - B) /
+    theta = int B and (T - 2B + B_2) / theta^2 = int B^2, and the means
+    through m, cancel: there the integrals come from ratecurve's series and
+    the means are r0 e^{-theta T} + k B and r0 B + k int B, k = theta mu_r -
+    lam sigma_r."""
+    th, sr, r0 = model.theta, model.sigma_r, model.r0
     b = ratecurve.b_factor(model, 0.0, horizon)
-    b2 = -math.expm1(-2.0 * th * horizon) / (2.0 * th)
-    mean = (level + (model.r0 - level) * math.exp(-th * horizon),
-            level * horizon + (model.r0 - level) * b,
-            -0.5 * sigma_a * sigma_a * horizon)
+    b2 = ratecurve._b(2.0 * th, horizon)
     cross = rho * sr * sigma_a
-    var_int = sr * sr * (horizon - 2.0 * b + b2) / (th * th)
+    x = th * horizon
+    if x < ratecurve._SERIES_BELOW:
+        k = th * model.mu_r - model.lam * sr
+        int_b = horizon * horizon * ratecurve._series(x, ratecurve._INT_B)
+        m_r, m_int = r0 * math.exp(-x) + k * b, r0 * b + k * int_b
+        var_int = sr * sr * horizon ** 3 * ratecurve._series(x, ratecurve._INT_B2)
+        cov_int = cross * int_b
+    else:
+        level = ratecurve.risk_neutral_level(model)
+        m_r = level + (r0 - level) * math.exp(-th * horizon)
+        m_int = level * horizon + (r0 - level) * b
+        var_int = sr * sr * (horizon - 2.0 * b + b2) / (th * th)
+        cov_int = cross * (horizon - b) / th
     low = np.array([
         [sr * sr * b2, 0.0, 0.0],
         [0.5 * sr * sr * b * b, var_int, 0.0],
-        [cross * b, cross * (horizon - b) / th, sigma_a * sigma_a * horizon]])
-    return mean, low + np.tril(low, -1).T
+        [cross * b, cov_int, sigma_a * sigma_a * horizon]])
+    return (m_r, m_int, -0.5 * sigma_a * sigma_a * horizon), low + np.tril(low, -1).T
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:

@@ -13,16 +13,19 @@ rounding) whenever the drift and discount rates coincide, which is what the
 trivial-identity checks (forward payoffs, zero-strike conversions) rely on.
 
 Time stepping:
+  * one planner (``_plan``) gives both solvers their steps: each breakpoint
+    segment takes steps in proportion to its physical length, and both
+    march them in one shape (``_stages``),
   * coefficients are frozen per step at the interval midpoint (never touches
     the terminal time, where some discount coefficients are singular),
-  * the 1-D solver marches each breakpoint segment in its own clock.  Where
-    the diffusion a is a normal float it is variance time tau = int a dt
-    (Wilmott, Howison & Dewynne 1995, ch. 5): the equation has diffusion 1,
-    drift b/a and discount c/a, frozen at t(tau), so a quotient whose only
-    time dependence is a (the Vasicek products) has one operator for the
-    whole solve.  Where a vanishes, is subnormal or leaves b/a, c/a
-    infinite, it is physical time; where a = b = c = 0 the segment takes no
-    steps.  Every level keeps its physical time,
+  * the 2-D solver marches in physical time; the 1-D solver marches each
+    breakpoint segment in its own clock.  Where the diffusion a is a normal
+    float it is variance time tau = int a dt (Wilmott, Howison & Dewynne
+    1995, ch. 5): the equation has diffusion 1, drift b/a and discount c/a,
+    frozen at t(tau), so a quotient whose only time dependence is a (the
+    Vasicek products) has one operator for the whole solve.  Where a
+    vanishes, is subnormal or leaves b/a, c/a infinite, it is physical time;
+    where a = b = c = 0 the segment takes no steps,
   * the first interval after the terminal date and after every declared
     coefficient breakpoint is damped: two implicit half-steps (Rannacher),
   * the 2-D scheme is a Craig-Sneyd predictor-corrector with the mixed
@@ -31,7 +34,8 @@ Time stepping:
     solver holds one factorisation while its operator and step repeat,
   * every 2-D plane is C-ordered and every operator runs along its rows: the
     y axis works on a transposed copy kept current, so no plane operation
-    pays a strided sweep or a per-element Python loop.
+    pays a strided sweep or a per-element Python loop,
+  * both solvers keep only their t = 0 and terminal levels.
 
 Terminal data is smoothed by cell averaging over a symmetric-in-z window per
 node (Gauss-Legendre), which restores smooth convergence at payoff kinks while
@@ -61,11 +65,12 @@ _HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the coefficient 
 _NORMAL = sys.float_info.min  # a smaller diffusion is no clock to march in
 
 # Largest footprint a solve may allocate, checked from its GridSpec before
-# any array is built: the stored levels plus _VECTORS_1D working vectors of a
-# 1-D solve (``_words_1d``), or the _PLANES_2D working planes of a 2-D one.
+# any array is built: the _VECTORS_1D working vectors of a 1-D solve
+# (``_words_1d``) or the _PLANES_2D working planes of a 2-D one, plus the
+# frozen times of its steps.
 _BUDGET_BYTES = 2 ** 30
 _VECTORS_1D = 48
-_LEVEL_WORDS_1D = 10  # per level: its time and step as float64s and list floats
+_STEP_WORDS = 10  # per step: its frozen times as float64s and list floats
 _FIXED_WORDS_1D = 512  # array headers and LAPACK outputs, whatever the grid
 _PLANES_2D = 40
 
@@ -119,11 +124,20 @@ class Pde2Spec:
 # shared plumbing
 
 
-def _words_1d(nodes: int, levels: int) -> int:
-    """8-byte words a 1-D solve of ``levels`` stored levels may hold at
-    once: the levels, each with its time-grid entries, the working vectors
-    and a fixed part that dominates the smallest grids."""
-    return levels * (nodes + _LEVEL_WORDS_1D) + _VECTORS_1D * nodes + _FIXED_WORDS_1D
+def _words_1d(nodes: int, steps: int) -> int:
+    """8-byte words a 1-D solve of at most ``steps`` steps may hold at once:
+    the working vectors, each step's frozen times and a fixed part that
+    dominates the smallest grids."""
+    return _VECTORS_1D * nodes + _STEP_WORDS * steps + _FIXED_WORDS_1D
+
+
+def _stored(times, t: float) -> int:
+    """The index of the stored time within 1e-12 of t; TimeDomainError at
+    any other time."""
+    for k, tk in enumerate(times):
+        if abs(t - tk) <= 1e-12:
+            return k
+    raise TimeDomainError(f"t={t} is not a stored time; stored: {list(times)}")
 
 
 def _check_budget(cells: int, what: str) -> None:
@@ -138,25 +152,6 @@ def _check_budget(cells: int, what: str) -> None:
 def _cuts(maturity: float, breakpoints) -> list:
     """0, the breakpoints inside (0, maturity) and the maturity, sorted."""
     return sorted({0.0, maturity, *(b for b in breakpoints if 0.0 < b < maturity)})
-
-
-def _time_grid(maturity: float, steps: int, breakpoints):
-    """(times, lengths): a partition of [0, T] with nodes on the breakpoints,
-    and the length of each step.
-
-    A segment of n steps takes its nodes from ``linspace``, so every
-    breakpoint is a node, and one nominal length (b - a) / n for all its
-    steps, so the steps of a segment are bit-equal.
-    """
-    cuts = _cuts(maturity, breakpoints)
-    lengths = np.diff(cuts)
-    # allocate steps proportionally, at least one per segment
-    alloc = np.maximum(1, np.round(steps * lengths / maturity).astype(int))
-    levels, steps_out = [np.array([0.0])], []
-    for (a, b), n in zip(zip(cuts[:-1], cuts[1:]), alloc):
-        levels.append(np.linspace(a, b, n + 1)[1:])
-        steps_out.append(np.full(n, (b - a) / n))
-    return np.concatenate(levels), np.concatenate(steps_out)
 
 
 def _span(var: float, shift: float) -> float:
@@ -198,51 +193,42 @@ def _sample(coefficients, lo: float, hi: float):
     return h * sum_a, h * sum_m, tau if scaled else None, dead
 
 
-def _half_width(coefficients, maturity: float, breakpoints) -> float:
-    """``_span`` of the midpoint sums split at the breakpoints, for
-    ``coefficients(t)`` that is the diffusion and the drift of one axis."""
+def _sampled(coefficients, maturity: float, breakpoints):
+    """(half_width, segments) from one ``_sample`` pass per breakpoint
+    segment of ``coefficients(t) = (a, b, c)``: the ``_span`` of the
+    midpoint sums, and per segment from t = 0 up (lo, hi, tau, dead)."""
     var = shift = 0.0
+    segments = []
     cuts = _cuts(maturity, breakpoints)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v, m = _sample(lambda t: (*coefficients(t), 0.0), lo, hi)[:2]
-        var += v
-        shift += m
-    return _span(var, shift)
-
-
-def _clocks(coefficients, maturity: float, breakpoints, steps: int):
-    """(half_width, times, segments) of a 1-D solve, from one ``_sample``
-    pass per breakpoint segment.
-
-    A segment with a normal diffusion runs in variance time tau, where its
-    equation has diffusion 1, drift b/a and discount c/a; its steps are
-    equal in tau and each is frozen at t(tau), read off the piecewise-linear
-    map of the sampled cumulative variance.  A segment where a vanishes, is
-    subnormal or leaves b/a or c/a infinite runs in physical time.  A dead
-    segment (a = b = c = 0) is skipped: it takes no step, and the solution
-    at its start is the one at its end.  The other segments share the steps
-    in proportion to their physical length, at least one each.
-
-    ``times`` are the physical times of every stored level, with every
-    breakpoint among them.  ``segments`` lists, from t = 0 up, None for a
-    dead segment and otherwise (scaled, h, mids, top): whether the clock is
-    tau, half the step, each step's frozen time (floats) and the two frozen
-    times of the damped top step.
-    """
-    cuts = _cuts(maturity, breakpoints)
-    var = shift = 0.0
-    sampled = []
     for lo, hi in zip(cuts[:-1], cuts[1:]):
         v, m, tau, dead = _sample(coefficients, lo, hi)
         var += v
         shift += m
-        sampled.append((lo, hi, tau, dead))
-    live = sum(hi - lo for lo, hi, _, dead in sampled if not dead)
-    times, segments = [], []
-    for lo, hi, tau, dead in sampled:
+        segments.append((lo, hi, tau, dead))
+    return _span(var, shift), segments
+
+
+def _plan(segments, steps: int) -> list:
+    """The time steps of a solve, the only source of them for both solvers.
+
+    ``segments`` are (lo, hi, tau, dead) per breakpoint segment from t = 0
+    up.  A segment with a tau (``_sample``'s cumulative variance) runs in
+    variance time, where its equation has diffusion 1, drift b/a and
+    discount c/a, and each step is frozen at t(tau), read off the
+    piecewise-linear map of the sampled variance; a segment without runs in
+    physical time.  The live segments share ``steps`` in proportion to their
+    physical length, at least one each, and a dead segment takes none.  A
+    segment's clock comes from ``linspace``, so its edges are its breakpoints
+    and its steps are bit-equal.
+
+    Returns, per live segment from t = 0 up, (scaled, h, top, mids): whether
+    the clock is tau, half the step, the two frozen times of the damped top
+    step and the frozen time of each other step from the bottom up (floats).
+    """
+    live = sum(hi - lo for lo, hi, _, dead in segments if not dead)
+    plan = []
+    for lo, hi, tau, dead in segments:
         if dead:
-            times.append([lo])
-            segments.append(None)
             continue
         n = max(1, round(steps * (hi - lo) / live))
         if tau is None:
@@ -252,11 +238,21 @@ def _clocks(coefficients, maturity: float, breakpoints, steps: int):
             clock = np.linspace(0.0, tau[-1], n + 1)
             to_t = lambda u, tau=tau, edges=edges: np.interp(u, tau, edges)
         du = (clock[-1] - clock[0]) / n
-        times.append(to_t(clock[:-1]))
-        segments.append((tau is not None, 0.5 * du, to_t(clock[:-1] + 0.5 * du).tolist(),
-                         to_t(clock[-2] + np.array([0.75, 0.25]) * du).tolist()))
-    times.append([maturity])
-    return _span(var, shift), np.concatenate(times), segments
+        plan.append((tau is not None, 0.5 * du,
+                     to_t(clock[-2] + np.array([0.75, 0.25]) * du).tolist(),
+                     to_t(clock[:-2] + 0.5 * du).tolist()))
+    return plan
+
+
+def _stages(plan):
+    """(scaled, h, t, damped) for every stage of a ``_plan``, from the
+    terminal date down: per segment the top step as two damped half steps
+    (Rannacher), then one stage per remaining step."""
+    for scaled, h, top, mids in reversed(plan):
+        for t in top:
+            yield scaled, h, t, True
+        for t in reversed(mids):
+            yield scaled, h, t, False
 
 
 def _log_grid(anchor: float, half_width: float, nodes: int):
@@ -482,7 +478,8 @@ class _Tridiag:
 
 
 class Solution1D:
-    """Stored time levels of a 1-D solve; callable as U(z, t)."""
+    """The t = 0 and terminal levels of a 1-D solve; callable as U(z, t) at
+    those two times only (to 1e-12), where every caller reads it."""
 
     def __init__(self, z, times, values):
         self.z = z
@@ -490,71 +487,52 @@ class Solution1D:
         self.values = values
 
     def __call__(self, z: float, t: float) -> float:
-        if not (self.times[0] - 1e-12 <= t <= self.times[-1] + 1e-12):
-            raise TimeDomainError(f"t={t} outside [0, {self.times[-1]}]")
+        row = self.values[_stored(self.times, t)]
         if not (self.z[0] <= z <= self.z[-1]):
             raise GridExtrapolationError(
                 f"z={z} outside the truncated grid [{self.z[0]:g}, {self.z[-1]:g}]")
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        k = min(max(k, 0), len(self.times) - 2)
-        t0, t1 = self.times[k], self.times[k + 1]
-        w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-        row = (1.0 - w) * self.values[k] + w * self.values[k + 1]
         return float(np.interp(z, self.z, row))
 
 
 def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
-    """Crank-Nicolson solve of a Pde1Spec; returns a callable U(z, t).
+    """Crank-Nicolson solve of a Pde1Spec; returns U(z, t) at t = 0, T.
 
-    Each breakpoint segment marches in its own clock (``_clocks``): in
+    Each breakpoint segment marches in its own clock (``_plan``): in
     variance time tau = integral of a dt, where the equation is the heat
     equation in ln z plus the drift b/a and the discount c/a, when a is a
     normal float and those ratios are finite; in physical time otherwise; a
-    segment where a = b = c = 0 is skipped.  The top step of every segment
-    is damped (two implicit half steps).
+    segment where a = b = c = 0 takes no steps.
 
-    Each step evaluates the coefficients once, at a Python float time, and
+    Each stage evaluates the coefficients once, at a Python float time, and
     factors I - (du/2) L only when L's coefficients ((1, b/a, c/a) in tau,
-    (a, b, c) in t) or the step du differ from the step before.  A diffusion
-    that varies in t with b = c = 0, as the Vasicek quotients have, is
-    therefore one factorisation for the whole solve.  A new factorisation
-    scales L by h = du/2 once: I - hL is factored from that, and I + hL is
-    the same bands with 1 added to the diagonal.
+    (a, b, c) in t) or the step du differ from the stage before.  A
+    diffusion that varies in t with b = c = 0, as the Vasicek quotients
+    have, is therefore one factorisation for the whole solve.  A new
+    factorisation scales L by h = du/2 once: I - hL is factored from that,
+    and I + hL is the same bands with 1 added to the diagonal.
     """
-    n, levels = grid.nodes_per_axis, grid.time_steps + len(spec.breakpoints) + 2
-    _check_budget(_words_1d(n, levels), "a 1-D solve")
-    half, times, segments = _clocks(spec.coefficients, spec.maturity,
-                                    spec.breakpoints, grid.time_steps)
+    n = grid.nodes_per_axis
+    _check_budget(_words_1d(n, grid.time_steps + len(spec.breakpoints) + 1), "a 1-D solve")
+    half, segments = _sampled(spec.coefficients, spec.maturity, spec.breakpoints)
     z, s2, s1 = _log_grid(spec.anchor, half, n)
-    values = np.empty((times.size, z.size))
-    values[-1] = _cell_average_1d(spec.terminal, z)
+    values = np.empty((2, z.size))
+    values[1] = _cell_average_1d(spec.terminal, z)
 
     held = None
-    u = values[-1].copy()
-    k = times.size - 1
-    for segment in reversed(segments):
-        if segment is None:  # nothing moves
-            k -= 1
-            values[k] = u
-            continue
-        scaled, h, mids, top = segment
-        for j in range(len(mids) - 1, -1, -1):
-            damped = j == len(mids) - 1
-            # Rannacher: two implicit half steps, frozen at quarter points
-            for t in top if damped else (mids[j],):
-                a, b, c = spec.coefficients(t)
-                key = (1.0, b / a, c / a, h) if scaled else (a, b, c, h)
-                if key != held:
-                    held = key
-                    hl = _bands(*key[:3], s2, s1)
-                    hl *= h
-                    lu = _factor_line(*hl)  # I - hL
-                    hl[1] += 1.0
-                    explicit = tuple(hl)  # I + hL
-                u = dgttrs(*lu, u if damped else _apply(explicit, u), overwrite_b=1)[0]
-            k -= 1
-            values[k] = u
-    return Solution1D(z, times, values)
+    u = values[1].copy()
+    for scaled, h, t, damped in _stages(_plan(segments, grid.time_steps)):
+        a, b, c = spec.coefficients(t)
+        key = (1.0, b / a, c / a, h) if scaled else (a, b, c, h)
+        if key != held:
+            held = key
+            hl = _bands(*key[:3], s2, s1)
+            hl *= h
+            lu = _factor_line(*hl)  # I - hL
+            hl[1] += 1.0
+            explicit = tuple(hl)  # I + hL
+        u = dgttrs(*lu, u if damped else _apply(explicit, u), overwrite_b=1)[0]
+    values[0] = u
+    return Solution1D(z, np.array([0.0, spec.maturity]), values)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +550,10 @@ class Solution2D:
         self.values = values
 
     def __call__(self, x: float, y: float, t: float) -> float:
-        stored = [k for k, tk in enumerate(self.times) if abs(t - tk) <= 1e-12]
-        if not stored:
-            raise TimeDomainError(
-                f"t={t} is not a stored time; stored: {list(self.times)}")
+        plane = self.values[_stored(self.times, t)]
         if not (self.x[0] <= x <= self.x[-1]) or not (self.y[0] <= y <= self.y[-1]):
             raise GridExtrapolationError(
                 f"({x:g}, {y:g}) outside the truncated grid")
-        plane = self.values[stored[0]]
         i = min(max(int(np.searchsorted(self.x, x) - 1), 0), self.x.size - 2)
         j = min(max(int(np.searchsorted(self.y, y) - 1), 0), self.y.size - 2)
         fx = (x - self.x[i]) / (self.x[i + 1] - self.x[i])
@@ -687,37 +661,32 @@ class _CraigSneyd:
 def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     """Craig-Sneyd ADI solve of a Pde2Spec; returns V(x, y, t) at t = 0, T.
 
-    Each step factors I - (dt/2) L along each axis once and uses that
+    Every segment marches in physical time on ``_plan``'s steps.  Each
+    stage factors I - (dt/2) L along each axis once and uses that
     factorisation for the predictor and the corrector.
     """
     n, T, bps = grid.nodes_per_axis, spec.maturity, spec.breakpoints
-    levels = grid.time_steps + len(bps) + 2  # the time grid's nodes and lengths
-    _check_budget(_PLANES_2D * n * n + 2 * levels, "a 2-D solve")
+    _check_budget(_PLANES_2D * n * n + _STEP_WORDS * (grid.time_steps + len(bps) + 1),
+                  "a 2-D solve")
     x0, y0 = spec.anchor
     # per axis, its diffusion and its drift at the anchor
-    half = [_half_width(lambda t, i=i: (spec.diffusion(t)[2 * i],
-                                        spec.rates(t, x0, y0)[i]), T, bps)
+    half = [_sampled(lambda t, i=i: (spec.diffusion(t)[2 * i],
+                                     spec.rates(t, x0, y0)[i], 0.0), T, bps)[0]
             for i in (0, 1)]
     x_axis = _log_grid(x0, half[0], n)
     y_axis = _log_grid(y0, half[1], n)
     xg, yg = x_axis[0], y_axis[0]
-
-    times, steps = _time_grid(T, grid.time_steps, bps)
-    restart = {T, *(b for b in bps if 0.0 < b < T)}
     values = np.empty((2, xg.size, yg.size))
     values[1] = _cell_average_2d(spec.terminal, xg, yg)
 
     values[0] = values[1]
     scheme = _CraigSneyd(spec, x_axis, y_axis, values[0])
-    tl, dts = times.tolist(), steps.tolist()
-    for k in range(len(dts) - 1, -1, -1):
-        t0, dt = tl[k], dts[k]
-        h = 0.5 * dt  # theta dt with theta = 1/2, and the damped half step
-        damped = tl[k + 1] in restart
-        # damped start: two implicit (Douglas theta=1) half steps
-        stages = ((t0 + 0.75 * dt, h), (t0 + 0.25 * dt, h)) if damped else ((t0 + h, dt),)
-        for t, explicit in stages:
-            scheme.stage(t, h, explicit, not damped)
+    cuts = _cuts(T, bps)
+    plan = _plan([(lo, hi, None, False) for lo, hi in zip(cuts[:-1], cuts[1:])],
+                 grid.time_steps)
+    for _, h, t, damped in _stages(plan):
+        # a damped stage is an implicit (Douglas theta = 1) half step
+        scheme.stage(t, h, h if damped else 2.0 * h, not damped)
     return Solution2D(xg, yg, np.array([0.0, T]), values)
 
 

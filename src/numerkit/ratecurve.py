@@ -13,6 +13,7 @@ closed forms.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import TimeDomainError
@@ -47,16 +48,21 @@ def _series(x: float, weights) -> float:
     return total
 
 
-def b_factor(model: VasicekModel, t: float, maturity: float) -> float:
-    """B(t, T) = (1 - exp(-theta (T - t))) / theta.
+def _b(theta: float, tau: float) -> float:
+    """(1 - exp(-theta tau)) / theta.  expm1 keeps the theta tau -> 0 limit
+    tau down to the smallest normal theta tau; below it, where expm1 returns
+    the subnormal product itself and the division loses its digits, the
+    result is tau, the exact limit in double precision."""
+    x = theta * tau
+    return tau if x < sys.float_info.min else -math.expm1(-x) / theta
 
-    expm1 keeps the theta*(T-t) -> 0 limit exact (-> T - t) without a series
-    branch.
-    """
+
+def b_factor(model: VasicekModel, t: float, maturity: float) -> float:
+    """B(t, T) = (1 - exp(-theta (T - t))) / theta (``_b``)."""
     dt = maturity - t
     if dt < 0.0:
         raise ValueError("maturity must not precede t")
-    return -math.expm1(-model.theta * dt) / model.theta
+    return _b(model.theta, dt)
 
 
 def log_affine(model: VasicekModel, t: float, maturity: float) -> tuple:

@@ -373,6 +373,18 @@ class TestCurve:
         assert main(["curve", "--input", path]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_subnormal_theta_takes_the_zero_theta_limit(self, tmp_path, capsys):
+        # theta tau is subnormal, so B is tau and the bond is its theta -> 0
+        # limit exp(-r tau + sigma_r^2 tau^3 / 6)
+        cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=5e-324),
+                   maturities=[0.3])
+        assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["curve"]
+        tau, r, sigma_r = 0.3, 0.03, 0.01
+        assert row["bond_price"] == pytest.approx(
+            math.exp(-r * tau + sigma_r * sigma_r * tau ** 3 / 6.0), rel=1e-14)
+        assert row["sigma_p"] == pytest.approx(sigma_r * tau, rel=1e-15)
+
     def test_zero_theta_lists_violation(self, tmp_path, capsys):
         cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=0.0))
         assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 2

@@ -181,19 +181,26 @@ class TestTridiagKernel:
 
 
 class TestTimeGrid:
+    """The one planner both solvers take their steps from."""
+
     def test_steps_bit_equal_per_segment_and_breakpoints_are_nodes(self):
         maturity, breakpoints = 1.7, (0.3, 1.1)
-        times, steps = pde._time_grid(maturity, 200, breakpoints)
-        assert steps.size == times.size - 1
-        assert times[0] == 0.0 and times[-1] == maturity
         cuts = [0.0, *breakpoints, maturity]
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            assert a in times and b in times
-            inside = (times[:-1] >= a) & (times[1:] <= b)
-            seg = steps[inside]
-            assert np.all(seg == seg[0])
-            assert seg[0] == (b - a) / seg.size
-            assert np.allclose(np.diff(times)[inside], seg, rtol=1e-12, atol=0.0)
+        plan = pde._plan([(a, b, None, False) for a, b in zip(cuts[:-1], cuts[1:])], 200)
+        assert len(plan) == len(cuts) - 1
+        for (a, b), (scaled, h, top, mids) in zip(zip(cuts[:-1], cuts[1:]), plan):
+            n = len(mids) + 1
+            assert not scaled and n == round(200 * (b - a) / maturity)
+            # one half step for every step of the segment, bit-equal to
+            # half its length over its step count
+            assert 2.0 * h == (b - a) / n
+            # the frozen midpoints are 2h apart and the segment's edges are
+            # the breakpoints
+            frozen = np.array([*mids, 0.5 * (top[0] + top[1])])
+            assert np.allclose(np.diff(frozen), 2.0 * h, rtol=1e-12, atol=0.0)
+            assert frozen[0] - h == pytest.approx(a, abs=1e-12)
+            assert frozen[-1] + h == pytest.approx(b, abs=1e-12)
+            assert top == pytest.approx([b - 0.5 * h, b - 1.5 * h], abs=1e-12)
 
 
 class _Fresh(float):
@@ -266,7 +273,6 @@ class TestSolve1D:
             terminal=lambda z: np.maximum(z - 1.0, 0.0),
             maturity=1.0, breakpoints=(t_switch,))
         sol = solve_1d(spec, GridSpec(400, 200))
-        assert t_switch in sol.times
         vol = math.sqrt(0.09 * t_switch + 0.01 * (1.0 - t_switch))
         for z in (0.8, 1.0, 1.2):
             ref = bs_call(z, 1.0, 0.0, 0.0, vol, 1.0)
@@ -357,15 +363,17 @@ class TestClocks:
             exact = math.exp(-c * span) * (2.0 * z * math.exp(b * span) + 1.0)
             assert sol(z, 0.0) == pytest.approx(exact, rel=1e-6)
 
-    def test_dead_segment_takes_no_steps(self):
+    def test_dead_segment_takes_no_steps(self, monkeypatch):
         # the default esop's quotient is still (a = b = c = 0) before its
-        # reset: the breakpoint is a stored time and nothing moves before it
+        # reset: all the steps fall after it, the top one as two implicit
+        # half steps, so there is one solve per step and one more
         f = next(f for f in _formulations() if f.label == "esop")
         spec = derive_reduced(products.pde2_spec(f))
-        sol = solve_1d(spec, GridSpec(100, 50))
-        assert list(sol.times[:2]) == [0.0, f.breakpoints[0]]
-        assert np.array_equal(sol.values[0], sol.values[1])
-        assert sol.times.size == 50 + 2
+        calls = []
+        solve = pde.dgttrs
+        monkeypatch.setattr(pde, "dgttrs", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        solve_1d(spec, GridSpec(100, 50))
+        assert len(calls) == 50 + 1
 
     @pytest.mark.parametrize("label", ["convertible", "corporate"])
     def test_vasicek_quotient_factors_once(self, monkeypatch, label):
@@ -410,13 +418,16 @@ class TestSolve2D:
         with pytest.raises(GridExtrapolationError):
             sol(1e6, 1.0, 0.0)
 
-    def test_only_initial_and_terminal_planes_kept(self):
-        sol = solve_2d(_exchange_spec_2d(), GridSpec(64, 16))
-        assert sol.values.shape == (2, 64, 64)
+    @pytest.mark.parametrize("solve, spec, point", [
+        (solve_1d, _call_spec_1d(), (1.0,)), (solve_2d, _exchange_spec_2d(), (1.0, 1.0))],
+        ids=["solve_1d", "solve_2d"])
+    def test_only_initial_and_terminal_planes_kept(self, solve, spec, point):
+        sol = solve(spec, GridSpec(64, 16))
+        assert sol.values.shape == (2, *[64] * len(point))
         assert list(sol.times) == [0.0, 1.0]
         for t in (0.5, 1e-6, 1.0 - 1e-6):
             with pytest.raises(TimeDomainError):
-                sol(1.0, 1.0, t)
+                sol(*point, t)
 
 
 def _formulations():
@@ -483,13 +494,13 @@ class TestDefaultFormulations2D:
                              ids=lambda f: f.label)
     def test_1d_memory_within_budget(self, f):
         # an upper bound at every grid: the fixed part dominates the
-        # smallest, the levels' time-grid entries the one of many steps
+        # smallest, the steps' frozen times the one of many steps
         spec = derive_reduced(products.pde2_spec(products.numeraire_on_y(f)))
         for grid in (GridSpec(16, 8), GridSpec(32, 16), GridSpec(100, 50), GridSpec(),
                      GridSpec(16, 2000)):
-            levels = grid.time_steps + len(f.breakpoints) + 2
+            steps = grid.time_steps + len(f.breakpoints) + 1
             peak = self._peak(solve_1d, spec, grid)
-            assert peak <= 8 * pde._words_1d(grid.nodes_per_axis, levels), grid
+            assert peak <= 8 * pde._words_1d(grid.nodes_per_axis, steps), grid
 
 
 class TestDeriveReduced:

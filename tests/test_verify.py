@@ -9,8 +9,8 @@ import pytest
 
 from numerkit import ratecurve
 from numerkit.errors import PricingError, ValidationFailure
-from numerkit.model import Corporate, Esop, FxStrike, Savings
-from numerkit.montecarlo import McSpec, price_mc
+from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
+from numerkit.montecarlo import McSpec, mc_bond_price, price_mc
 from numerkit.pde import GridSpec
 from numerkit.verify import (
     ALL_METHODS,
@@ -254,3 +254,49 @@ class TestRunSuite:
         suite = run_suite([_esop_plain(beta=0.0)], grid=COARSE,
                           methods=("analytic",))
         assert json.loads(suite_to_json(suite)) == suite
+
+
+def _limit_cases():
+    """The default products at the edges of their valid domain."""
+    esop, _, savings, convertible, corporate = default_suite()
+    cases = []
+    for base in (convertible, corporate):
+        label, vas = type(base).__name__.lower(), base.vasicek
+        for theta, lam in ((1e-5, 0.0), (1e-9, 0.0), (1e-320, 0.0), (5e-324, 0.0),
+                           (1e-14, 0.25)):
+            cases.append(pytest.param(
+                replace(base, vasicek=replace(vas, theta=theta, lam=lam)),
+                id=f"{label}-theta={theta!r}-lambda={lam!r}"))
+        cases.append(pytest.param(replace(base, vasicek=replace(vas, sigma_r=0.0)),
+                                  id=f"{label}-sigma_r=0"))
+        cases += [pytest.param(replace(base, rho=rho), id=f"{label}-rho={rho:g}")
+                  for rho in (-0.999, 0.999)]
+    cases.append(pytest.param(replace(corporate, face=0.0), id="corporate-face=0"))
+    cases += [pytest.param(replace(savings, rho=rho), id=f"savings-rho={rho:g}")
+              for rho in (-0.999, 0.999)]
+    cases.append(pytest.param(replace(esop, sigma=1e-9), id="esop-sigma=1e-09"))
+    return cases
+
+
+class TestDegenerateLimits:
+    """theta -> 0, sigma_r = 0, rho -> +-1, face = 0 and sigma -> 0 give the
+    same value on every route: each deterministic route within 1e-3 of the
+    closed form, Monte Carlo within four standard errors, and under Vasicek
+    the simulated bond within four of its closed form."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("product", _limit_cases())
+    def test_every_route_agrees(self, product):
+        mc = McSpec(paths=200_000, seed=1)
+        report = verify_product(product, grid=GridSpec(100, 50), mc=mc)
+        assert report.max_rel_gap_deterministic <= 1e-3
+        assert report.mc_z_score <= 4.0
+        vas = getattr(product, "vasicek", None)
+        if vas is not None:
+            maturity = (product.bond_maturity if isinstance(product, Convertible)
+                        else product.maturity)
+            ref = ratecurve.bond_price(vas, vas.r0, 0.0, maturity)
+            bond = mc_bond_price(vas, maturity, mc)
+            # at sigma_r = 0 the bond is deterministic: floor the standard
+            # error at the rounding of the reference, as verify_product does
+            assert abs(bond.estimate - ref) <= 4.0 * max(bond.std_error, 1e-12 * ref)
