@@ -1,9 +1,10 @@
 """Finite-difference solvers for the full 2-D pricing equations and their
 1-D reduced forms, plus the reduction-gap diagnostic.
 
-A spec gives one coefficient set per evaluation, so a rate that several
-coefficients share is read once.  The reduction divides the 2-D equation by
-its y axis; which asset is y is the product description's choice
+A 2-D spec names its short rate once and gives each asset a constant yield,
+so its drifts r - q and discount r are of no-arbitrage form.  The reduction
+divides the 2-D equation by its y axis, and the rate drops out of the quotient
+by construction; which asset is y is the product description's choice
 (``products.numeraire_on_y``).
 
 Both solvers march Crank-Nicolson-style on log-spaced grids.  Stencils are
@@ -104,18 +105,19 @@ class Pde2Spec:
     """Full two-factor equation
 
     V_t + (1/2)[axx x^2 V_xx + 2 axy x y V_xy + ayy y^2 V_yy]
-        + mux(t,x,y) x V_x + muy(t,x,y) y V_y - c(t,x,y) V = 0.
+        + (r - q_x) x V_x + (r - q_y) y V_y - r V = 0.
 
     ``diffusion(t)`` is (axx, axy, ayy), functions of t alone;
-    ``rates(t, x, y)`` is (mux, muy, c), each a scalar or an array that
-    broadcasts over (nx,1) x (1,ny) meshes, so drifts and discount may depend
-    on the state.
+    ``rate(t, x, y)`` is the short rate r, a scalar or an array that
+    broadcasts over (nx,1) x (1,ny) meshes, so it may depend on the state;
+    ``yields`` is the constant (q_x, q_y).
     """
 
     diffusion: Callable[[float], tuple]
-    rates: Callable[[float, object, object], tuple]
+    rate: Callable[[float, object, object], object]
     terminal: Callable[[np.ndarray, np.ndarray], np.ndarray]
     maturity: float
+    yields: tuple[float, float] = (0.0, 0.0)
     anchor: tuple[float, float] = (1.0, 1.0)
     breakpoints: tuple = ()
 
@@ -596,11 +598,11 @@ class _CraigSneyd:
         without a mixed term would repeat the first."""
         spec, xg, yg, w, wt = self.spec, self.xg, self.yg, self.w, self._wt
         axx, axy, ayy = map(float, spec.diffusion(t_mid))
-        mux, muy, c = (np.atleast_2d(np.asarray(v, dtype=float))
-                       for v in spec.rates(t_mid, xg[:, None], yg[None, :]))
-        gamma = 0.5 * c
-        bands1, op1 = self._operator(0, axx, mux, gamma, h)
-        bands2, op2 = self._operator(1, ayy, muy.T, gamma.T, h)
+        r = np.atleast_2d(np.asarray(spec.rate(t_mid, xg[:, None], yg[None, :]),
+                                     dtype=float))
+        qx, qy = spec.yields
+        bands1, op1 = self._operator(0, axx, r - qx, 0.5 * r, h)
+        bands2, op2 = self._operator(1, ayy, (r - qy).T, 0.5 * r.T, h)
         # the mixed term axy x y D1x D1y, with axy x folded into the x
         # stencil and y into the y stencil
         kx = axy * self.sx[1] if axy != 0.0 else None
@@ -670,9 +672,9 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
                   "a 2-D solve")
     x0, y0 = spec.anchor
     # per axis, its diffusion and its drift at the anchor
-    half = [_sampled(lambda t, i=i: (spec.diffusion(t)[2 * i],
-                                     spec.rates(t, x0, y0)[i], 0.0), T, bps)[0]
-            for i in (0, 1)]
+    half = [_sampled(lambda t, i=i, q=q: (spec.diffusion(t)[2 * i],
+                                          spec.rate(t, x0, y0) - q, 0.0), T, bps)[0]
+            for i, q in enumerate(spec.yields)]
     x_axis = _log_grid(x0, half[0], n)
     y_axis = _log_grid(y0, half[1], n)
     xg, yg = x_axis[0], y_axis[0]
@@ -698,32 +700,20 @@ def derive_reduced(spec2: Pde2Spec) -> Pde1Spec:
     """Quotient the 2-D equation by its y axis, the numeraire.
 
     With z = x/y and V = y U(z):
-      U_t + (1/2)(axx - 2 axy + ayy) z^2 U_zz + (mux - muy) z U_z - (c - muy) U = 0,
+      U_t + (1/2)(axx - 2 axy + ayy) z^2 U_zz + (q_y - q_x) z U_z - q_y U = 0,
       U(z, T) = terminal(z, 1).
-    The drift and discount combinations must be state-independent for the
-    reduction to hold; this is checked on a sample of states.  Each
-    evaluation of the reduced coefficients reads ``diffusion`` and ``rates``
-    once, at the anchor.
+    The short rate drops out by Euler's identity, r (x V_x + y V_y - V) = 0
+    for every V homogeneous of degree one and every r(t, x, y), so only
+    ``diffusion`` is read; the terminal's homogeneity is checked on a sample
+    of ratios.
     """
     x0, y0 = spec2.anchor
-    T = spec2.maturity
+    qx, qy = spec2.yields
     payoff = lambda z: np.asarray(spec2.terminal(np.asarray(z), np.asarray(1.0)), dtype=float)
 
-    # state-independence / homogeneity checks on a coarse state sample; a
-    # probe at 4x an anchor near the float range overflows quietly, and the
+    # a probe about an anchor near the float range overflows quietly, and the
     # solve refuses whatever is not finite
     with np.errstate(all="ignore"):
-        scales = np.array([0.25, 1.0, 4.0])
-        Xs = x0 * scales[:, None]
-        Ys = y0 * scales[None, :]
-        for t in (0.0, 0.5 * T, 0.999 * T):
-            mux, muy, c = (np.asarray(v, dtype=float) for v in spec2.rates(t, Xs, Ys))
-            for coef, label in ((mux, "drift"), (c, "discount")):
-                arr = np.broadcast_to(coef - muy, (3, 3))
-                spread = float(np.max(arr) - np.min(arr))
-                if spread > 1e-10 * (1.0 + float(np.max(np.abs(arr)))):
-                    raise ReductionError(
-                        f"reduced {label} coefficient is state-dependent (spread {spread:g})")
         a = 1.7
         zs = (x0 / y0) * np.array([0.5, 1.0, 2.0])
         t2 = np.asarray(spec2.terminal(a * zs, np.full_like(zs, a)), dtype=float)
@@ -733,10 +723,9 @@ def derive_reduced(spec2: Pde2Spec) -> Pde1Spec:
 
     def coefficients(t):
         axx, axy, ayy = spec2.diffusion(t)
-        mux, muy, c = (float(v) for v in spec2.rates(t, x0, y0))
-        return axx - 2.0 * axy + ayy, mux - muy, c - muy
+        return axx - 2.0 * axy + ayy, qy - qx, qy
 
-    return Pde1Spec(coefficients=coefficients, terminal=payoff, maturity=T,
+    return Pde1Spec(coefficients=coefficients, terminal=payoff, maturity=spec2.maturity,
                     anchor=x0 / y0, breakpoints=spec2.breakpoints)
 
 

@@ -15,7 +15,9 @@ independent check on the other four.
 
 Quoted in the numeraire Y, the ratio X/Y drifts at q_y - q_x and the claim
 discounts at q_y: the short rate drops out of the reduced problem (Geman, El
-Karoui & Rochet 1995, J. Appl. Prob. 32(2)).
+Karoui & Rochet 1995, J. Appl. Prob. 32(2)).  The two-factor equation names
+r once and the yields as constants, so it drops out by construction: the
+reduction never reads it.
 """
 
 from __future__ import annotations
@@ -36,19 +38,15 @@ from .pde import Pde2Spec
 @dataclass(frozen=True)
 class VasicekBond:
     """The short rate of ``model`` read off the price Y of its zero-coupon
-    bond maturing at ``maturity``: r(t, Y) = (ln A(t, T) - ln Y) / B(t, T).
-
-    One ``ratecurve.log_affine`` call gives ln A and B, and a scalar Y takes
-    ``math.log``, so a call on floats (each step of the reduced solve makes
-    several) runs no numpy; an array Y broadcasts through ``np.log``.
-    """
+    bond maturing at ``maturity``: r(t, Y) = (ln A(t, T) - ln Y) / B(t, T),
+    with ln A and B from one ``ratecurve.log_affine`` call."""
 
     model: ratecurve.VasicekModel
     maturity: float
 
     def __call__(self, t, X, Y):
         ln_a, b = ratecurve.log_affine(self.model, t, self.maturity)
-        return (ln_a - (np.log(Y) if isinstance(Y, np.ndarray) else math.log(Y))) / b
+        return (ln_a - np.log(Y)) / b
 
 
 @dataclass(frozen=True)
@@ -187,20 +185,16 @@ def formulations(product) -> tuple:
 
 def pde2_spec(f: Formulation) -> Pde2Spec:
     """The two-factor pricing equation: diffusions sigma_x^2, c sigma_x
-    sigma_y and sigma_y^2, drifts r - q, discount r, with r read once per
-    evaluation."""
-    sx, sy, c, qx, qy, rate = f.sigma_x, f.sigma_y, f.corr, f.q_x, f.q_y, f.rate
+    sigma_y and sigma_y^2, the formulation's short rate and its yields."""
+    sx, sy, c = f.sigma_x, f.sigma_y, f.corr
 
     def diffusion(t):
         vx, vy = sx(t), sy(t)
         return vx ** 2, c * vx * vy, vy ** 2
 
-    def rates(t, X, Y):
-        r = rate(t, X, Y) if isinstance(rate, VasicekBond) else rate
-        return r - qx, r - qy, r
-
-    return Pde2Spec(diffusion=diffusion, rates=rates, terminal=f.terminal,
-                    maturity=f.maturity, anchor=f.anchor,
+    rate = f.rate if callable(f.rate) else lambda t, X, Y: f.rate
+    return Pde2Spec(diffusion=diffusion, rate=rate, yields=(f.q_x, f.q_y),
+                    terminal=f.terminal, maturity=f.maturity, anchor=f.anchor,
                     breakpoints=f.breakpoints)
 
 

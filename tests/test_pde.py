@@ -34,7 +34,7 @@ def _call_spec_1d(sigma=0.2, rate=0.05, strike=1.0, maturity=1.0):
 def _exchange_spec_2d(rate=0.03):
     return Pde2Spec(
         diffusion=lambda t: (0.04, 0.01, 0.09),
-        rates=lambda t, x, y: (rate, rate, rate),
+        rate=lambda t, x, y: rate,
         terminal=lambda x, y: np.maximum(x - y, 0.0),
         maturity=1.0,
     )
@@ -392,7 +392,7 @@ class TestSolve2D:
     def test_linear_exact_when_drift_equals_discount(self):
         spec = Pde2Spec(
             diffusion=lambda t: (0.04, 0.01, 0.09),
-            rates=lambda t, x, y: (0.05, 0.02, 0.05),
+            rate=lambda t, x, y: 0.05, yields=(0.0, 0.03),
             terminal=lambda x, y: x * np.ones_like(y), maturity=1.0)
         sol = solve_2d(spec, GridSpec(64, 16))
         for x in (0.8, 1.0, 1.2):
@@ -532,8 +532,8 @@ class TestDeriveReduced:
         assert red.terminal(np.array([1.4]))[0] == pytest.approx(0.4)
 
     def test_one_rate_read_per_evaluation(self, monkeypatch):
-        # the drifts and the discount of the default convertible share one
-        # bond-implied short rate, read once per evaluation
+        # the bond-implied short rate of the default convertible drops out
+        # of the quotient, so an evaluation never reads it
         f = next(f for f in _formulations() if f.label == "convertible")
         red = derive_reduced(products.pde2_spec(f))
         calls = []
@@ -541,21 +541,13 @@ class TestDeriveReduced:
         monkeypatch.setattr(ratecurve, "log_affine",
                             lambda *a: calls.append(a) or log_affine(*a))
         red.coefficients(0.3)
-        assert len(calls) == 1
+        assert len(calls) == 0
 
     def test_inhomogeneous_terminal_rejected(self):
         spec = Pde2Spec(
             diffusion=lambda t: (0.04, 0.01, 0.09),
-            rates=lambda t, x, y: (0.03, 0.03, 0.03),
+            rate=lambda t, x, y: 0.03,
             terminal=lambda x, y: np.maximum(x * y - 1.0, 0.0), maturity=1.0)
-        with pytest.raises(ReductionError):
-            derive_reduced(spec)
-
-    def test_state_dependent_drift_rejected(self):
-        spec = Pde2Spec(
-            diffusion=lambda t: (0.04, 0.01, 0.09),
-            rates=lambda t, x, y: (0.01 * x, 0.0, 0.0),
-            terminal=lambda x, y: np.maximum(x - y, 0.0), maturity=1.0)
         with pytest.raises(ReductionError):
             derive_reduced(spec)
 
@@ -567,3 +559,27 @@ class TestReductionGap:
         fine = reduction_gap(spec, GridSpec(200, 100))
         assert fine < coarse
         assert fine < 1e-3
+
+    @staticmethod
+    def _state_rate_spec(rate):
+        return Pde2Spec(
+            diffusion=lambda t: (0.04, 0.01, 0.09), rate=rate,
+            yields=(0.01, 0.02), terminal=lambda x, y: np.maximum(x - y, 0.0),
+            maturity=1.0)
+
+    def test_state_dependent_rate_drops_out(self):
+        # r (x V_x + y V_y - V) = 0 for a degree-one V (Euler), so a short
+        # rate that moves with y still leaves the quotient exact
+        spec = self._state_rate_spec(lambda t, x, y: 0.03 + 0.02 * y / (1.0 + y))
+        coarse = reduction_gap(spec, GridSpec(100, 50))
+        fine = reduction_gap(spec, GridSpec(200, 100))
+        assert fine < coarse
+        assert fine < 1e-3
+
+    def test_reduced_coefficients_never_read_the_rate(self):
+        def rate(t, x, y):
+            raise AssertionError("the reduction read the short rate")
+
+        red = derive_reduced(self._state_rate_spec(rate))
+        for t in (0.0, 0.5, 0.999):
+            assert red.coefficients(t) == (pytest.approx(0.04 - 0.02 + 0.09), 0.01, 0.02)

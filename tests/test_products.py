@@ -83,17 +83,17 @@ class TestIntegral:
 
 class TestPde2Spec:
     def test_one_rate_read_per_evaluation(self, monkeypatch):
-        # r - q_x, r - q_y and r come from one read of the bond-implied rate
+        # the bond-implied short rate is one read; the yields are constants
         f = products.formulations(default_suite()[3])[0]
         assert f.label == "convertible"
-        rates = products.pde2_spec(f).rates
+        spec = products.pde2_spec(f)
         calls = []
         log_affine = ratecurve.log_affine
         monkeypatch.setattr(ratecurve, "log_affine",
                             lambda *a: calls.append(a) or log_affine(*a))
-        mux, muy, c = rates(0.3, *f.anchor)
+        spec.rate(0.3, *f.anchor)
         assert len(calls) == 1
-        assert (mux, muy) == (c - f.q_x, c - f.q_y)
+        assert spec.yields == (f.q_x, f.q_y)
 
 
 class TestNumeraireOnY:
