@@ -65,7 +65,8 @@ _FLAGS = {
     "--format": dict(default="json", choices=["json", "csv"]),
     "--seed": dict(type=int, default=0),
     "--paths": dict(type=int, default=100_000),
-    "--grid-nodes": dict(type=int, default=400),
+    "--grid-nodes": dict(type=int, default=400,
+                         help="nodes of the 1-D axis and of the widest 2-D axis"),
     "--time-steps": dict(type=int, default=200),
     "--tol": dict(type=float, default=1e-3),
 }

@@ -13,6 +13,13 @@ on quadratics; linear terminal data therefore propagates exactly (up to
 rounding) whenever the drift and discount rates coincide, which is what the
 trivial-identity checks (forward payoffs, zero-strike conversions) rely on.
 
+Each log grid is centred on the anchor and spans six standard deviations of
+its axis' integrated diffusion plus the axis' log drift: in 1-D the summed
+drift, in 2-D the drift along the characteristic marched from the anchor,
+where the state-dependent rate is read (``_characteristic_spans``).  A 2-D
+grid gives its widest axis ``nodes_per_axis`` nodes and the other the same
+log spacing, so a bond axis a few standard deviations wide takes a few dozen.
+
 Time stepping:
   * one planner (``_plan``) gives both solvers their steps: each breakpoint
     segment takes steps in proportion to its physical length, and both
@@ -64,11 +71,16 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 _SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
 _HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the coefficient samples
 _NORMAL = sys.float_info.min  # a smaller diffusion is no clock to march in
+_MIN_NODES = 16  # fewest nodes on any axis
+# the drift characteristic reads r at its state and one _PROBE_LOG up each
+# log axis: rows ln x and ln y offsets of the three states
+_PROBE_LOG = 2.0 ** -20
+_PROBE = np.array([[0.0, _PROBE_LOG, 0.0], [0.0, 0.0, _PROBE_LOG]])
 
 # Largest footprint a solve may allocate, checked from its GridSpec before
 # any array is built: the _VECTORS_1D working vectors of a 1-D solve
-# (``_words_1d``) or the _PLANES_2D working planes of a 2-D one, plus the
-# frozen times of its steps.
+# (``_words_1d``) or the _PLANES_2D working nx x ny planes of a 2-D one,
+# plus the frozen times of its steps.
 _BUDGET_BYTES = 2 ** 30
 _VECTORS_1D = 48
 _STEP_WORDS = 10  # per step: its frozen times as float64s and list floats
@@ -78,12 +90,16 @@ _PLANES_2D = 40
 
 @dataclass(frozen=True)
 class GridSpec:
+    """``nodes_per_axis`` is the node count of a 1-D solve's axis and of a
+    2-D solve's widest axis (the other takes the same log spacing);
+    ``time_steps`` is shared among the breakpoint segments."""
+
     nodes_per_axis: int = 400
     time_steps: int = 200
 
     def __post_init__(self):
-        if self.nodes_per_axis < 16:
-            raise ValueError("nodes_per_axis must be at least 16")
+        if self.nodes_per_axis < _MIN_NODES:
+            raise ValueError(f"nodes_per_axis must be at least {_MIN_NODES}")
         if self.time_steps < 8:
             raise ValueError("time_steps must be at least 8")
 
@@ -660,23 +676,70 @@ class _CraigSneyd:
         return out
 
 
+def _characteristic_spans(spec: Pde2Spec) -> tuple:
+    """(half_x, half_y): per axis the ``_span`` of its integrated diffusion
+    and of its log drift along the drift characteristic from the anchor,
+
+        d ln x = (r(t, x, y) - q_x - axx/2) dt,
+        d ln y = (r(t, x, y) - q_y - ayy/2) dt,
+
+    marched over the _HALF_WIDTH_POINTS midpoints of each breakpoint
+    segment.  Each step is implicit in the rate: linearised about its start
+    with r's difference quotients in ln x and ln y, so a rate affine in the
+    log state (a bond's own rate is) takes a backward Euler step, stable
+    where the rate pulls the state to maturity as 1/(T - t).  PricingError
+    when a half-width is not a finite float.
+    """
+    if not all(a > 0.0 for a in spec.anchor):
+        raise ValueError("grid anchor must be positive")
+    (qx, qy), (x, y) = spec.yields, map(math.log, spec.anchor)
+    x0, y0 = x, y
+    var_x = var_y = 0.0
+    cuts = _cuts(spec.maturity, spec.breakpoints)
+    with np.errstate(all="ignore"):  # a runaway march is refused below
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            h = (hi - lo) / _HALF_WIDTH_POINTS
+            for i in range(_HALF_WIDTH_POINTS):
+                t = lo + (i + 0.5) * h
+                axx, _, ayy = spec.diffusion(t)
+                xs, ys = np.exp(np.array([x, y])[:, None] + _PROBE)
+                r, rx, ry = np.broadcast_to(
+                    np.asarray(spec.rate(t, xs, ys), dtype=float), 3).tolist()
+                fx, fy = r - qx - 0.5 * axx, r - qy - 0.5 * ayy
+                gx, gy = (rx - r) / _PROBE_LOG, (ry - r) / _PROBE_LOG
+                # (I - h J) du = h f with J = (1, 1)^T (gx, gy): rank one
+                both = h * h * (gx * fx + gy * fy) / (1.0 - h * (gx + gy))
+                x += h * fx + both
+                y += h * fy + both
+                var_x += h * axx
+                var_y += h * ayy
+    half = _span(var_x, x - x0), _span(var_y, y - y0)
+    if not all(map(math.isfinite, half)):
+        raise PricingError(
+            f"a log grid of half-widths {half[0]:g} and {half[1]:g} is not "
+            "representable in double precision")
+    return half
+
+
 def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     """Craig-Sneyd ADI solve of a Pde2Spec; returns V(x, y, t) at t = 0, T.
 
-    Every segment marches in physical time on ``_plan``'s steps.  Each
-    stage factors I - (dt/2) L along each axis once and uses that
-    factorisation for the predictor and the corrector.
+    Each axis spans its own ``_characteristic_spans`` half-width, and both
+    share one log spacing: the wider axis takes n = ``grid.nodes_per_axis``
+    nodes and the other its share of the n - 1 intervals, rounded, plus
+    one, at least _MIN_NODES.  The memory budget is charged for those two
+    counts before any plane is allocated.  Every segment marches in
+    physical time on ``_plan``'s steps.  Each stage factors I - (dt/2) L
+    along each axis once and uses that factorisation for the predictor and
+    the corrector.
     """
     n, T, bps = grid.nodes_per_axis, spec.maturity, spec.breakpoints
-    _check_budget(_PLANES_2D * n * n + _STEP_WORDS * (grid.time_steps + len(bps) + 1),
+    half = _characteristic_spans(spec)
+    nx, ny = (max(_MIN_NODES, 1 + round((n - 1) * w / max(half))) for w in half)
+    _check_budget(_PLANES_2D * nx * ny + _STEP_WORDS * (grid.time_steps + len(bps) + 1),
                   "a 2-D solve")
-    x0, y0 = spec.anchor
-    # per axis, its diffusion and its drift at the anchor
-    half = [_sampled(lambda t, i=i, q=q: (spec.diffusion(t)[2 * i],
-                                          spec.rate(t, x0, y0) - q, 0.0), T, bps)[0]
-            for i, q in enumerate(spec.yields)]
-    x_axis = _log_grid(x0, half[0], n)
-    y_axis = _log_grid(y0, half[1], n)
+    x_axis = _log_grid(spec.anchor[0], half[0], nx)
+    y_axis = _log_grid(spec.anchor[1], half[1], ny)
     xg, yg = x_axis[0], y_axis[0]
     values = np.empty((2, xg.size, yg.size))
     values[1] = _cell_average_2d(spec.terminal, xg, yg)

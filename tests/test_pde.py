@@ -423,11 +423,60 @@ class TestSolve2D:
         ids=["solve_1d", "solve_2d"])
     def test_only_initial_and_terminal_planes_kept(self, solve, spec, point):
         sol = solve(spec, GridSpec(64, 16))
-        assert sol.values.shape == (2, *[64] * len(point))
+        # the 1-D axis takes nodes_per_axis nodes; TestAxisSizes pins the 2-D
+        # exchange spec's 43 x 64
+        plane = (64,) if len(point) == 1 else (sol.x.size, sol.y.size)
+        assert sol.values.shape == (2, *plane)
         assert list(sol.times) == [0.0, 1.0]
         for t in (0.5, 1e-6, 1.0 - 1e-6):
             with pytest.raises(TimeDomainError):
                 sol(*point, t)
+
+
+class TestAxisSizes:
+    """Each axis spans its drift characteristic; the widest takes
+    nodes_per_axis nodes and the other the same log spacing, at least 16."""
+
+    @staticmethod
+    def _spec(vol_x, vol_y):
+        # zero log drift along each axis: its half-width is 6 vol
+        return Pde2Spec(
+            diffusion=lambda t: (vol_x ** 2, 0.0, vol_y ** 2),
+            rate=lambda t, x, y: 0.0, yields=(-vol_x ** 2 / 2, -vol_y ** 2 / 2),
+            terminal=lambda x, y: np.maximum(x - y, 0.0), maturity=1.0)
+
+    @staticmethod
+    def _spacing(z):
+        return math.log(z[1] / z[0])
+
+    @pytest.mark.parametrize("vols, sizes", [
+        ((0.3, 0.2), (90, 60)), ((0.1, 0.25), (37, 90)), ((0.2, 0.01), (90, 16)),
+        ((0.2, 0.2), (90, 90))])
+    def test_widest_axis_takes_the_nodes(self, vols, sizes):
+        sol = solve_2d(self._spec(*vols), GridSpec(90, 16))
+        assert (sol.x.size, sol.y.size) == sizes
+        assert math.log(sol.x[-1] / sol.x[0]) == pytest.approx(12 * vols[0], rel=1e-12)
+        assert math.log(sol.y[-1] / sol.y[0]) == pytest.approx(12 * vols[1], rel=1e-12)
+
+    @pytest.mark.parametrize("vols", [(0.3, 0.2), (0.1, 0.25), (0.37, 0.11)])
+    def test_one_log_spacing(self, vols):
+        # the narrower axis' interval count is rounded to a whole one
+        sol = solve_2d(self._spec(*vols), GridSpec(200, 16))
+        wide, narrow = sorted((sol.x, sol.y), key=len, reverse=True)
+        assert wide.size == 200
+        assert abs(self._spacing(narrow) / self._spacing(wide) - 1.0) <= 0.5 / (narrow.size - 1)
+
+    def test_exchange_spec(self):
+        # half-widths 6 * 0.2 + 0.01 and 6 * 0.3 + 0.015: 63 * 1.21 / 1.815
+        # = 42 intervals
+        sol = solve_2d(_exchange_spec_2d(), GridSpec(64, 16))
+        assert (sol.x.size, sol.y.size) == (43, 64)
+
+    def test_budget_charges_the_rectangle(self, monkeypatch):
+        charged = []
+        monkeypatch.setattr(pde, "_check_budget", lambda cells, what: charged.append(cells))
+        solve_2d(self._spec(0.2, 0.01), GridSpec(90, 16))
+        assert charged == [pde._PLANES_2D * 90 * 16 + pde._STEP_WORDS * (16 + 1)]
 
 
 def _formulations():
@@ -452,15 +501,15 @@ def _cell_average_4d(payoff, x, y):
 class TestDefaultFormulations2D:
     """The 2-D solve on the six formulations of the default products."""
 
-    # pde_full at the anchor on GridSpec(100, 50), as computed before the
-    # 2-D sweeps were reordered; a later reordering moves only the last bits
+    # pde_full at the anchor on GridSpec(100, 50), with each axis sized from
+    # its drift characteristic and the narrower one at the wider's log spacing
     PINNED = {
-        "esop": 20.905503367351507,
-        "fx_usd": 16.004542933331145,
-        "fx_gbp": 12.311622359246432,
-        "savings": 1.0480889977281869,
-        "convertible": 1.0651369698836708,
-        "corporate": 1.0911542903706941,
+        "esop": 20.90644426399173,
+        "fx_usd": 16.015467299079702,
+        "fx_gbp": 12.32075251614895,
+        "savings": 1.0480834454680215,
+        "convertible": 1.065171967652046,
+        "corporate": 1.091114620058852,
     }
 
     @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
@@ -478,17 +527,18 @@ class TestDefaultFormulations2D:
 
     @staticmethod
     def _peak(solve, spec, grid):
+        """(the tracemalloc peak of the solve, its solution)."""
         tracemalloc.start()
         try:
-            solve(spec, grid)
-            return tracemalloc.get_traced_memory()[1]
+            sol = solve(spec, grid)
+            return tracemalloc.get_traced_memory()[1], sol
         finally:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
     def test_2d_memory_within_budget(self, f):
-        peak = self._peak(solve_2d, products.pde2_spec(f), GridSpec(100, 50))
-        assert peak <= 8 * pde._PLANES_2D * 100 * 100
+        peak, sol = self._peak(solve_2d, products.pde2_spec(f), GridSpec(100, 50))
+        assert peak <= 8 * pde._PLANES_2D * sol.x.size * sol.y.size
 
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
                              ids=lambda f: f.label)
@@ -499,7 +549,7 @@ class TestDefaultFormulations2D:
         for grid in (GridSpec(16, 8), GridSpec(32, 16), GridSpec(100, 50), GridSpec(),
                      GridSpec(16, 2000)):
             steps = grid.time_steps + len(f.breakpoints) + 1
-            peak = self._peak(solve_1d, spec, grid)
+            peak = self._peak(solve_1d, spec, grid)[0]
             assert peak <= 8 * pde._words_1d(grid.nodes_per_axis, steps), grid
 
 
