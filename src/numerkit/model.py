@@ -9,6 +9,7 @@ discriminator plus flat numeric fields, the Vasicek block nested under
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import Optional, Union
 
@@ -250,6 +251,16 @@ def require_valid(spec: ProductSpec) -> None:
     violations = validate(spec)
     if violations:
         raise ValidationFailure(violations)
+
+
+def require_integers(spec) -> None:
+    """Refuse with ValueError a field of the frozen dataclass ``spec`` that is
+    not an integer; a bool is not one, and a numpy integer is kept as int."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
+        object.__setattr__(spec, f.name, int(value))
 
 
 # ---------------------------------------------------------------------------

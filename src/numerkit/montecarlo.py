@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratecurve
+from .model import require_integers
 from .products import Formulation, VasicekBond, formulations, integral
 
 _BLOCK_EXACT = 65536
@@ -34,6 +35,7 @@ class McSpec:
     seed: int = 0
 
     def __post_init__(self):
+        require_integers(self)
         if self.paths < 1:
             raise ValueError("paths must be positive")
         if not 0 <= self.seed < 2 ** 64:

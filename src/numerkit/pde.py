@@ -43,7 +43,8 @@ Time stepping:
   * every 2-D plane is C-ordered and every operator runs along its rows: the
     y axis works on a transposed copy kept current, so no plane operation
     pays a strided sweep or a per-element Python loop,
-  * both solvers keep only their t = 0 and terminal levels.
+  * each solver marches in place on its cell-averaged terminal and returns
+    its t = 0 level only.
 
 Terminal data is smoothed by cell averaging over a symmetric-in-z window per
 node (Gauss-Legendre), which restores smooth convergence at payoff kinks while
@@ -62,7 +63,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import GridExtrapolationError, PricingError, ReductionError, TimeDomainError
+from .errors import GridExtrapolationError, PricingError, ReductionError
+from .model import require_integers
 
 _GL1_X, _GL1_W = np.polynomial.legendre.leggauss(7)
 _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
@@ -98,6 +100,7 @@ class GridSpec:
     time_steps: int = 200
 
     def __post_init__(self):
+        require_integers(self)
         if self.nodes_per_axis < _MIN_NODES:
             raise ValueError(f"nodes_per_axis must be at least {_MIN_NODES}")
         if self.time_steps < 8:
@@ -147,15 +150,6 @@ def _words_1d(nodes: int, steps: int) -> int:
     the working vectors, each step's frozen times and a fixed part that
     dominates the smallest grids."""
     return _VECTORS_1D * nodes + _STEP_WORDS * steps + _FIXED_WORDS_1D
-
-
-def _stored(times, t: float) -> int:
-    """The index of the stored time within 1e-12 of t; TimeDomainError at
-    any other time."""
-    for k, tk in enumerate(times):
-        if abs(t - tk) <= 1e-12:
-            return k
-    raise TimeDomainError(f"t={t} is not a stored time; stored: {list(times)}")
 
 
 def _check_budget(cells: int, what: str) -> None:
@@ -495,25 +489,22 @@ class _Tridiag:
 # 1-D solver
 
 
+@dataclass
 class Solution1D:
-    """The t = 0 and terminal levels of a 1-D solve; callable as U(z, t) at
-    those two times only (to 1e-12), where every caller reads it."""
+    """The t = 0 level of a 1-D solve, callable as U(z)."""
 
-    def __init__(self, z, times, values):
-        self.z = z
-        self.times = times
-        self.values = values
+    z: np.ndarray
+    values: np.ndarray
 
-    def __call__(self, z: float, t: float) -> float:
-        row = self.values[_stored(self.times, t)]
+    def __call__(self, z: float) -> float:
         if not (self.z[0] <= z <= self.z[-1]):
             raise GridExtrapolationError(
                 f"z={z} outside the truncated grid [{self.z[0]:g}, {self.z[-1]:g}]")
-        return float(np.interp(z, self.z, row))
+        return float(np.interp(z, self.z, self.values))
 
 
 def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
-    """Crank-Nicolson solve of a Pde1Spec; returns U(z, t) at t = 0, T.
+    """Crank-Nicolson solve of a Pde1Spec; returns U(z) at t = 0.
 
     Each breakpoint segment marches in its own clock (``_plan``): in
     variance time tau = integral of a dt, where the equation is the heat
@@ -533,11 +524,8 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     _check_budget(_words_1d(n, grid.time_steps + len(spec.breakpoints) + 1), "a 1-D solve")
     half, segments = _sampled(spec.coefficients, spec.maturity, spec.breakpoints)
     z, s2, s1 = _log_grid(spec.anchor, half, n)
-    values = np.empty((2, z.size))
-    values[1] = _cell_average_1d(spec.terminal, z)
-
+    u = _cell_average_1d(spec.terminal, z)
     held = None
-    u = values[1].copy()
     for scaled, h, t, damped in _stages(_plan(segments, grid.time_steps)):
         a, b, c = spec.coefficients(t)
         key = (1.0, b / a, c / a, h) if scaled else (a, b, c, h)
@@ -549,26 +537,22 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
             hl[1] += 1.0
             explicit = tuple(hl)  # I + hL
         u = dgttrs(*lu, u if damped else _apply(explicit, u), overwrite_b=1)[0]
-    values[0] = u
-    return Solution1D(z, np.array([0.0, spec.maturity]), values)
+    return Solution1D(z, u)
 
 
 # ---------------------------------------------------------------------------
 # 2-D solver
 
 
+@dataclass
 class Solution2D:
-    """The t = 0 and terminal planes of a 2-D solve; callable as V(x, y, t)
-    at those two times only (to 1e-12), where every caller reads it."""
+    """The t = 0 plane of a 2-D solve, callable as V(x, y) (bilinear)."""
 
-    def __init__(self, x, y, times, values):
-        self.x = x
-        self.y = y
-        self.times = times
-        self.values = values
+    x: np.ndarray
+    y: np.ndarray
+    values: np.ndarray
 
-    def __call__(self, x: float, y: float, t: float) -> float:
-        plane = self.values[_stored(self.times, t)]
+    def __call__(self, x: float, y: float) -> float:
         if not (self.x[0] <= x <= self.x[-1]) or not (self.y[0] <= y <= self.y[-1]):
             raise GridExtrapolationError(
                 f"({x:g}, {y:g}) outside the truncated grid")
@@ -577,10 +561,10 @@ class Solution2D:
         fx = (x - self.x[i]) / (self.x[i + 1] - self.x[i])
         fy = (y - self.y[j]) / (self.y[j + 1] - self.y[j])
         return float(
-            (1 - fx) * (1 - fy) * plane[i, j]
-            + fx * (1 - fy) * plane[i + 1, j]
-            + (1 - fx) * fy * plane[i, j + 1]
-            + fx * fy * plane[i + 1, j + 1])
+            (1 - fx) * (1 - fy) * self.values[i, j]
+            + fx * (1 - fy) * self.values[i + 1, j]
+            + (1 - fx) * fy * self.values[i, j + 1]
+            + fx * fy * self.values[i + 1, j + 1])
 
 
 class _CraigSneyd:
@@ -722,7 +706,7 @@ def _characteristic_spans(spec: Pde2Spec) -> tuple:
 
 
 def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
-    """Craig-Sneyd ADI solve of a Pde2Spec; returns V(x, y, t) at t = 0, T.
+    """Craig-Sneyd ADI solve of a Pde2Spec; returns V(x, y) at t = 0.
 
     Each axis spans its own ``_characteristic_spans`` half-width, and both
     share one log spacing: the wider axis takes n = ``grid.nodes_per_axis``
@@ -741,18 +725,15 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     x_axis = _log_grid(spec.anchor[0], half[0], nx)
     y_axis = _log_grid(spec.anchor[1], half[1], ny)
     xg, yg = x_axis[0], y_axis[0]
-    values = np.empty((2, xg.size, yg.size))
-    values[1] = _cell_average_2d(spec.terminal, xg, yg)
-
-    values[0] = values[1]
-    scheme = _CraigSneyd(spec, x_axis, y_axis, values[0])
+    w = _cell_average_2d(spec.terminal, xg, yg)
+    scheme = _CraigSneyd(spec, x_axis, y_axis, w)
     cuts = _cuts(T, bps)
     plan = _plan([(lo, hi, None, False) for lo, hi in zip(cuts[:-1], cuts[1:])],
                  grid.time_steps)
     for _, h, t, damped in _stages(plan):
         # a damped stage is an implicit (Douglas theta = 1) half step
         scheme.stage(t, h, h if damped else 2.0 * h, not damped)
-    return Solution2D(xg, yg, np.array([0.0, T]), values)
+    return Solution2D(xg, yg, w)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +777,7 @@ def reduction_gap(spec2: Pde2Spec, grid: GridSpec) -> float:
     """Max relative gap between the 2-D solve and the numeraire-quotient 1-D solve.
 
     At each probe (x, y) of the 3 x 3 grid within 5% of the anchor, compares
-    V2d(x, y, 0) against y * U1d(x / y, 0): y is the numeraire.
+    V2d(x, y) against y * U1d(x / y) at t = 0: y is the numeraire.
     """
     full = solve_2d(spec2, grid)
     red = solve_1d(derive_reduced(spec2), grid)
@@ -804,8 +785,8 @@ def reduction_gap(spec2: Pde2Spec, grid: GridSpec) -> float:
     cs = (0.95, 1.0, 1.05)
     worst = 0.0
     for x, y in [(x0 * cx, y0 * cy) for cx in cs for cy in cs]:
-        v2 = full(x, y, 0.0)
-        v1 = y * red(x / y, 0.0)
+        v2 = full(x, y)
+        v1 = y * red(x / y)
         denom = max(abs(v2), abs(v1))
         gap = abs(v2 - v1) if denom < 1e-12 else abs(v2 - v1) / denom
         worst = max(worst, gap)

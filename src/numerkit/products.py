@@ -8,7 +8,7 @@ Every claim is written once, as two assets and a short rate,
 where r is either a constant or the Vasicek short rate read off Y when Y is
 that model's zero-coupon bond, plus a payoff of (X_T, Y_T) at the maturity.
 The pricing routes are derived from the description alone: the two-factor
-equation (:func:`pde2_spec`), the one-ratio quadrature problem
+equation (:attr:`Formulation.pde2`), the one-ratio quadrature problem
 (:func:`quadrature_problem`) and, in :mod:`numerkit.montecarlo`, the simulated
 law.  Nothing here reads a closed form, so the analytic route stays an
 independent check on the other four.
@@ -75,6 +75,21 @@ class Formulation:
     numeraire_axis: Optional[int] = 1
     kink: float = 0.0
     to_canonical: float = 1.0
+
+    @property
+    def pde2(self) -> Pde2Spec:
+        """The two-factor pricing equation: diffusions sigma_x^2, c sigma_x
+        sigma_y and sigma_y^2, the formulation's short rate and its yields."""
+        sx, sy, c = self.sigma_x, self.sigma_y, self.corr
+
+        def diffusion(t):
+            vx, vy = sx(t), sy(t)
+            return vx ** 2, c * vx * vy, vy ** 2
+
+        rate = self.rate if callable(self.rate) else lambda t, X, Y: self.rate
+        return Pde2Spec(diffusion=diffusion, rate=rate, yields=(self.q_x, self.q_y),
+                        terminal=self.terminal, maturity=self.maturity,
+                        anchor=self.anchor, breakpoints=self.breakpoints)
 
 
 def _constant(value: float) -> Callable[[float], float]:
@@ -181,21 +196,6 @@ def formulations(product) -> tuple:
 
 # ---------------------------------------------------------------------------
 # derived problems
-
-
-def pde2_spec(f: Formulation) -> Pde2Spec:
-    """The two-factor pricing equation: diffusions sigma_x^2, c sigma_x
-    sigma_y and sigma_y^2, the formulation's short rate and its yields."""
-    sx, sy, c = f.sigma_x, f.sigma_y, f.corr
-
-    def diffusion(t):
-        vx, vy = sx(t), sy(t)
-        return vx ** 2, c * vx * vy, vy ** 2
-
-    rate = f.rate if callable(f.rate) else lambda t, X, Y: f.rate
-    return Pde2Spec(diffusion=diffusion, rate=rate, yields=(f.q_x, f.q_y),
-                    terminal=f.terminal, maturity=f.maturity, anchor=f.anchor,
-                    breakpoints=f.breakpoints)
 
 
 def integral(f: Formulation, fn: Callable[[float], float]) -> float:

@@ -39,13 +39,7 @@ from .model import (
 from .montecarlo import McSpec, price_mc
 from .numeraire import quadrature_price
 from .pde import GridSpec, derive_reduced, solve_1d, solve_2d
-from .products import (
-    Formulation,
-    formulations,
-    numeraire_on_y,
-    pde2_spec,
-    quadrature_problem,
-)
+from .products import formulations, numeraire_on_y, quadrature_problem
 
 DETERMINISTIC_METHODS = ("analytic", "pde_full", "pde_reduced", "quadrature")
 ALL_METHODS = DETERMINISTIC_METHODS + ("monte_carlo",)
@@ -68,35 +62,31 @@ _CLOSED_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class ProductEngines:
-    """One formulation of a product and its closed form.
-
-    ``pde2`` is derived from the formulation's dynamics; ``analytic_at``
-    prices off-anchor states of the same two-factor problem.  ``state0`` is
-    the anchor.  ``numeraire_axis`` is None when the formulation is not
-    degree-one homogeneous (the dollar-measure translated-strike system);
-    such a bundle prices with the full solver only, and ``to_canonical``
-    rescales a sibling bundle's value into this product's quote currency.
-    """
-
-    formulation: Formulation
-    analytic_at: Callable[[float, float], float]
-
-    label = property(lambda self: self.formulation.label)
-    numeraire_axis = property(lambda self: self.formulation.numeraire_axis)
-    to_canonical = property(lambda self: self.formulation.to_canonical)
-    state0 = property(lambda self: self.formulation.anchor)
-    pde2 = property(lambda self: pde2_spec(self.formulation))
+def closed_form(product, label: str) -> Callable[[float, float], float]:
+    """The closed form of the product's formulation ``label`` at a state
+    (x, y) of its two assets, t = 0; it prices off-anchor states too."""
+    return partial(_CLOSED_FORMS[label], product)
 
 
 def build_engines(product) -> tuple:
-    """Engine adapters for a product; FxStrike yields (usd, gbp) variants.
+    """The product's formulations (:func:`products.formulations`),
+    canonical first (FxStrike: usd, gbp); every route but the closed form
+    prices from them.  Raises ValidationFailure on an invalid spec, so no
+    route prices one."""
+    return formulations(product)
 
-    Raises ValidationFailure on an invalid spec, so no route prices one.
-    """
-    return tuple(ProductEngines(f, partial(_CLOSED_FORMS[f.label], product))
-                 for f in formulations(product))
+
+def _check_run(tol: float, methods) -> None:
+    """PricingError on an unknown method; ValueError on a NaN or negative
+    ``tol``, which no gap can meet, or on ``methods`` without "analytic",
+    the reference of every gap."""
+    unknown = set(methods) - set(ALL_METHODS)
+    if unknown:
+        raise PricingError(f"unknown methods: {sorted(unknown)}")
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol}")
+    if "analytic" not in methods:
+        raise ValueError("methods must include analytic, the reference of every check")
 
 
 # ---------------------------------------------------------------------------
@@ -139,32 +129,30 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
     if method not in ALL_METHODS:
         raise PricingError(f"unknown method: {method}")
     try:
-        bundles = build_engines(product)
-        engines = bundles[0]
-        x0, y0 = engines.state0
+        forms = build_engines(product)
+        x0, y0 = forms[0].anchor
         if method == "analytic":
-            quote = PriceQuote(value=engines.analytic_at(x0, y0), method=method)
+            quote = PriceQuote(value=closed_form(product, forms[0].label)(x0, y0),
+                               method=method)
         elif method == "pde_full":
-            sol2 = solve_2d(engines.pde2, grid or GridSpec())
-            quote = PriceQuote(value=sol2(x0, y0, 0.0), method=method)
+            sol2 = solve_2d(forms[0].pde2, grid or GridSpec())
+            quote = PriceQuote(value=sol2(x0, y0), method=method)
         elif method == "monte_carlo":
             mc = mc or McSpec()
             res = price_mc(product, mc)
             quote = PriceQuote(value=res.estimate, method=method,
                                std_error=res.std_error, seed=mc.seed)
         else:
-            source = next((b for b in bundles if b.numeraire_axis is not None), None)
-            if source is None:
-                raise PricingError(
-                    f"no homogeneous two-factor formulation for {engines.label}")
+            # numeraire_on_y refuses a product with no homogeneous formulation
+            source = next((f for f in forms if f.numeraire_axis is not None), forms[0])
             if method == "quadrature":
-                *args, multiplier = quadrature_problem(source.formulation)
+                *args, multiplier = quadrature_problem(source)
                 value = multiplier * quadrature_price(*args)
             else:
-                g = numeraire_on_y(source.formulation)
-                reduced = derive_reduced(pde2_spec(g))
+                g = numeraire_on_y(source)
+                reduced = derive_reduced(g.pde2)
                 value = g.to_canonical * g.anchor[1] * solve_1d(
-                    reduced, grid or GridSpec())(reduced.anchor, 0.0)
+                    reduced, grid or GridSpec())(reduced.anchor)
             quote = PriceQuote(value=value, method=method)
     except OverflowError:  # a float ** or math function out of range
         raise PricingError(
@@ -185,41 +173,27 @@ def verify_product(product, grid: Optional[GridSpec] = None,
     error is floored at 1e-12 of the closed form (the rounding of a payoff
     that is deterministic).  ``passed`` means every deterministic gap is
     within ``tol`` and the simulation is within three standard errors.
-    Raises ValueError on a NaN or negative ``tol``, which no gap can meet.
+    Raises PricingError on an unknown method, and ValueError on a NaN or
+    negative ``tol``, which no gap can meet, or on ``methods`` without
+    "analytic"; either before any route prices.
     """
-    engines = build_engines(product)[0]
-    unknown = set(methods) - set(ALL_METHODS)
-    if unknown:
-        raise PricingError(f"unknown methods: {sorted(unknown)}")
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol}")
-    grid = grid or GridSpec()
-    mc = mc or McSpec()
-
-    quotes: dict = {}
-    for method in ALL_METHODS:
-        if method in methods:
-            quotes[method] = price_with_method(product, method, grid=grid, mc=mc)
-
-    reference = quotes.get("analytic")
-    max_gap = 0.0
-    if reference is not None:
-        for name in DETERMINISTIC_METHODS:
-            if name == "analytic" or name not in quotes:
-                continue
-            denom = max(abs(reference.value), abs(quotes[name].value), 1e-12)
-            max_gap = max(max_gap, abs(quotes[name].value - reference.value) / denom)
+    label = build_engines(product)[0].label
+    _check_run(tol, methods)
+    quotes = {m: price_with_method(product, m, grid=grid, mc=mc)
+              for m in ALL_METHODS if m in methods}
+    ref = quotes["analytic"].value
+    max_gap = max(abs(q.value - ref) / max(abs(ref), abs(q.value), 1e-12)
+                  for m, q in quotes.items() if m in DETERMINISTIC_METHODS)
     mc_z = None
-    if reference is not None and "monte_carlo" in quotes:
+    if "monte_carlo" in quotes:
         q = quotes["monte_carlo"]
         # a deterministic payoff has a standard error of rounding size
-        scale = max(q.std_error, _ROUNDING * abs(reference.value),
-                    sys.float_info.min)
-        mc_z = abs(q.value - reference.value) / scale
+        scale = max(q.std_error, _ROUNDING * abs(ref), sys.float_info.min)
+        mc_z = abs(q.value - ref) / scale
     passed = max_gap <= tol and (mc_z is None or mc_z <= 3.0)
     return AgreementReport(
         product=product,
-        label=engines.label,
+        label=label,
         quotes=quotes,
         max_rel_gap_deterministic=max_gap,
         mc_z_score=mc_z,
@@ -257,10 +231,10 @@ def run_suite(products: Optional[Sequence] = None,
               mc: Optional[McSpec] = None,
               tol: float = 1e-3,
               methods: Sequence[str] = ALL_METHODS) -> dict:
-    """Verify a list of products and collect a JSON-ready summary; raises
-    ValueError on a NaN or negative ``tol``, even with no products."""
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol}")
+    """Verify a list of products and collect a JSON-ready summary; refuses
+    the methods and tol that ``verify_product`` refuses, even with no
+    products."""
+    _check_run(tol, methods)
     products = default_suite() if products is None else list(products)
     grid = grid or GridSpec()
     mc = mc or McSpec()

@@ -20,9 +20,10 @@ from numerkit.montecarlo import McSpec, mc_bond_price, price_mc
 from numerkit.numeraire import certify_psd, quadrature_price
 from numerkit.numeraire import reduce as reduce_problem
 from numerkit.pde import GridSpec, reduction_gap, solve_2d
-from numerkit.products import numeraire_on_y, pde2_spec
+from numerkit.products import numeraire_on_y
 from numerkit.verify import (
     build_engines,
+    closed_form,
     default_suite,
     price_with_method,
     run_suite,
@@ -49,7 +50,7 @@ def test_criterion_1_reduction_gap():
         engine = next(b for b in build_engines(product)
                       if b.numeraire_axis is not None)
         start = time.perf_counter()
-        gap = reduction_gap(pde2_spec(numeraire_on_y(engine.formulation)), GRID)
+        gap = reduction_gap(numeraire_on_y(engine).pde2, GRID)
         elapsed = time.perf_counter() - start
         worst = max(worst, gap)
         slowest = max(slowest, elapsed)
@@ -81,10 +82,10 @@ def test_criterion_2_closed_form_vs_pde():
             for engine in build_engines(product):
                 labels.add(engine.label)
                 solution = solve_2d(engine.pde2, GRID)
-                x0, y0 = engine.state0
+                x0, y0 = engine.anchor
                 for scale in (0.9, 1.0, 1.1):
-                    reference = engine.analytic_at(scale * x0, y0)
-                    got = solution(scale * x0, y0, 0.0)
+                    reference = closed_form(product, engine.label)(scale * x0, y0)
+                    got = solution(scale * x0, y0)
                     worst = max(worst, abs(got - reference)
                                 / max(abs(reference), 1e-12))
     elapsed = time.perf_counter() - start
@@ -101,7 +102,7 @@ def test_criterion_3_monte_carlo_agreement():
     slowest = 0.0
     for product in default_suite():
         engine = build_engines(product)[0]
-        reference = engine.analytic_at(*engine.state0)
+        reference = closed_form(product, engine.label)(*engine.anchor)
         start = time.perf_counter()
         result = price_mc(product, mc)
         elapsed = time.perf_counter() - start

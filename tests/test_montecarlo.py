@@ -53,6 +53,19 @@ class TestMcSpec:
         with pytest.raises(ValueError):
             McSpec(seed=-1)
 
+    @pytest.mark.parametrize("kwargs", [dict(paths=1000.0), dict(paths=True),
+                                        dict(seed=1.5), dict(seed=False),
+                                        dict(seed=np.float64(1.0))])
+    def test_counts_must_be_integers(self, kwargs):
+        # a fractional seed would key Philox with its integer part
+        with pytest.raises(ValueError, match="must be an integer"):
+            McSpec(**kwargs)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        spec = McSpec(np.int64(64), np.uint64(2 ** 64 - 1))
+        assert spec == McSpec(64, 2 ** 64 - 1)
+        assert type(spec.paths) is int and type(spec.seed) is int
+
     def test_seed_fills_one_philox_key_word(self):
         with pytest.raises(ValueError, match="seed"):
             McSpec(seed=2 ** 64)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from numerkit import pde, products, ratecurve, verify
 from numerkit.analytic import bs_call
-from numerkit.errors import GridExtrapolationError, ReductionError, TimeDomainError
+from numerkit.errors import GridExtrapolationError, ReductionError
 from numerkit.pde import (
     GridSpec,
     Pde1Spec,
@@ -52,6 +52,17 @@ class TestGridSpec:
     def test_too_few_steps(self):
         with pytest.raises(ValueError):
             GridSpec(time_steps=7)
+
+    @pytest.mark.parametrize("counts", [(400.0, 200), (math.nan, 200), (400, 200.5),
+                                        (True, 200), (400, np.float64(200))])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GridSpec(*counts)
+
+    def test_numpy_integers_accepted_as_ints(self):
+        g = GridSpec(np.int64(32), np.uint16(16))
+        assert (g.nodes_per_axis, g.time_steps) == (32, 16)
+        assert type(g.nodes_per_axis) is int and type(g.time_steps) is int
 
 
 class TestGridBudget:
@@ -247,7 +258,7 @@ class TestSolve1D:
         spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.0),
                         terminal=lambda z: np.ones_like(z), maturity=1.0)
         sol = solve_1d(spec, GridSpec(64, 16))
-        assert sol(1.0, 0.0) == pytest.approx(1.0, abs=1e-12)
+        assert sol(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_exact_when_drift_equals_discount(self):
         spec = Pde1Spec(coefficients=lambda t: (0.04, 0.05, 0.05),
@@ -255,14 +266,14 @@ class TestSolve1D:
                         maturity=1.0)
         sol = solve_1d(spec, GridSpec(100, 50))
         for z in (0.7, 1.0, 1.4):
-            assert sol(z, 0.0) == pytest.approx(z, rel=1e-12)
+            assert sol(z) == pytest.approx(z, rel=1e-12)
 
     def test_call_matches_black_scholes(self):
         sigma, rate = 0.2, 0.05
         sol = solve_1d(_call_spec_1d(sigma, rate), GridSpec(400, 200))
         for z in (0.8, 0.9, 1.0, 1.1, 1.25):
             ref = bs_call(z, 1.0, rate, rate, sigma, 1.0)
-            assert sol(z, 0.0) == pytest.approx(ref, rel=5e-4)
+            assert sol(z) == pytest.approx(ref, rel=5e-4)
 
     def test_piecewise_diffusion_with_breakpoint(self):
         # variance accumulates piecewise; the breakpoint forces a grid node
@@ -276,14 +287,14 @@ class TestSolve1D:
         vol = math.sqrt(0.09 * t_switch + 0.01 * (1.0 - t_switch))
         for z in (0.8, 1.0, 1.2):
             ref = bs_call(z, 1.0, 0.0, 0.0, vol, 1.0)
-            assert sol(z, 0.0) == pytest.approx(ref, rel=1e-3)
+            assert sol(z) == pytest.approx(ref, rel=1e-3)
 
     def test_discounting(self):
         spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.07),
                         terminal=lambda z: np.ones_like(z), maturity=2.0)
         sol = solve_1d(spec, GridSpec(64, 32))
         # the damped terminal step is locally first-order, so expect ~(c dt)^2
-        assert sol(1.0, 0.0) == pytest.approx(math.exp(-0.14), rel=1e-5)
+        assert sol(1.0) == pytest.approx(math.exp(-0.14), rel=1e-5)
 
     def test_bounded_terminal_stays_bounded(self):
         spec = Pde1Spec(coefficients=lambda t: (0.09, 0.0, 0.0),
@@ -300,7 +311,7 @@ class TestSolve1D:
             spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.0),
                             terminal=lambda z: np.maximum(z - 1.0, 0.0),
                             maturity=1.0)
-            return abs(solve_1d(spec, GridSpec(nodes, steps))(1.0, 0.0) - ref)
+            return abs(solve_1d(spec, GridSpec(nodes, steps))(1.0) - ref)
 
         e_coarse = error(50, 25)
         e_mid = error(100, 50)
@@ -308,19 +319,12 @@ class TestSolve1D:
         assert e_coarse / e_mid > 3.0
         assert e_mid / e_fine > 3.0
 
-    def test_time_domain_guard(self):
-        sol = solve_1d(_call_spec_1d(), GridSpec(64, 16))
-        with pytest.raises(TimeDomainError):
-            sol(1.0, 1.5)
-        with pytest.raises(TimeDomainError):
-            sol(1.0, -0.5)
-
     def test_grid_extrapolation_guard(self):
         sol = solve_1d(_call_spec_1d(), GridSpec(64, 16))
         with pytest.raises(GridExtrapolationError):
-            sol(1e6, 0.0)
+            sol(1e6)
         with pytest.raises(GridExtrapolationError):
-            sol(1e-6, 0.0)
+            sol(1e-6)
 
 
 class TestClocks:
@@ -342,7 +346,7 @@ class TestClocks:
             terminal=lambda z: np.maximum(z - strike, 0.0), maturity=maturity)
         var = s * s * (maturity + k * (math.cos(phi) - math.cos(w * maturity + phi)) / w)
         ref = bs_call(1.0, strike, 0.0, 0.0, math.sqrt(var / maturity), maturity)
-        assert abs(solve_1d(spec, GridSpec(200, 100))(1.0, 0.0) - ref) <= 2e-4
+        assert abs(solve_1d(spec, GridSpec(200, 100))(1.0) - ref) <= 2e-4
 
     @pytest.mark.parametrize("diffusion_after", [0.0, 0.04])
     def test_vanishing_diffusion_transports_and_discounts(self, diffusion_after):
@@ -361,14 +365,14 @@ class TestClocks:
         span = 0.5 if diffusion_after else 1.0
         for z in (0.98, 1.0, 1.01):
             exact = math.exp(-c * span) * (2.0 * z * math.exp(b * span) + 1.0)
-            assert sol(z, 0.0) == pytest.approx(exact, rel=1e-6)
+            assert sol(z) == pytest.approx(exact, rel=1e-6)
 
     def test_dead_segment_takes_no_steps(self, monkeypatch):
         # the default esop's quotient is still (a = b = c = 0) before its
         # reset: all the steps fall after it, the top one as two implicit
         # half steps, so there is one solve per step and one more
         f = next(f for f in _formulations() if f.label == "esop")
-        spec = derive_reduced(products.pde2_spec(f))
+        spec = derive_reduced(f.pde2)
         calls = []
         solve = pde.dgttrs
         monkeypatch.setattr(pde, "dgttrs", lambda *a, **k: calls.append(1) or solve(*a, **k))
@@ -380,7 +384,7 @@ class TestClocks:
         # its diffusion varies in t, but in variance time its coefficients
         # are (1, 0, 0) at every step
         f = next(f for f in _formulations() if f.label == label)
-        spec = derive_reduced(products.pde2_spec(f))
+        spec = derive_reduced(f.pde2)
         calls = []
         factor = pde.dgttrf
         monkeypatch.setattr(pde, "dgttrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
@@ -397,26 +401,29 @@ class TestSolve2D:
         sol = solve_2d(spec, GridSpec(64, 16))
         for x in (0.8, 1.0, 1.2):
             for y in (0.9, 1.1):
-                assert sol(x, y, 0.0) == pytest.approx(x, rel=1e-12)
+                assert sol(x, y) == pytest.approx(x, rel=1e-12)
 
     def test_exchange_matches_closed_form(self):
         sol = solve_2d(_exchange_spec_2d(), GridSpec(160, 80))
         vol = math.sqrt(0.04 - 2 * 0.01 + 0.09)
         # equal drift and discount: the quotient is an undiscounted exchange
         ref = bs_call(1.0, 1.0, 0.0, 0.0, vol, 1.0)
-        assert sol(1.0, 1.0, 0.0) == pytest.approx(ref, rel=2e-3)
+        assert sol(1.0, 1.0) == pytest.approx(ref, rel=2e-3)
 
     def test_terminal_plane_reproduced(self):
-        spec = _exchange_spec_2d()
-        sol = solve_2d(spec, GridSpec(64, 16))
-        assert sol(1.3, 0.9, 1.0) == pytest.approx(0.4, rel=1e-9)
+        # the cell average of max(x - y, 0) is the payoff wherever no window
+        # reaches the kink x = y
+        x, y = np.geomspace(0.5, 2.0, 33), np.geomspace(0.6, 1.8, 29)
+        plane = pde._cell_average_2d(_exchange_spec_2d().terminal, x, y)
+        far = np.abs(np.log(x[:, None] / y[None, :])) > 0.1
+        payoff = np.maximum(x[:, None] - y[None, :], 0.0)
+        assert far.sum() > 500
+        assert np.allclose(plane[far], payoff[far], rtol=1e-12, atol=1e-15)
 
     def test_domain_guards(self):
         sol = solve_2d(_exchange_spec_2d(), GridSpec(64, 16))
-        with pytest.raises(TimeDomainError):
-            sol(1.0, 1.0, 2.0)
         with pytest.raises(GridExtrapolationError):
-            sol(1e6, 1.0, 0.0)
+            sol(1e6, 1.0)
 
     @pytest.mark.parametrize("solve, spec, point", [
         (solve_1d, _call_spec_1d(), (1.0,)), (solve_2d, _exchange_spec_2d(), (1.0, 1.0))],
@@ -426,11 +433,8 @@ class TestSolve2D:
         # the 1-D axis takes nodes_per_axis nodes; TestAxisSizes pins the 2-D
         # exchange spec's 43 x 64
         plane = (64,) if len(point) == 1 else (sol.x.size, sol.y.size)
-        assert sol.values.shape == (2, *plane)
-        assert list(sol.times) == [0.0, 1.0]
-        for t in (0.5, 1e-6, 1.0 - 1e-6):
-            with pytest.raises(TimeDomainError):
-                sol(*point, t)
+        assert sol.values.shape == plane
+        assert isinstance(sol(*point), float)  # U(z) and V(x, y): no time argument
 
 
 class TestAxisSizes:
@@ -514,8 +518,8 @@ class TestDefaultFormulations2D:
 
     @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
     def test_pinned_values(self, f):
-        sol = solve_2d(products.pde2_spec(f), GridSpec(100, 50))
-        assert sol(*f.anchor, 0.0) == pytest.approx(self.PINNED[f.label], rel=1e-12, abs=0.0)
+        sol = solve_2d(f.pde2, GridSpec(100, 50))
+        assert sol(*f.anchor) == pytest.approx(self.PINNED[f.label], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
     def test_cell_average_matches_one_array(self, f):
@@ -537,7 +541,7 @@ class TestDefaultFormulations2D:
 
     @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
     def test_2d_memory_within_budget(self, f):
-        peak, sol = self._peak(solve_2d, products.pde2_spec(f), GridSpec(100, 50))
+        peak, sol = self._peak(solve_2d, f.pde2, GridSpec(100, 50))
         assert peak <= 8 * pde._PLANES_2D * sol.x.size * sol.y.size
 
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
@@ -545,7 +549,7 @@ class TestDefaultFormulations2D:
     def test_1d_memory_within_budget(self, f):
         # an upper bound at every grid: the fixed part dominates the
         # smallest, the steps' frozen times the one of many steps
-        spec = derive_reduced(products.pde2_spec(products.numeraire_on_y(f)))
+        spec = derive_reduced(products.numeraire_on_y(f).pde2)
         for grid in (GridSpec(16, 8), GridSpec(32, 16), GridSpec(100, 50), GridSpec(),
                      GridSpec(16, 2000)):
             steps = grid.time_steps + len(f.breakpoints) + 1
@@ -569,8 +573,8 @@ class TestDeriveReduced:
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
                              ids=lambda f: f.label)
     def test_pinned_values(self, f):
-        spec = derive_reduced(products.pde2_spec(products.numeraire_on_y(f)))
-        assert solve_1d(spec, GridSpec(100, 50))(spec.anchor, 0.0) == self.PINNED[f.label]
+        spec = derive_reduced(products.numeraire_on_y(f).pde2)
+        assert solve_1d(spec, GridSpec(100, 50))(spec.anchor) == self.PINNED[f.label]
 
     def test_exchange_coefficients(self):
         red = derive_reduced(_exchange_spec_2d(rate=0.03))
@@ -585,7 +589,7 @@ class TestDeriveReduced:
         # the bond-implied short rate of the default convertible drops out
         # of the quotient, so an evaluation never reads it
         f = next(f for f in _formulations() if f.label == "convertible")
-        red = derive_reduced(products.pde2_spec(f))
+        red = derive_reduced(f.pde2)
         calls = []
         log_affine = ratecurve.log_affine
         monkeypatch.setattr(ratecurve, "log_affine",

@@ -86,7 +86,7 @@ class TestPde2Spec:
         # the bond-implied short rate is one read; the yields are constants
         f = products.formulations(default_suite()[3])[0]
         assert f.label == "convertible"
-        spec = products.pde2_spec(f)
+        spec = f.pde2
         calls = []
         log_affine = ratecurve.log_affine
         monkeypatch.setattr(ratecurve, "log_affine",
@@ -106,7 +106,7 @@ class TestNumeraireOnY:
         assert g.numeraire_axis == 1 and g.anchor == f.anchor[::-1]
         assert (g.sigma_x, g.sigma_y, g.q_x, g.q_y) == (f.sigma_y, f.sigma_x,
                                                           f.q_y, f.q_x)
-        red = derive_reduced(products.pde2_spec(g))
+        red = derive_reduced(g.pde2)
         for z in (0.5 * f.kink, f.kink, 2.0 * f.kink):
             assert red.terminal(np.array([z]))[0] == f.terminal(1.0, z)
         # unswapped, the floor and the rising leg would trade places

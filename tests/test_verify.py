@@ -52,7 +52,7 @@ class TestBuildEngines:
         (eng,) = build_engines(_esop_plain(beta=0.85))
         assert eng.label == "esop"
         assert eng.numeraire_axis == 1
-        assert eng.state0 == (100.0, 100.0)
+        assert eng.anchor == (100.0, 100.0)
 
     def test_fx_yields_both_measures(self):
         usd, gbp = build_engines(_fx())
@@ -191,6 +191,17 @@ class TestVerifyProduct:
                                       tol=tol, methods=("analytic",)),
                     lambda: run_suite([], tol=tol)):
             with pytest.raises(ValueError, match="tol"):
+                run()
+
+    def test_no_reference_route_rejected(self):
+        # every gap is measured from the closed form: without it a run would
+        # pass whatever its quotes, so it is refused before any route prices
+        esop = default_suite()[0]
+        for run in (lambda: verify_product(esop, grid=GridSpec(16, 8),
+                                           methods=("pde_full", "quadrature")),
+                    lambda: run_suite(grid=GridSpec(16, 8), methods=()),
+                    lambda: run_suite([], methods=("quadrature",))):
+            with pytest.raises(ValueError, match="analytic"):
                 run()
 
     def test_infinite_tolerance_accepted(self):
