@@ -7,11 +7,11 @@ divides the 2-D equation by its y axis, and the rate drops out of the quotient
 by construction; which asset is y is the product description's choice
 (``products.numeraire_on_y``).
 
-Both solvers march Crank-Nicolson-style on log-spaced grids.  Stencils are
-3-point non-uniform differences in the *original* coordinates, which are exact
-on quadratics; linear terminal data therefore propagates exactly (up to
-rounding) whenever the drift and discount rates coincide, which is what the
-trivial-identity checks (forward payoffs, zero-strike conversions) rely on.
+Both solvers use log-spaced grids.  Stencils are 3-point non-uniform
+differences in the *original* coordinates, which are exact on quadratics;
+linear terminal data therefore propagates exactly (up to rounding) wherever
+the 2-D drift and discount rates coincide and always in 1-D, which is what
+the trivial-identity checks (forward payoffs, zero-strike conversions) rely on.
 
 Each log grid is centred on the anchor and spans six standard deviations of
 its axis' integrated diffusion plus the axis' log drift: in 1-D the summed
@@ -21,25 +21,19 @@ grid gives its widest axis ``nodes_per_axis`` nodes and the other the same
 log spacing, so a bond axis a few standard deviations wide takes a few dozen.
 
 Time stepping:
-  * one planner (``_plan``) gives both solvers their steps: each breakpoint
-    segment takes steps in proportion to its physical length, and both
-    march them in one shape (``_stages``),
-  * coefficients are frozen per step at the interval midpoint (never touches
-    the terminal time, where some discount coefficients are singular),
-  * the 2-D solver marches in physical time; the 1-D solver marches each
-    breakpoint segment in its own clock.  Where the diffusion a is a normal
-    float it is variance time tau = int a dt (Wilmott, Howison & Dewynne
-    1995, ch. 5): the equation has diffusion 1, drift b/a and discount c/a,
-    frozen at t(tau), so a quotient whose only time dependence is a (the
-    Vasicek products) has one operator for the whole solve.  Where a
-    vanishes, is subnormal or leaves b/a, c/a infinite, it is physical time;
-    where a = b = c = 0 the segment takes no steps,
-  * the first interval after the terminal date and after every declared
-    coefficient breakpoint is damped: two implicit half-steps (Rannacher),
-  * the 2-D scheme is a Craig-Sneyd predictor-corrector with the mixed
-    derivative treated explicitly, theta = 1/2,
-  * each step factors I - (dt/2) L once per axis (``_Tridiag``), and the 1-D
-    solver holds one factorisation while its operator and step repeat,
+  * the 1-D equation is the heat equation in variance time once its drift
+    and discount are taken out exactly (``solve_1d``): one operator and one
+    factorisation serve every step, and breakpoints only cut its integrals,
+  * the 2-D solver marches in physical time on ``_plan``'s steps: each
+    breakpoint segment takes steps in proportion to its length, with the
+    coefficients frozen at each step's midpoint (never the terminal time,
+    where some discount coefficients are singular),
+  * the first step after the terminal date, and in 2-D after every
+    breakpoint, is damped: two implicit half-steps (Rannacher),
+  * the 1-D march is Crank-Nicolson; the 2-D scheme is a Craig-Sneyd
+    predictor-corrector with the mixed derivative treated explicitly,
+    theta = 1/2, and each step factors I - (dt/2) L once per axis
+    (``_Tridiag``),
   * every 2-D plane is C-ordered and every operator runs along its rows: the
     y axis works on a transposed copy kept current, so no plane operation
     pays a strided sweep or a per-element Python loop,
@@ -54,7 +48,6 @@ leaving linear payoffs untouched.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -72,7 +65,6 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 
 _SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
 _HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the coefficient samples
-_NORMAL = sys.float_info.min  # a smaller diffusion is no clock to march in
 _MIN_NODES = 16  # fewest nodes on any axis
 # the drift characteristic reads r at its state and one _PROBE_LOG up each
 # log axis: rows ln x and ln y offsets of the three states
@@ -82,7 +74,7 @@ _PROBE = np.array([[0.0, _PROBE_LOG, 0.0], [0.0, 0.0, _PROBE_LOG]])
 # Largest footprint a solve may allocate, checked from its GridSpec before
 # any array is built: the _VECTORS_1D working vectors of a 1-D solve
 # (``_words_1d``) or the _PLANES_2D working nx x ny planes of a 2-D one,
-# plus the frozen times of its steps.
+# plus _STEP_WORDS per step.
 _BUDGET_BYTES = 2 ** 30
 _VECTORS_1D = 48
 _STEP_WORDS = 10  # per step: its frozen times as float64s and list floats
@@ -94,7 +86,8 @@ _PLANES_2D = 40
 class GridSpec:
     """``nodes_per_axis`` is the node count of a 1-D solve's axis and of a
     2-D solve's widest axis (the other takes the same log spacing);
-    ``time_steps`` is shared among the breakpoint segments."""
+    ``time_steps`` are equal steps of variance time in 1-D and are shared
+    among the breakpoint segments in 2-D."""
 
     nodes_per_axis: int = 400
     time_steps: int = 200
@@ -146,9 +139,11 @@ class Pde2Spec:
 
 
 def _words_1d(nodes: int, steps: int) -> int:
-    """8-byte words a 1-D solve of at most ``steps`` steps may hold at once:
-    the working vectors, each step's frozen times and a fixed part that
-    dominates the smallest grids."""
+    """8-byte words charged to a 1-D solve of ``steps`` steps: the working
+    vectors and a fixed part that dominates the smallest grids, plus the
+    _STEP_WORDS per step a 2-D solve holds for its frozen times.  The 1-D
+    march holds nothing per step; the step term refuses, before any work, a
+    step count that a 2-D solve on the same GridSpec is refused for too."""
     return _VECTORS_1D * nodes + _STEP_WORDS * steps + _FIXED_WORDS_1D
 
 
@@ -173,98 +168,49 @@ def _span(var: float, shift: float) -> float:
     return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
 
 
-def _sample(coefficients, lo: float, hi: float):
-    """One pass over the _HALF_WIDTH_POINTS cell midpoints of [lo, hi] of
-    ``coefficients(t) = (a, b, c)``: (var, shift, tau, dead).
-
-    ``var`` and ``shift`` are the midpoint sums of a and b - a/2 over the
-    segment.  ``tau`` is the cumulative variance at the cell edges when a
-    is a normal float and b/a, c/a are finite at every midpoint, else None;
-    ``dead`` says a = b = c = 0 at every midpoint.  Each coefficient is
-    evaluated once per midpoint and no list of them is kept.  Midpoints on
-    purpose: several discount coefficients are singular exactly at the
-    terminal date and must never be sampled there.
-    """
-    h = (hi - lo) / _HALF_WIDTH_POINTS
-    tau = np.empty(_HALF_WIDTH_POINTS + 1)
-    tau[0] = 0.0
-    sum_a = sum_m = 0.0
-    scaled = dead = True
-    normal, largest = _NORMAL, sys.float_info.max
-    with np.errstate(all="ignore"):  # a numpy ratio may overflow to inf
-        for i in range(_HALF_WIDTH_POINTS):
-            a, b, c = coefficients(lo + (i + 0.5) * h)
-            sum_a += a
-            sum_m += b - 0.5 * a
-            tau[i + 1] = sum_a
-            if scaled:  # a NaN fails every comparison
-                scaled = a >= normal and abs(b / a) <= largest and abs(c / a) <= largest
-            if dead:
-                dead = a == b == c == 0.0
-    tau *= h
-    return h * sum_a, h * sum_m, tau if scaled else None, dead
-
-
-def _sampled(coefficients, maturity: float, breakpoints):
-    """(half_width, segments) from one ``_sample`` pass per breakpoint
-    segment of ``coefficients(t) = (a, b, c)``: the ``_span`` of the
-    midpoint sums, and per segment from t = 0 up (lo, hi, tau, dead)."""
-    var = shift = 0.0
-    segments = []
+def _integrals(coefficients, maturity: float, breakpoints) -> tuple:
+    """(var, drift, discount): the integrals over [0, maturity] of
+    ``coefficients(t) = (a, b, c)``, as midpoint sums over the
+    _HALF_WIDTH_POINTS cells of each breakpoint segment, one call per
+    midpoint.  Midpoints on purpose: several discount coefficients are
+    singular exactly at the terminal date and must never be sampled there."""
+    var = drift = discount = 0.0
     cuts = _cuts(maturity, breakpoints)
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        v, m, tau, dead = _sample(coefficients, lo, hi)
-        var += v
-        shift += m
-        segments.append((lo, hi, tau, dead))
-    return _span(var, shift), segments
+    with np.errstate(all="ignore"):  # the solve refuses a sum that is not finite
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            h = (hi - lo) / _HALF_WIDTH_POINTS
+            sum_a = sum_b = sum_c = 0.0
+            for i in range(_HALF_WIDTH_POINTS):
+                a, b, c = coefficients(lo + (i + 0.5) * h)
+                sum_a += a
+                sum_b += b
+                sum_c += c
+            var += h * sum_a
+            drift += h * sum_b
+            discount += h * sum_c
+    return float(var), float(drift), float(discount)
 
 
-def _plan(segments, steps: int) -> list:
-    """The time steps of a solve, the only source of them for both solvers.
+def _plan(cuts, steps: int) -> list:
+    """The time steps of a 2-D solve.
 
-    ``segments`` are (lo, hi, tau, dead) per breakpoint segment from t = 0
-    up.  A segment with a tau (``_sample``'s cumulative variance) runs in
-    variance time, where its equation has diffusion 1, drift b/a and
-    discount c/a, and each step is frozen at t(tau), read off the
-    piecewise-linear map of the sampled variance; a segment without runs in
-    physical time.  The live segments share ``steps`` in proportion to their
-    physical length, at least one each, and a dead segment takes none.  A
-    segment's clock comes from ``linspace``, so its edges are its breakpoints
-    and its steps are bit-equal.
+    ``cuts`` are the edges of the breakpoint segments (``_cuts``).  The
+    segments share ``steps`` in proportion to their length, at least one
+    each.  A segment's clock comes from ``linspace``, so its edges are its
+    breakpoints and its steps are bit-equal.
 
-    Returns, per live segment from t = 0 up, (scaled, h, top, mids): whether
-    the clock is tau, half the step, the two frozen times of the damped top
-    step and the frozen time of each other step from the bottom up (floats).
+    Returns, per segment from t = 0 up, (h, top, mids): half the step, the
+    two frozen times of the damped top step and the frozen time of each
+    other step from the bottom up (floats).
     """
-    live = sum(hi - lo for lo, hi, _, dead in segments if not dead)
     plan = []
-    for lo, hi, tau, dead in segments:
-        if dead:
-            continue
-        n = max(1, round(steps * (hi - lo) / live))
-        if tau is None:
-            clock, to_t = np.linspace(lo, hi, n + 1), np.asarray
-        else:
-            edges = np.linspace(lo, hi, _HALF_WIDTH_POINTS + 1)
-            clock = np.linspace(0.0, tau[-1], n + 1)
-            to_t = lambda u, tau=tau, edges=edges: np.interp(u, tau, edges)
-        du = (clock[-1] - clock[0]) / n
-        plan.append((tau is not None, 0.5 * du,
-                     to_t(clock[-2] + np.array([0.75, 0.25]) * du).tolist(),
-                     to_t(clock[:-2] + 0.5 * du).tolist()))
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        n = max(1, round(steps * (hi - lo) / (cuts[-1] - cuts[0])))
+        clock = np.linspace(lo, hi, n + 1)
+        dt = (hi - lo) / n
+        plan.append((0.5 * dt, (clock[-2] + np.array([0.75, 0.25]) * dt).tolist(),
+                     (clock[:-2] + 0.5 * dt).tolist()))
     return plan
-
-
-def _stages(plan):
-    """(scaled, h, t, damped) for every stage of a ``_plan``, from the
-    terminal date down: per segment the top step as two damped half steps
-    (Rannacher), then one stage per remaining step."""
-    for scaled, h, top, mids in reversed(plan):
-        for t in top:
-            yield scaled, h, t, True
-        for t in reversed(mids):
-            yield scaled, h, t, False
 
 
 def _log_grid(anchor: float, half_width: float, nodes: int):
@@ -339,16 +285,6 @@ def _cell_average_2d(payoff, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         for b, wb in enumerate(w):
             out += (wa * wb) * np.asarray(payoff(xs[:, a, None], ys[b]), dtype=float)
     return out
-
-
-def _bands(a, b, c, s2, s1, out=None):
-    """[lower, diag, upper] of L = a s2 + b s1 - c, for the scaled stencils
-    s2 = z^2 D2 / 2 and s1 = z D1 and coefficients broadcast against them;
-    written into out when given."""
-    bands = np.multiply(b, s1, out=out)
-    bands += a * s2
-    bands[1] -= c
-    return bands
 
 
 def _windows(weights, v, out):
@@ -504,39 +440,41 @@ class Solution1D:
 
 
 def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
-    """Crank-Nicolson solve of a Pde1Spec; returns U(z) at t = 0.
+    """Solve a Pde1Spec exactly in its drift and discount; returns U(z) at
+    t = 0.
 
-    Each breakpoint segment marches in its own clock (``_plan``): in
-    variance time tau = integral of a dt, where the equation is the heat
-    equation in ln z plus the drift b/a and the discount c/a, when a is a
-    normal float and those ratios are finite; in physical time otherwise; a
-    segment where a = b = c = 0 takes no steps.
-
-    Each stage evaluates the coefficients once, at a Python float time, and
-    factors I - (du/2) L only when L's coefficients ((1, b/a, c/a) in tau,
-    (a, b, c) in t) or the step du differ from the stage before.  A
-    diffusion that varies in t with b = c = 0, as the Vasicek quotients
-    have, is therefore one factorisation for the whole solve.  A new
-    factorisation scales L by h = du/2 once: I - hL is factored from that,
-    and I + hL is the same bands with 1 added to the diagonal.
+    With var, B and C the integrals of a, b and c over [0, T] (``_integrals``),
+    U(z, 0) = e^{-C} W(z, var), where W solves the heat equation
+    W_tau = (1/2) z^2 W_zz in variance time tau = integral of a dt from
+    W(z, 0) = terminal(z e^B) (Wilmott, Howison & Dewynne 1995, ch. 5).  W
+    takes ``time_steps`` equal steps in tau, Crank-Nicolson after a damped
+    top step of two implicit half steps (Rannacher), all with one
+    factorisation of I - hL; where var is not positive it takes none.
+    PricingError when var, B or C is not finite, when e^B or e^{-C} is not a
+    finite float, or when the solution is not finite.
     """
-    n = grid.nodes_per_axis
-    _check_budget(_words_1d(n, grid.time_steps + len(spec.breakpoints) + 1), "a 1-D solve")
-    half, segments = _sampled(spec.coefficients, spec.maturity, spec.breakpoints)
-    z, s2, s1 = _log_grid(spec.anchor, half, n)
-    u = _cell_average_1d(spec.terminal, z)
-    held = None
-    for scaled, h, t, damped in _stages(_plan(segments, grid.time_steps)):
-        a, b, c = spec.coefficients(t)
-        key = (1.0, b / a, c / a, h) if scaled else (a, b, c, h)
-        if key != held:
-            held = key
-            hl = _bands(*key[:3], s2, s1)
-            hl *= h
+    n, steps = grid.nodes_per_axis, grid.time_steps
+    _check_budget(_words_1d(n, steps), "a 1-D solve")
+    var, drift, discount = _integrals(spec.coefficients, spec.maturity, spec.breakpoints)
+    with np.errstate(all="ignore"):  # refused below
+        factors = np.exp([drift, -discount])
+    if not np.isfinite([var, drift, discount, *factors]).all():
+        raise PricingError(
+            f"the integrated diffusion {var:g}, drift {drift:g} and discount "
+            f"{discount:g} do not give finite double precision factors")
+    growth, df = factors.tolist()
+    z, s2, _ = _log_grid(spec.anchor, _span(var, drift - 0.5 * var), n)
+    with np.errstate(all="ignore"):  # a solution that is not finite is refused
+        w = _cell_average_1d(lambda zeta: spec.terminal(growth * zeta), z)
+        if var > 0.0:
+            hl = s2 * (0.5 * (var / steps))
             lu = _factor_line(*hl)  # I - hL
-            hl[1] += 1.0
-            explicit = tuple(hl)  # I + hL
-        u = dgttrs(*lu, u if damped else _apply(explicit, u), overwrite_b=1)[0]
+            hl[1] += 1.0  # I + hL
+            for k in range(steps + 1):
+                w = dgttrs(*lu, w if k < 2 else _apply(hl, w), overwrite_b=1)[0]
+        u = df * w
+    if not np.isfinite(u).all():
+        raise PricingError("the 1-D solution is not finite in double precision")
     return Solution1D(z, u)
 
 
@@ -639,7 +577,9 @@ class _CraigSneyd:
         if self._work[axis] is None or self._work[axis].shape[1:] != shape:
             self._work[axis] = np.empty((2, *shape))
         bands, factors = self._work[axis]
-        _bands(a, b, c, s2, s1, out=bands)
+        np.multiply(b, s1, out=bands)
+        bands += a * s2
+        bands[1] -= c
         return bands, _Tridiag(*bands, h, work=factors)
 
     def _correct(self, op1, op2, rhs, ha2t):
@@ -717,7 +657,7 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     along each axis once and uses that factorisation for the predictor and
     the corrector.
     """
-    n, T, bps = grid.nodes_per_axis, spec.maturity, spec.breakpoints
+    n, bps = grid.nodes_per_axis, spec.breakpoints
     half = _characteristic_spans(spec)
     nx, ny = (max(_MIN_NODES, 1 + round((n - 1) * w / max(half))) for w in half)
     _check_budget(_PLANES_2D * nx * ny + _STEP_WORDS * (grid.time_steps + len(bps) + 1),
@@ -727,12 +667,11 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     xg, yg = x_axis[0], y_axis[0]
     w = _cell_average_2d(spec.terminal, xg, yg)
     scheme = _CraigSneyd(spec, x_axis, y_axis, w)
-    cuts = _cuts(T, bps)
-    plan = _plan([(lo, hi, None, False) for lo, hi in zip(cuts[:-1], cuts[1:])],
-                 grid.time_steps)
-    for _, h, t, damped in _stages(plan):
-        # a damped stage is an implicit (Douglas theta = 1) half step
-        scheme.stage(t, h, h if damped else 2.0 * h, not damped)
+    for h, top, mids in reversed(_plan(_cuts(spec.maturity, bps), grid.time_steps)):
+        for t in top:  # the damped top step: implicit (Douglas theta = 1) half steps
+            scheme.stage(t, h, h, False)
+        for t in reversed(mids):
+            scheme.stage(t, h, 2.0 * h, True)
     return Solution2D(xg, yg, w)
 
 

@@ -567,7 +567,8 @@ class TestSubstitutionGrid:
 
     def test_vanishing_diffusion_priced_in_physical_time(self, tmp_path, capsys):
         # both volatilities square to zero, so the pound quotient only drifts
-        # and discounts: its segment marches in physical time
+        # and discounts: the reduced solve transports and discounts its
+        # terminal exactly and takes no steps
         spec = dict(product_to_dict(default_suite()[1]), sigma_s=1e-170, sigma_x=1e-170)
         path = _write(tmp_path, "fx.json", spec)
         values = {}

@@ -1,6 +1,7 @@
 """Finite-difference solvers: accuracy against closed forms, structural
 exactness on linear data, convergence order, and the reduction-gap diagnostic."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from numerkit import pde, products, ratecurve, verify
 from numerkit.analytic import bs_call
-from numerkit.errors import GridExtrapolationError, ReductionError
+from numerkit.errors import GridExtrapolationError, PricingError, ReductionError
 from numerkit.pde import (
     GridSpec,
     Pde1Spec,
@@ -80,6 +81,14 @@ class TestGridBudget:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+
+def _counted(monkeypatch, name):
+    """A list that grows by one at each call of ``pde.<name>``."""
+    calls = []
+    fn = getattr(pde, name)
+    monkeypatch.setattr(pde, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    return calls
 
 
 def _dense(lower, diag, upper):
@@ -192,16 +201,16 @@ class TestTridiagKernel:
 
 
 class TestTimeGrid:
-    """The one planner both solvers take their steps from."""
+    """The planner the 2-D solve takes its steps from."""
 
     def test_steps_bit_equal_per_segment_and_breakpoints_are_nodes(self):
         maturity, breakpoints = 1.7, (0.3, 1.1)
         cuts = [0.0, *breakpoints, maturity]
-        plan = pde._plan([(a, b, None, False) for a, b in zip(cuts[:-1], cuts[1:])], 200)
+        plan = pde._plan(cuts, 200)
         assert len(plan) == len(cuts) - 1
-        for (a, b), (scaled, h, top, mids) in zip(zip(cuts[:-1], cuts[1:]), plan):
+        for (a, b), (h, top, mids) in zip(zip(cuts[:-1], cuts[1:]), plan):
             n = len(mids) + 1
-            assert not scaled and n == round(200 * (b - a) / maturity)
+            assert n == round(200 * (b - a) / maturity)
             # one half step for every step of the segment, bit-equal to
             # half its length over its step count
             assert 2.0 * h == (b - a) / n
@@ -212,45 +221,6 @@ class TestTimeGrid:
             assert frozen[0] - h == pytest.approx(a, abs=1e-12)
             assert frozen[-1] + h == pytest.approx(b, abs=1e-12)
             assert top == pytest.approx([b - 0.5 * h, b - 1.5 * h], abs=1e-12)
-
-
-class _Fresh(float):
-    """A coefficient value that never equals another, nor does its quotient
-    (a solve in variance time divides by the diffusion), so a solve built on
-    it factors I - h L again at every step."""
-
-    def __eq__(self, other):
-        return False
-
-    def __ne__(self, other):
-        return True
-
-    def __truediv__(self, other):
-        return _Fresh(float(self) / other)
-
-    __hash__ = float.__hash__
-
-
-class TestHeldFactorisation:
-    def _spec(self, wrap):
-        return Pde1Spec(
-            coefficients=lambda t: (wrap(0.09 if t < 0.4 else 0.01), wrap(0.02),
-                                    wrap(0.05)),
-            terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0,
-            breakpoints=(0.4,))
-
-    def test_held_factorisation_matches_factoring_every_step(self, monkeypatch):
-        calls = []
-        factor = pde.dgttrf
-        monkeypatch.setattr(pde, "dgttrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
-        grid = GridSpec(120, 40)
-        held = solve_1d(self._spec(float), grid)
-        held_factors = len(calls)
-        fresh = solve_1d(self._spec(_Fresh), grid)
-        # one factorisation per constant segment against one per implicit solve
-        assert held_factors == 2
-        assert len(calls) - held_factors == grid.time_steps + 2
-        assert np.array_equal(held.values, fresh.values)
 
 
 class TestSolve1D:
@@ -276,8 +246,7 @@ class TestSolve1D:
             assert sol(z) == pytest.approx(ref, rel=5e-4)
 
     def test_piecewise_diffusion_with_breakpoint(self):
-        # variance accumulates piecewise; the breakpoint forces a grid node
-        # and a damped restart there
+        # variance accumulates piecewise: the breakpoint cuts its integral
         t_switch = 0.4
         spec = Pde1Spec(
             coefficients=lambda t: (0.09 if t < t_switch else 0.01, 0.0, 0.0),
@@ -293,7 +262,7 @@ class TestSolve1D:
         spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.07),
                         terminal=lambda z: np.ones_like(z), maturity=2.0)
         sol = solve_1d(spec, GridSpec(64, 32))
-        # the damped terminal step is locally first-order, so expect ~(c dt)^2
+        # the discount is taken out exactly and the heat march keeps a constant
         assert sol(1.0) == pytest.approx(math.exp(-0.14), rel=1e-5)
 
     def test_bounded_terminal_stays_bounded(self):
@@ -319,6 +288,28 @@ class TestSolve1D:
         assert e_coarse / e_mid > 3.0
         assert e_mid / e_fine > 3.0
 
+    def test_large_discount_growth_priced(self):
+        # c = -700 grows the value by e^700 (about 1.01e304) to 8.1e302,
+        # which a double holds, so it is priced
+        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, -700.0),
+                        terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0)
+        ref = bs_call(1.0, 1.0, -700.0, 0.0, 0.2, 1.0)
+        assert solve_1d(spec, GridSpec(400, 200))(1.0) == pytest.approx(ref, rel=5e-4)
+
+    @pytest.mark.parametrize("coefficients", [
+        (0.04, 0.0, -710.0), (0.04, 0.0, -1e308), (0.04, 0.0, math.nan),
+        (0.04, 0.0, math.inf), (0.04, 0.0, -709.0), (0.04, 710.0, 0.0),
+        (0.04, -1e308, 0.0), (0.04, math.nan, 0.0), (math.nan, 0.0, 0.0),
+        (1e308, 0.0, 0.0)], ids=lambda abc: "a=%g,b=%g,c=%g" % abc)
+    def test_stiff_or_non_finite_coefficients_refused(self, coefficients):
+        # an integral, e^B, e^{-C} or the discounted solution (at c = -709,
+        # e^709 times the top node's payoff) leaves double precision: refused,
+        # never an OverflowError, an inf or NaN, or a RuntimeWarning
+        spec = Pde1Spec(coefficients=lambda t: coefficients,
+                        terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0)
+        with pytest.raises(PricingError):
+            solve_1d(spec, GridSpec(100, 50))
+
     def test_grid_extrapolation_guard(self):
         sol = solve_1d(_call_spec_1d(), GridSpec(64, 16))
         with pytest.raises(GridExtrapolationError):
@@ -328,32 +319,38 @@ class TestSolve1D:
 
 
 class TestClocks:
-    """Each breakpoint segment marches in its own clock: variance time where
-    the diffusion is a normal float, physical time where it vanishes, and no
-    steps at all where nothing moves."""
+    """The 1-D solve takes its drift and discount out exactly and marches
+    the heat equation in variance time: a diffusion, drift and discount that
+    vary in t enter only through their integrals, and nothing steps where
+    nothing diffuses."""
 
-    # a(t) = s^2 (1 + k sin(w t + phi)) with zero drift and discount is a
-    # call on a lognormal of variance V = integral of a over [0, T]; at
-    # GridSpec(200, 100) the solve lies within 2e-4 of the spot
+    # a(t) = s^2 (1 + k sin(w t + phi)) with constant drift b and discount c
+    # is a call on a lognormal of variance V = integral of a over [0, T],
+    # forward e^{bT} and discount factor e^{-cT}; at GridSpec(200, 100) the
+    # undiscounted solve e^{cT} U at the spot lies within 2e-4 of the
+    # undiscounted closed form
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(s=st.floats(0.1, 0.5), k=st.floats(0.0, 0.9), w=st.floats(0.5, 8.0),
            phi=st.floats(0.0, 6.3), maturity=st.floats(0.25, 2.0),
-           strike=st.floats(0.8, 1.25))
+           strike=st.floats(0.8, 1.25), b=st.floats(-0.1, 0.1), c=st.floats(-50.0, 50.0))
     def test_time_varying_diffusion_matches_black_scholes(self, s, k, w, phi,
-                                                          maturity, strike):
+                                                          maturity, strike, b, c):
         spec = Pde1Spec(
-            coefficients=lambda t: (s * s * (1.0 + k * math.sin(w * t + phi)), 0.0, 0.0),
+            coefficients=lambda t: (s * s * (1.0 + k * math.sin(w * t + phi)), b, c),
             terminal=lambda z: np.maximum(z - strike, 0.0), maturity=maturity)
         var = s * s * (maturity + k * (math.cos(phi) - math.cos(w * maturity + phi)) / w)
-        ref = bs_call(1.0, strike, 0.0, 0.0, math.sqrt(var / maturity), maturity)
-        assert abs(solve_1d(spec, GridSpec(200, 100))(1.0) - ref) <= 2e-4
+        ref = bs_call(1.0, strike, c, b, math.sqrt(var / maturity), maturity)
+        error = abs(solve_1d(spec, GridSpec(200, 100))(1.0) - ref)
+        assert error <= 2e-4 * math.exp(-c * maturity)
 
     @pytest.mark.parametrize("diffusion_after", [0.0, 0.04])
-    def test_vanishing_diffusion_transports_and_discounts(self, diffusion_after):
+    def test_vanishing_diffusion_transports_and_discounts(self, monkeypatch,
+                                                          diffusion_after):
         # a = 0 on [0, 0.5) with drift b and discount c, then a diffusing
         # segment without either (or the same transport again): a linear
         # payoff g has U(z, 0) = e^{-c t} g(z e^{b t}) for t the time a = 0,
-        # exact in space; the damped steps are locally first order in time
+        # taken out exactly, and the heat march keeps linear data; with no
+        # diffusion at all nothing is factored
         b, c = 0.03, 0.05
 
         def coefficients(t):
@@ -361,7 +358,9 @@ class TestClocks:
 
         spec = Pde1Spec(coefficients=coefficients, terminal=lambda z: 2.0 * z + 1.0,
                         maturity=1.0, breakpoints=(0.5,))
+        factors = _counted(monkeypatch, "dgttrf")
         sol = solve_1d(spec, GridSpec(100, 50))
+        assert len(factors) == (1 if diffusion_after else 0)
         span = 0.5 if diffusion_after else 1.0
         for z in (0.98, 1.0, 1.01):
             exact = math.exp(-c * span) * (2.0 * z * math.exp(b * span) + 1.0)
@@ -369,27 +368,39 @@ class TestClocks:
 
     def test_dead_segment_takes_no_steps(self, monkeypatch):
         # the default esop's quotient is still (a = b = c = 0) before its
-        # reset: all the steps fall after it, the top one as two implicit
-        # half steps, so there is one solve per step and one more
+        # reset, so variance time does not pass there: all the steps fall
+        # after it, the top one as two implicit half steps, so there is one
+        # solve per step and one more
         f = next(f for f in _formulations() if f.label == "esop")
         spec = derive_reduced(f.pde2)
-        calls = []
-        solve = pde.dgttrs
-        monkeypatch.setattr(pde, "dgttrs", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        solves = _counted(monkeypatch, "dgttrs")
         solve_1d(spec, GridSpec(100, 50))
-        assert len(calls) == 50 + 1
+        assert len(solves) == 50 + 1
 
-    @pytest.mark.parametrize("label", ["convertible", "corporate"])
+    @pytest.mark.parametrize("label", ["esop", "fx_gbp", "savings", "convertible",
+                                       "corporate", "breakpoint"])
     def test_vasicek_quotient_factors_once(self, monkeypatch, label):
-        # its diffusion varies in t, but in variance time its coefficients
-        # are (1, 0, 0) at every step
-        f = next(f for f in _formulations() if f.label == label)
-        spec = derive_reduced(f.pde2)
-        calls = []
-        factor = pde.dgttrf
-        monkeypatch.setattr(pde, "dgttrf", lambda *a, **k: calls.append(1) or factor(*a, **k))
+        # one operator, s2, in variance time whatever a, b and c do in t: one
+        # factorisation per solve of a default quotient or of a call whose
+        # coefficients all jump at a breakpoint, and the coefficients are read
+        # only by the midpoint integrals of each breakpoint segment
+        if label == "breakpoint":
+            spec = Pde1Spec(
+                coefficients=lambda t: (0.09, 0.02, 0.05) if t < 0.4 else (0.01, -0.01, 0.03),
+                terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0,
+                breakpoints=(0.4,))
+        else:
+            f = next(f for f in _formulations() if f.label == label)
+            spec = derive_reduced(products.numeraire_on_y(f).pde2)
+        reads = []
+        coefficients = spec.coefficients
+        spec = dataclasses.replace(
+            spec, coefficients=lambda t: reads.append(t) or coefficients(t))
+        factors = _counted(monkeypatch, "dgttrf")
         solve_1d(spec, GridSpec())
-        assert len(calls) == 1
+        assert len(factors) == 1
+        segments = len(pde._cuts(spec.maturity, spec.breakpoints)) - 1
+        assert len(reads) == pde._HALF_WIDTH_POINTS * segments
 
 
 class TestSolve2D:
@@ -547,25 +558,23 @@ class TestDefaultFormulations2D:
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
                              ids=lambda f: f.label)
     def test_1d_memory_within_budget(self, f):
-        # an upper bound at every grid: the fixed part dominates the
-        # smallest, the steps' frozen times the one of many steps
+        # the charge bounds the peak at every grid: the smallest, where the
+        # fixed part dominates, up to one of many steps
         spec = derive_reduced(products.numeraire_on_y(f).pde2)
         for grid in (GridSpec(16, 8), GridSpec(32, 16), GridSpec(100, 50), GridSpec(),
                      GridSpec(16, 2000)):
-            steps = grid.time_steps + len(f.breakpoints) + 1
             peak = self._peak(solve_1d, spec, grid)[0]
-            assert peak <= 8 * pde._words_1d(grid.nodes_per_axis, steps), grid
+            assert peak <= 8 * pde._words_1d(grid.nodes_per_axis, grid.time_steps), grid
 
 
 class TestDeriveReduced:
     # the reduced solve at the anchor on GridSpec(100, 50), as computed since
-    # each segment marches in its own clock: esop's steps all fall after its
-    # reset, where the equation is the heat equation in variance time, and
-    # the Vasicek quotients take equal steps in variance time
+    # the drift and discount are taken out exactly and the heat equation is
+    # marched in equal steps of variance time
     PINNED = {
         "esop": 0.20864042328205815,
-        "fx_gbp": 16.00611623532756,
-        "savings": 0.2620263711333812,
+        "fx_gbp": 16.00958390887294,
+        "savings": 0.26202582553843423,
         "convertible": 1.1477199193815601,
         "corporate": 1.125863481397475,
     }
