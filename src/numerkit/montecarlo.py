@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratecurve
-from .model import require_integers
+from .errors import ValidationFailure
+from .model import require_integers, validate_vasicek
 from .products import Formulation, VasicekBond, formulations, integral
 
 _BLOCK_EXACT = 65536
@@ -81,36 +82,22 @@ def _vasicek_law(model: ratecurve.VasicekModel, sigma_a: float, rho: float,
                  horizon: float) -> tuple:
     """Mean and covariance of (r_T, integral of r, log S_T/S_0 - integral of r)
     under the pricing measure, for an asset of volatility ``sigma_a`` and
-    correlation ``rho`` with the rate; T = ``horizon``, B = B(0, T) and m is
-    the risk-neutral level.
+    correlation ``rho`` with the rate; T = ``horizon``.
 
-    Below theta T = ``ratecurve._SERIES_BELOW`` the closed forms (T - B) /
-    theta = int B and (T - 2B + B_2) / theta^2 = int B^2, and the means
-    through m, cancel: there the integrals come from ratecurve's series and
-    the means are r0 e^{-theta T} + k B and r0 B + k int B, k = theta mu_r -
-    lam sigma_r."""
+    With B, int B and int B^2 over [0, T] from ``ratecurve.affine_integrals``
+    and k = theta mu_r - lam sigma_r, the means are r0 e^{-theta T} + k B and
+    r0 B + k int B, and Var r_T = sigma_r^2 (B - theta B^2 / 2), which is
+    sigma_r^2 B(T) at twice the reversion speed."""
     th, sr, r0 = model.theta, model.sigma_r, model.r0
-    b = ratecurve.b_factor(model, 0.0, horizon)
-    b2 = ratecurve._b(2.0 * th, horizon)
+    b, int_b, int_b2 = ratecurve.affine_integrals(model, 0.0, horizon)
+    k = th * model.mu_r - model.lam * sr
     cross = rho * sr * sigma_a
-    x = th * horizon
-    if x < ratecurve._SERIES_BELOW:
-        k = th * model.mu_r - model.lam * sr
-        int_b = horizon * horizon * ratecurve._series(x, ratecurve._INT_B)
-        m_r, m_int = r0 * math.exp(-x) + k * b, r0 * b + k * int_b
-        var_int = sr * sr * horizon ** 3 * ratecurve._series(x, ratecurve._INT_B2)
-        cov_int = cross * int_b
-    else:
-        level = ratecurve.risk_neutral_level(model)
-        m_r = level + (r0 - level) * math.exp(-th * horizon)
-        m_int = level * horizon + (r0 - level) * b
-        var_int = sr * sr * (horizon - 2.0 * b + b2) / (th * th)
-        cov_int = cross * (horizon - b) / th
     low = np.array([
-        [sr * sr * b2, 0.0, 0.0],
-        [0.5 * sr * sr * b * b, var_int, 0.0],
-        [cross * b, cov_int, sigma_a * sigma_a * horizon]])
-    return (m_r, m_int, -0.5 * sigma_a * sigma_a * horizon), low + np.tril(low, -1).T
+        [sr * sr * (b - 0.5 * th * b * b), 0.0, 0.0],
+        [0.5 * sr * sr * b * b, sr * sr * int_b2, 0.0],
+        [cross * b, cross * int_b, sigma_a * sigma_a * horizon]])
+    return ((r0 * math.exp(-th * horizon) + k * b, r0 * b + k * int_b,
+             -0.5 * sigma_a * sigma_a * horizon), low + np.tril(low, -1).T)
 
 
 def _psd_root(cov: np.ndarray) -> np.ndarray:
@@ -192,12 +179,11 @@ def _sampler(f: Formulation):
     if not isinstance(f.rate, VasicekBond):
         return _lognormal_sampler(f)
     model, T = f.rate.model, f.maturity
-    a_fac = ratecurve.a_factor(model, T, f.rate.maturity)
-    b_fac = ratecurve.b_factor(model, T, f.rate.maturity)
+    ln_a, b_fac = ratecurve.log_affine(model, T, f.rate.maturity)
     terminal = f.terminal
     return _rate_asset_sampler(
         model, f.sigma_x(0.0), -f.corr, f.anchor[0] * math.exp(-f.q_x * T), T,
-        lambda asset, r_end: terminal(asset, a_fac * np.exp(-b_fac * r_end)))
+        lambda asset, r_end: terminal(asset, np.exp(ln_a - b_fac * r_end)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,9 +207,15 @@ def mc_bond_price(model: ratecurve.VasicekModel, maturity: float,
     The integral is drawn from the joint law the rate products use, so
     convergence to the closed-form bond checks its mean and variance and the
     pricing-measure drift in one shot.
+
+    Raises ValueError unless ``maturity`` is positive and finite, and
+    ValidationFailure on an invalid ``model``.
     """
-    if maturity <= 0.0:
-        raise ValueError("maturity must be positive")
+    if not (maturity > 0.0 and math.isfinite(maturity)):
+        raise ValueError("maturity must be positive and finite")
+    violations = validate_vasicek(model)
+    if violations:
+        raise ValidationFailure(violations)
     payoff, shape = _rate_asset_sampler(model, 0.0, 0.0, 1.0, maturity,
                                         lambda asset, r_end: 1.0)
     return _accumulate(payoff, shape, mc)

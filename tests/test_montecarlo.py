@@ -148,6 +148,19 @@ class TestBondPrice:
         res = mc_bond_price(flat, 3.0, McSpec(paths=32, seed=0))
         assert res.estimate == pytest.approx(math.exp(-0.15), rel=1e-9)
 
+    @pytest.mark.parametrize("maturity", [0.0, -1.0, math.nan, math.inf])
+    def test_maturity_must_be_positive_and_finite(self, maturity):
+        with pytest.raises(ValueError, match="maturity"):
+            mc_bond_price(VAS, maturity, McSpec(paths=1000))
+
+    @pytest.mark.parametrize("field,value", [
+        ("theta", -1.0), ("theta", 0.0), ("sigma_r", -0.01), ("r0", math.nan),
+    ])
+    def test_invalid_model_refused(self, field, value):
+        with pytest.raises(ValidationFailure, match=field):
+            mc_bond_price(replace(VAS, **{field: value}), 2.0,
+                          McSpec(paths=1000))
+
 
 PRICED = VasicekModel(theta=0.6, mu_r=0.045, sigma_r=0.02, lam=0.25, r0=0.03)
 

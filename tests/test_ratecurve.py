@@ -12,8 +12,10 @@ from scipy.integrate import quad
 
 from numerkit.errors import TimeDomainError
 from numerkit.ratecurve import (
+    _SERIES_BELOW,
     VasicekModel,
     a_factor,
+    affine_integrals,
     b_factor,
     bond_price,
     integrated_variance,
@@ -54,6 +56,63 @@ class TestBFactor:
     def test_negative_gap_rejected(self):
         with pytest.raises(ValueError):
             b_factor(MODEL, 2.0, 1.0)
+
+
+class TestAffineIntegrals:
+    """int B and int B^2 over [0, tau] against adaptive quadrature of B(s) =
+    -expm1(-theta s) / theta and its square, theta log-uniform on [1e-12,
+    50] and tau on [0.01, 10], so that theta tau falls on both sides of
+    _SERIES_BELOW; the closed forms just above it cancel, hence the looser
+    bounds there."""
+
+    @staticmethod
+    def _draws(below):
+        rng = np.random.default_rng(19)
+        thetas = np.exp(rng.uniform(math.log(1e-12), math.log(50.0), 120))
+        taus = rng.uniform(0.01, 10.0, 120)
+        return [(float(th), float(tau)) for th, tau in zip(thetas, taus)
+                if (th * tau < _SERIES_BELOW) == below]
+
+    @pytest.mark.parametrize("below,tol_b,tol_b2", [
+        (True, 1e-14, 1e-14), (False, 1e-11, 1e-7)], ids=["series", "closed"])
+    def test_against_quadrature(self, below, tol_b, tol_b2):
+        draws = self._draws(below)
+        assert len(draws) >= 40
+        for theta, tau in draws:
+            t = 0.5 * tau
+            b, int_b, int_b2 = affine_integrals(
+                VasicekModel(theta=theta, mu_r=0.05, sigma_r=0.01), t, t + tau)
+            span = (t + tau) - t
+            curve = lambda s: -math.expm1(-theta * s) / theta
+            ref_b, _ = quad(curve, 0.0, span, epsabs=0.0, epsrel=1.2e-14)
+            ref_b2, _ = quad(lambda s: curve(s) ** 2, 0.0, span, epsabs=0.0,
+                             epsrel=1.2e-14)
+            assert b == b_factor(VasicekModel(theta, 0.05, 0.01), t, t + tau)
+            assert int_b == pytest.approx(ref_b, rel=tol_b, abs=0.0)
+            assert int_b2 == pytest.approx(ref_b2, rel=tol_b2, abs=0.0)
+
+    @pytest.mark.parametrize("theta", [5e-324, 1e-320])
+    def test_subnormal_theta_gives_the_zero_theta_limits(self, theta):
+        model = VasicekModel(theta=theta, mu_r=0.05, sigma_r=0.01)
+        b, int_b, int_b2 = affine_integrals(model, 0.5, 2.5)
+        assert b == 2.0
+        assert int_b == pytest.approx(2.0 ** 2 / 2.0, rel=1e-15)
+        assert int_b2 == pytest.approx(2.0 ** 3 / 3.0, rel=1e-15)
+
+    def test_empty_interval(self):
+        assert affine_integrals(MODEL, 1.5, 1.5) == (0.0, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: bond_price(MODEL, 0.03, math.nan, 2.0),
+    lambda: sigma_p(MODEL, math.nan, 2.0),
+    lambda: short_rate_from_bond(MODEL, 0.9, math.nan, 2.0),
+    lambda: integrated_variance(MODEL, 0.25, 0.2, math.nan, 1.0, 2.0),
+], ids=["bond_price", "sigma_p", "short_rate_from_bond", "integrated_variance"])
+def test_nan_time_refused(call):
+    # b_factor's ordering check is false for NaN, and every function reaches it
+    with pytest.raises(ValueError, match="must not precede"):
+        call()
 
 
 class TestAFactor:
