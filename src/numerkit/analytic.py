@@ -5,9 +5,9 @@ corresponding two-factor problem collapses to once prices are quoted in the
 natural numeraire (the employer stock at the reset date, the foreign bank
 account, the zero-coupon bond, the diluted firm value).  In that numeraire
 each claim is one exchange option (Margrabe), so every pricer below reduces
-to its input checks plus one call of the shared kernel ``_exchange``.  The
-finite-difference and Monte Carlo engines exist to verify these against the
-full dynamics.
+to its input checks (one policy, ``_require``) plus one call of the shared
+kernel ``_exchange``.  The finite-difference and Monte Carlo engines exist to
+verify these against the full dynamics.
 """
 
 from __future__ import annotations
@@ -45,6 +45,15 @@ def _exchange(a: float, b: float, var: float) -> float:
     return a * norm_cdf(d1) - b * norm_cdf(d1 - sv)
 
 
+def _require(message: str, *values, low: float = -math.inf,
+             closed: bool = False) -> None:
+    """The module's one input policy: ValueError(message) unless every value
+    is finite and above ``low`` (or equal to it when ``closed``).  NaN fails
+    every comparison, so it is refused too."""
+    if not all((low <= v if closed else low < v) and v < math.inf for v in values):
+        raise ValueError(message)
+
+
 def _check_time(t: float, lo: float, hi: float, window: str = "") -> None:
     if not lo <= t <= hi:
         raise TimeDomainError(f"t={t} outside {window}[{lo}, {hi}]")
@@ -57,12 +66,10 @@ def bs_call(spot: float, strike: float, rate: float, carry: float,
     Forward = spot * exp(carry * tau), discounting at ``rate``.  The
     strike = 0 and vol * sqrt(tau) = 0 limits come from the kernel.
     """
-    if spot <= 0.0:
-        raise ValueError("spot must be positive")
-    if strike < 0.0:
-        raise ValueError("strike must be non-negative")
-    if vol < 0.0 or tau < 0.0:
-        raise ValueError("vol and tau must be non-negative")
+    _require("spot must be positive and finite", spot, low=0.0)
+    _require("strike, vol and tau must be non-negative and finite",
+             strike, vol, tau, low=0.0, closed=True)
+    _require("rate and carry must be finite", rate, carry)
     return _exchange(spot * math.exp((carry - rate) * tau),
                      strike * math.exp(-rate * tau), vol * vol * tau)
 
@@ -87,8 +94,7 @@ def esop_price(spec: Esop, t: float = 0.0) -> float:
 def esop_price_after_reset(spec: Esop, s_reset: float, s: float, t: float) -> float:
     """Plan value after the strike has been fixed at the reset-date stock price."""
     _check_time(t, spec.t_reset, spec.maturity, "the post-reset window ")
-    if s_reset <= 0.0 or s <= 0.0:
-        raise ValueError("stock prices must be positive")
+    _require("stock prices must be positive and finite", s_reset, s, low=0.0)
     tau = spec.maturity - t
     call = bs_call(s, s_reset, spec.rate, spec.rate, spec.sigma, tau)
     return (1.0 - spec.beta) * s + spec.beta * call
@@ -101,8 +107,7 @@ def esop_price_generalized(spec: Esop, s: float, s0: float, t: float) -> float:
     s0 = s this agrees with ``esop_price``.
     """
     _check_time(t, 0.0, spec.t_reset, "the pre-reset window ")
-    if s <= 0.0 or s0 <= 0.0:
-        raise ValueError("stock prices must be positive")
+    _require("stock prices must be positive and finite", s, s0, low=0.0)
     gap = spec.maturity - spec.t_reset
     strike = s0 * math.exp(-spec.rate * gap)
     option = _exchange(s, strike, spec.sigma ** 2 * gap)
@@ -127,8 +132,7 @@ def fx_option_usd(spec: FxStrike, s: float, x: float, t: float = 0.0) -> float:
     ``s`` is the stock in pounds, ``x`` the dollar price of one pound.
     """
     _check_time(t, 0.0, spec.maturity)
-    if s <= 0.0 or x <= 0.0:
-        raise ValueError("stock and exchange rate must be positive")
+    _require("stock and exchange rate must be positive and finite", s, x, low=0.0)
     strike, var = _fx_strike_and_var(spec, t)
     return _exchange(s * x, strike, var)
 
@@ -139,8 +143,7 @@ def fx_option_gbp(spec: FxStrike, s: float, y: float, t: float = 0.0) -> float:
     Satisfies x * fx_option_gbp(s, 1/x) = fx_option_usd(s, x) identically.
     """
     _check_time(t, 0.0, spec.maturity)
-    if s <= 0.0 or y <= 0.0:
-        raise ValueError("stock and exchange rate must be positive")
+    _require("stock and exchange rate must be positive and finite", s, y, low=0.0)
     strike, var = _fx_strike_and_var(spec, t)
     return _exchange(s, strike * y, var)
 
@@ -157,8 +160,8 @@ def savings_domestic(spec: Savings, x: float, i: float, t: float = 0.0) -> float
     foreign-compounded deposit translated at maturity.
     """
     _check_time(t, 0.0, spec.maturity)
-    if x <= 0.0 or i <= 0.0:
-        raise ValueError("exchange rate and price level must be positive")
+    _require("exchange rate and price level must be positive and finite", x, i,
+             low=0.0)
     lead_i = i * math.exp(spec.r_d * t)
     lead_x = x * spec.fx * math.exp(spec.r_f * t)
     var_rate = (spec.sigma_x ** 2 + 2.0 * spec.rho * spec.sigma_x * spec.sigma_i
@@ -171,8 +174,7 @@ def savings_foreign(spec: Savings, y: float, i: float, t: float = 0.0) -> float:
 
     Satisfies savings_foreign(y, i) = y * savings_domestic(1/y, i) identically.
     """
-    if y <= 0.0:
-        raise ValueError("exchange rate must be positive")
+    _require("exchange rate must be positive and finite", y, low=0.0)
     return y * savings_domestic(spec, 1.0 / y, i, t)
 
 
@@ -189,8 +191,8 @@ def convertible_price(spec: Convertible, s: float, r_short: float,
     stock/bond ratio integrated over the remaining life.
     """
     _check_time(t, 0.0, spec.conv_date, "the pre-conversion window ")
-    if s <= 0.0:
-        raise ValueError("stock price must be positive")
+    _require("stock price must be positive and finite", s, low=0.0)
+    _require("short rate must be finite", r_short)
     p = ratecurve.bond_price(spec.vasicek, r_short, t, spec.bond_maturity)
     var = ratecurve.integrated_variance(
         spec.vasicek, spec.sigma_s, spec.rho, t, spec.conv_date, spec.bond_maturity)
@@ -206,8 +208,8 @@ def corporate_convertible_price(spec: Corporate, v: float, r_short: float,
     the firm.  ``spec.dilution`` is conv_rate / (shares + bonds * conv_rate).
     """
     _check_time(t, 0.0, spec.maturity)
-    if v <= 0.0:
-        raise ValueError("firm value must be positive")
+    _require("firm value must be positive and finite", v, low=0.0)
+    _require("short rate must be finite", r_short)
     strike = spec.face * ratecurve.bond_price(spec.vasicek, r_short, t,
                                               spec.maturity)
     var = ratecurve.integrated_variance(

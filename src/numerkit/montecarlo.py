@@ -25,7 +25,8 @@ import numpy as np
 from . import ratecurve
 from .errors import ValidationFailure
 from .model import require_integers, validate_vasicek
-from .products import Formulation, VasicekBond, formulations, integral
+from .pde import integral
+from .products import Formulation, VasicekBond, formulations
 
 _BLOCK_EXACT = 65536
 
@@ -117,12 +118,15 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
     return low
 
 
-def _rate_asset_sampler(model, sigma_a, rho, spot, horizon, payoff_fn):
-    """One draw of (r_T, integral of r, S_T) per path from ``_vasicek_law``.
+def _rate_asset_sampler(model, sigma_a, rho, horizon, payoff_fn):
+    """One draw of (r_T, integral of r, ln S_T/S_0) per path from
+    ``_vasicek_law``.
 
-    ``payoff_fn(asset, r_T)`` is discounted by exp(-integral of r).  The
-    shocks are L z, written out for the lower-triangular L so that no BLAS
-    call (and none of its threading) sits in the loop.
+    ``payoff_fn(log_growth, r_T)`` is discounted by exp(-integral of r); it
+    is handed the asset's exponent, so a payoff that ignores the asset never
+    exponentiates it (over a long horizon that overflows).  The shocks are
+    L z, written out for the lower-triangular L so that no BLAS call (and
+    none of its threading) sits in the loop.
     """
     (m_r, m_int, m_a), cov = _vasicek_law(model, sigma_a, rho, horizon)
     (l00, _, _), (l10, l11, _), (l20, l21, l22) = _psd_root(cov)
@@ -130,8 +134,8 @@ def _rate_asset_sampler(model, sigma_a, rho, spot, horizon, payoff_fn):
     def payoff(z):
         z0, z1, z2 = z[:, 0], z[:, 1], z[:, 2]
         rate_int = m_int + l10 * z0 + l11 * z1
-        asset = spot * np.exp(rate_int + m_a + l20 * z0 + l21 * z1 + l22 * z2)
-        return np.exp(-rate_int) * payoff_fn(asset, m_r + l00 * z0)
+        return np.exp(-rate_int) * payoff_fn(
+            rate_int + m_a + l20 * z0 + l21 * z1 + l22 * z2, m_r + l00 * z0)
 
     return payoff, (3,)
 
@@ -144,10 +148,10 @@ def _lognormal_sampler(f: Formulation):
     copies its shocks into contiguous rows once and then works in place on
     two arrays instead of a chain of temporaries.
     """
-    sx, sy, c, T = f.sigma_x, f.sigma_y, f.corr, f.maturity
-    var_x = integral(f, lambda t: sx(t) * sx(t))
-    var_y = integral(f, lambda t: sy(t) * sy(t))
-    cov = integral(f, lambda t: c * sx(t) * sy(t))
+    sx, sy, c, T, bps = f.sigma_x, f.sigma_y, f.corr, f.maturity, f.breakpoints
+    var_x = integral(lambda t: sx(t) * sx(t), T, bps)
+    var_y = integral(lambda t: sy(t) * sy(t), T, bps)
+    cov = integral(lambda t: c * sx(t) * sy(t), T, bps)
     (ly, _), (lxy, lx) = _psd_root(np.array([[var_y, cov], [cov, var_x]]))
     x0, y0 = f.anchor
     mx = (f.rate - f.q_x) * T - 0.5 * var_x
@@ -181,9 +185,11 @@ def _sampler(f: Formulation):
     model, T = f.rate.model, f.maturity
     ln_a, b_fac = ratecurve.log_affine(model, T, f.rate.maturity)
     terminal = f.terminal
+    spot = f.anchor[0] * math.exp(-f.q_x * T)
     return _rate_asset_sampler(
-        model, f.sigma_x(0.0), -f.corr, f.anchor[0] * math.exp(-f.q_x * T), T,
-        lambda asset, r_end: terminal(asset, np.exp(ln_a - b_fac * r_end)))
+        model, f.sigma_x(0.0), -f.corr, T,
+        lambda growth, r_end: terminal(spot * np.exp(growth),
+                                       np.exp(ln_a - b_fac * r_end)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +222,6 @@ def mc_bond_price(model: ratecurve.VasicekModel, maturity: float,
     violations = validate_vasicek(model)
     if violations:
         raise ValidationFailure(violations)
-    payoff, shape = _rate_asset_sampler(model, 0.0, 0.0, 1.0, maturity,
-                                        lambda asset, r_end: 1.0)
+    payoff, shape = _rate_asset_sampler(model, 0.0, 0.0, maturity,
+                                        lambda growth, r_end: 1.0)
     return _accumulate(payoff, shape, mc)

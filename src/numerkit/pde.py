@@ -20,10 +20,15 @@ where the state-dependent rate is read (``_characteristic_spans``).  A 2-D
 grid gives its widest axis ``nodes_per_axis`` nodes and the other the same
 log spacing, so a bond axis a few standard deviations wide takes a few dozen.
 
+The reduced problem is derived once (``derive_reduced``): a ``Pde1Spec``
+holds the integrals of the quotient's diffusion, drift and discount, which
+with its terminal are all its t = 0 solution depends on.  One integrator,
+``integral``, takes every time integral of a coefficient in the package.
+
 Time stepping:
   * the 1-D equation is the heat equation in variance time once its drift
     and discount are taken out exactly (``solve_1d``): one operator and one
-    factorisation serve every step, and breakpoints only cut its integrals,
+    factorisation serve every step,
   * the 2-D solver marches in physical time on ``_plan``'s steps: each
     breakpoint segment takes steps in proportion to its length, with the
     coefficients frozen at each step's midpoint (never the terminal time,
@@ -53,10 +58,16 @@ from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.integrate import quad
 from scipy.linalg.blas import daxpy
 from scipy.linalg.lapack import dgttrf, dgttrs
 
-from .errors import GridExtrapolationError, PricingError, ReductionError
+from .errors import (
+    DegenerateCovarianceError,
+    GridExtrapolationError,
+    PricingError,
+    ReductionError,
+)
 from .model import require_integers
 
 _GL1_X, _GL1_W = np.polynomial.legendre.leggauss(7)
@@ -64,7 +75,7 @@ _GL2_X, _GL2_W = np.polynomial.legendre.leggauss(4)
 
 
 _SPAN_SIGMAS = 6.0  # grid half-width in standard deviations, plus the drift
-_HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the coefficient samples
+_HALF_WIDTH_POINTS = 256  # midpoints per breakpoint segment of the 2-D drift characteristic
 _MIN_NODES = 16  # fewest nodes on any axis
 # the drift characteristic reads r at its state and one _PROBE_LOG up each
 # log axis: rows ln x and ln y offsets of the three states
@@ -102,14 +113,16 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class Pde1Spec:
-    """U_t + (1/2) a(t) z^2 U_zz + b(t) z U_z - c(t) U = 0, with the
-    diffusion, drift and discount (a, b, c) = coefficients(t)."""
+    """U_t + (1/2) a(t) z^2 U_zz + b(t) z U_z - c(t) U = 0 on [0, T], held
+    as what its t = 0 solution depends on: ``variance``, ``drift`` and
+    ``discount`` are the integrals of a, b and c over [0, T], and
+    ``terminal`` is U(z, T)."""
 
-    coefficients: Callable[[float], tuple]
+    variance: float
+    drift: float
+    discount: float
     terminal: Callable[[np.ndarray], np.ndarray]
-    maturity: float
     anchor: float = 1.0
-    breakpoints: tuple = ()
 
 
 @dataclass(frozen=True)
@@ -168,27 +181,23 @@ def _span(var: float, shift: float) -> float:
     return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
 
 
-def _integrals(coefficients, maturity: float, breakpoints) -> tuple:
-    """(var, drift, discount): the integrals over [0, maturity] of
-    ``coefficients(t) = (a, b, c)``, as midpoint sums over the
-    _HALF_WIDTH_POINTS cells of each breakpoint segment, one call per
-    midpoint.  Midpoints on purpose: several discount coefficients are
-    singular exactly at the terminal date and must never be sampled there."""
-    var = drift = discount = 0.0
+def integral(fn: Callable[[float], float], maturity: float, breakpoints=()) -> float:
+    """The integral of fn over [0, maturity], adaptive (``quad``) on each
+    breakpoint segment (``_cuts``), so no jump is integrated across.
+    Raises PricingError at the first value of fn that is not finite, and
+    OverflowError, naming t, where fn's own arithmetic overflows."""
+    def checked(t):
+        try:
+            value = fn(t)
+        except OverflowError:
+            raise OverflowError(f"integrand is not finite at t = {t}: it overflows") from None
+        if not math.isfinite(value):
+            raise PricingError(f"integrand is not finite at t = {t}: {value}")
+        return value
+
     cuts = _cuts(maturity, breakpoints)
-    with np.errstate(all="ignore"):  # the solve refuses a sum that is not finite
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            h = (hi - lo) / _HALF_WIDTH_POINTS
-            sum_a = sum_b = sum_c = 0.0
-            for i in range(_HALF_WIDTH_POINTS):
-                a, b, c = coefficients(lo + (i + 0.5) * h)
-                sum_a += a
-                sum_b += b
-                sum_c += c
-            var += h * sum_a
-            drift += h * sum_b
-            discount += h * sum_c
-    return float(var), float(drift), float(discount)
+    return sum(quad(checked, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(cuts[:-1], cuts[1:]))
 
 
 def _plan(cuts, steps: int) -> list:
@@ -443,25 +452,29 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     """Solve a Pde1Spec exactly in its drift and discount; returns U(z) at
     t = 0.
 
-    With var, B and C the integrals of a, b and c over [0, T] (``_integrals``),
+    With var, B and C the spec's integrated variance, drift and discount,
     U(z, 0) = e^{-C} W(z, var), where W solves the heat equation
     W_tau = (1/2) z^2 W_zz in variance time tau = integral of a dt from
     W(z, 0) = terminal(z e^B) (Wilmott, Howison & Dewynne 1995, ch. 5).  W
     takes ``time_steps`` equal steps in tau, Crank-Nicolson after a damped
     top step of two implicit half steps (Rannacher), all with one
-    factorisation of I - hL; where var is not positive it takes none.
-    PricingError when var, B or C is not finite, when e^B or e^{-C} is not a
+    factorisation of I - hL; where var is zero it takes none.
+    DegenerateCovarianceError when var is negative or not finite;
+    PricingError when B or C is not finite, when e^B or e^{-C} is not a
     finite float, or when the solution is not finite.
     """
     n, steps = grid.nodes_per_axis, grid.time_steps
     _check_budget(_words_1d(n, steps), "a 1-D solve")
-    var, drift, discount = _integrals(spec.coefficients, spec.maturity, spec.breakpoints)
+    var, drift, discount = spec.variance, spec.drift, spec.discount
+    if not 0.0 <= var < math.inf:
+        raise DegenerateCovarianceError(
+            f"reduced variance must be finite and non-negative: {var:.3e}")
     with np.errstate(all="ignore"):  # refused below
         factors = np.exp([drift, -discount])
-    if not np.isfinite([var, drift, discount, *factors]).all():
+    if not np.isfinite([drift, discount, *factors]).all():
         raise PricingError(
-            f"the integrated diffusion {var:g}, drift {drift:g} and discount "
-            f"{discount:g} do not give finite double precision factors")
+            f"the integrated drift {drift:g} and discount {discount:g} do not "
+            "give finite double precision factors")
     growth, df = factors.tolist()
     z, s2, _ = _log_grid(spec.anchor, _span(var, drift - 0.5 * var), n)
     with np.errstate(all="ignore"):  # a solution that is not finite is refused
@@ -687,8 +700,11 @@ def derive_reduced(spec2: Pde2Spec) -> Pde1Spec:
       U(z, T) = terminal(z, 1).
     The short rate drops out by Euler's identity, r (x V_x + y V_y - V) = 0
     for every V homogeneous of degree one and every r(t, x, y), so only
-    ``diffusion`` is read; the terminal's homogeneity is checked on a sample
-    of ratios.
+    ``diffusion`` is read, once per ``integral`` node of its variance; the
+    yields are constants, so the drift and discount integrate to
+    (q_y - q_x) T and q_y T.  ReductionError when the terminal fails a
+    homogeneity probe on three ratios; PricingError at a variance integrand
+    that is not finite.
     """
     x0, y0 = spec2.anchor
     qx, qy = spec2.yields
@@ -704,12 +720,14 @@ def derive_reduced(spec2: Pde2Spec) -> Pde1Spec:
         if np.max(np.abs(t2 - a * t1v)) > 1e-9 * (1.0 + float(np.max(np.abs(t2)))):
             raise ReductionError("terminal payoff is not homogeneous of degree one")
 
-    def coefficients(t):
+    def variance(t):
         axx, axy, ayy = spec2.diffusion(t)
-        return axx - 2.0 * axy + ayy, qy - qx, qy
+        return axx - 2.0 * axy + ayy
 
-    return Pde1Spec(coefficients=coefficients, terminal=payoff, maturity=spec2.maturity,
-                    anchor=x0 / y0, breakpoints=spec2.breakpoints)
+    T = spec2.maturity
+    return Pde1Spec(variance=integral(variance, T, spec2.breakpoints),
+                    drift=(qy - qx) * T, discount=qy * T, terminal=payoff,
+                    anchor=x0 / y0)
 
 
 def reduction_gap(spec2: Pde2Spec, grid: GridSpec) -> float:

@@ -8,10 +8,11 @@ Every claim is written once, as two assets and a short rate,
 where r is either a constant or the Vasicek short rate read off Y when Y is
 that model's zero-coupon bond, plus a payoff of (X_T, Y_T) at the maturity.
 The pricing routes are derived from the description alone: the two-factor
-equation (:attr:`Formulation.pde2`), the one-ratio quadrature problem
-(:func:`quadrature_problem`) and, in :mod:`numerkit.montecarlo`, the simulated
-law.  Nothing here reads a closed form, so the analytic route stays an
-independent check on the other four.
+equation (:attr:`Formulation.pde2`), its quotient by the numeraire
+(``pde.derive_reduced`` of :func:`numeraire_on_y`'s equation), which both the
+reduced PDE and the quadrature price, and, in :mod:`numerkit.montecarlo`, the
+simulated law.  Nothing here reads a closed form, so the analytic route stays
+an independent check on the other four.
 
 Quoted in the numeraire Y, the ratio X/Y drifts at q_y - q_x and the claim
 discounts at q_y: the short rate drops out of the reduced problem (Geman, El
@@ -27,7 +28,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import ratecurve
 from .errors import PricingError
@@ -195,22 +195,7 @@ def formulations(product) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# derived problems
-
-
-def integral(f: Formulation, fn: Callable[[float], float]) -> float:
-    """Integral of fn over [0, maturity], adaptive per breakpoint segment.
-    Raises PricingError at the first value of fn that is not finite."""
-    def checked(t):
-        value = fn(t)
-        if not math.isfinite(value):
-            raise PricingError(f"integrand is not finite at t = {t}: {value}")
-        return value
-
-    cuts = sorted({0.0, f.maturity,
-                   *(b for b in f.breakpoints if 0.0 < b < f.maturity)})
-    return sum(quad(checked, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
-               for lo, hi in zip(cuts[:-1], cuts[1:]))
+# the numeraire as the second asset
 
 
 def numeraire_on_y(f: Formulation) -> Formulation:
@@ -226,23 +211,3 @@ def numeraire_on_y(f: Formulation) -> Formulation:
                    sigma_y=f.sigma_x, q_x=f.q_y, q_y=f.q_x,
                    terminal=lambda x, y: terminal(y, x), numeraire_axis=1)
 
-
-def quadrature_problem(f: Formulation) -> tuple:
-    """(variance, ratio, payoff, kinks, multiplier): the claim is worth
-    multiplier * quadrature_price(variance, ratio, payoff, kinks) in the
-    product's quote currency.
-
-    The ratio Z = X/Y of the numeraire formulation is lognormal; ln Z has the
-    integral of sigma_x^2 - 2 c sigma_x sigma_y + sigma_y^2 as its variance,
-    and the payoff, which takes an array of ratios, is the claim's with Y at
-    one.  Z's drift q_y - q_x moves into the starting ratio and its discount
-    q_y into the multiplier.
-    """
-    g = numeraire_on_y(f)
-    sx, sy, c, T = g.sigma_x, g.sigma_y, g.corr, g.maturity
-    var = integral(g, lambda t: sx(t) * sx(t) - 2.0 * c * sx(t) * sy(t)
-                   + sy(t) * sy(t))
-    x0, y0 = g.anchor
-    return (var, x0 / y0 * math.exp((g.q_y - g.q_x) * T),
-            lambda z: g.terminal(z, 1.0), (g.kink,),
-            g.to_canonical * y0 * math.exp(-g.q_y * T))

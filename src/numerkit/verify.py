@@ -39,7 +39,7 @@ from .model import (
 from .montecarlo import McSpec, price_mc
 from .numeraire import quadrature_price
 from .pde import GridSpec, derive_reduced, solve_1d, solve_2d
-from .products import formulations, numeraire_on_y, quadrature_problem
+from .products import formulations, numeraire_on_y
 
 DETERMINISTIC_METHODS = ("analytic", "pde_full", "pde_reduced", "quadrature")
 ALL_METHODS = DETERMINISTIC_METHODS + ("monte_carlo",)
@@ -119,9 +119,11 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
                       mc: Optional[McSpec] = None) -> PriceQuote:
     """One quote in the product's own quote currency, by the chosen route.
 
-    The reduced-PDE and quadrature routes quotient whichever formulation of
-    the product is degree-one homogeneous and rescale back to the canonical
-    currency; everything else prices the canonical formulation directly.
+    The reduced-PDE and quadrature routes both price one quotient
+    (``derive_reduced``) of whichever formulation of the product is
+    degree-one homogeneous and rescale back to the canonical currency; each
+    is checked against the closed form, not against the other.  Everything
+    else prices the canonical formulation directly.
     Raises ValidationFailure on an invalid spec, and PricingError when the
     value or the standard error comes out non-finite or the route's
     arithmetic overflows.
@@ -145,19 +147,22 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
         else:
             # numeraire_on_y refuses a product with no homogeneous formulation
             source = next((f for f in forms if f.numeraire_axis is not None), forms[0])
+            g = numeraire_on_y(source)
+            red = derive_reduced(g.pde2)
+            scale = g.to_canonical * g.anchor[1]
             if method == "quadrature":
-                *args, multiplier = quadrature_problem(source)
-                value = multiplier * quadrature_price(*args)
+                # the quotient's drift moves into the starting ratio and its
+                # discount into the multiplier
+                value = scale * math.exp(-red.discount) * quadrature_price(
+                    red.variance, red.anchor * math.exp(red.drift), red.terminal,
+                    (g.kink,))
             else:
-                g = numeraire_on_y(source)
-                reduced = derive_reduced(g.pde2)
-                value = g.to_canonical * g.anchor[1] * solve_1d(
-                    reduced, grid or GridSpec())(reduced.anchor)
+                value = scale * solve_1d(red, grid or GridSpec())(red.anchor)
             quote = PriceQuote(value=value, method=method)
-    except OverflowError:  # a float ** or math function out of range
+    except OverflowError as exc:  # a float ** or math function out of range
         raise PricingError(
             f"{method}: the arithmetic overflowed (a result is out of the "
-            "double range)") from None
+            f"double range: {exc})") from None
     if not (math.isfinite(quote.value) and math.isfinite(quote.std_error or 0.0)):
         raise PricingError(f"non-finite quote: {quote}")
     return quote

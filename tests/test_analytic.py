@@ -313,3 +313,43 @@ class TestDomainSweep:
                                  float(rng.uniform(0.2, 4.0)),
                                  float(rng.uniform(0.0, 1.0)))
             assert math.isfinite(v) and v >= 0.0
+
+
+_NAN, _INF = math.nan, math.inf
+
+
+class TestNonFiniteInputs:
+    """A NaN or infinite state or rate is refused with ValueError by every
+    entry point: NaN passes a test such as x <= 0, and each would otherwise
+    return nan or inf or fail inside the math library."""
+
+    @pytest.mark.parametrize("pricer, args", [
+        pytest.param(bs_call, (_NAN, 100.0, 0.0, 0.0, 0.2, 1.0), id="bs_call-spot-nan"),
+        pytest.param(bs_call, (_INF, 100.0, 0.0, 0.0, 0.2, 1.0), id="bs_call-spot-inf"),
+        pytest.param(bs_call, (100.0, _NAN, 0.0, 0.0, 0.2, 1.0), id="bs_call-strike-nan"),
+        pytest.param(bs_call, (100.0, _INF, 0.0, 0.0, 0.2, 1.0), id="bs_call-strike-inf"),
+        pytest.param(bs_call, (100.0, 100.0, _NAN, 0.0, 0.2, 1.0), id="bs_call-rate-nan"),
+        pytest.param(bs_call, (100.0, 100.0, 0.0, -_INF, 0.2, 1.0), id="bs_call-carry-inf"),
+        pytest.param(bs_call, (100.0, 100.0, 0.0, 0.0, _NAN, 1.0), id="bs_call-vol-nan"),
+        pytest.param(bs_call, (100.0, 100.0, 0.0, 0.0, 0.2, _INF), id="bs_call-tau-inf"),
+        pytest.param(esop_price_generalized, (ESOP, _NAN, 100.0, 0.0), id="esop_generalized-s-nan"),
+        pytest.param(esop_price_generalized, (ESOP, 100.0, _INF, 0.0), id="esop_generalized-s0-inf"),
+        pytest.param(esop_price_after_reset, (ESOP, _NAN, 100.0, 0.75), id="esop_after_reset-s_reset-nan"),
+        pytest.param(esop_price_after_reset, (ESOP, 100.0, _NAN, 0.75), id="esop_after_reset-s-nan"),
+        pytest.param(fx_option_usd, (FX, _NAN, 1.3), id="fx_usd-s-nan"),
+        pytest.param(fx_option_usd, (FX, 100.0, _INF), id="fx_usd-x-inf"),
+        pytest.param(fx_option_gbp, (FX, _NAN, 0.75), id="fx_gbp-s-nan"),
+        pytest.param(fx_option_gbp, (FX, 100.0, _INF), id="fx_gbp-y-inf"),
+        pytest.param(savings_domestic, (SAVINGS, _NAN, 1.0), id="savings_domestic-x-nan"),
+        pytest.param(savings_domestic, (SAVINGS, 4.0, _INF), id="savings_domestic-i-inf"),
+        pytest.param(savings_foreign, (SAVINGS, _NAN, 1.0), id="savings_foreign-y-nan"),
+        pytest.param(savings_foreign, (SAVINGS, 0.25, _NAN), id="savings_foreign-i-nan"),
+        pytest.param(convertible_price, (CONVERTIBLE, _NAN, 0.03), id="convertible-s-nan"),
+        pytest.param(convertible_price, (CONVERTIBLE, 1.0, _NAN), id="convertible-r-nan"),
+        pytest.param(convertible_price, (CONVERTIBLE, 1.0, _INF), id="convertible-r-inf"),
+        pytest.param(corporate_convertible_price, (CORPORATE, _INF, 0.03), id="corporate-v-inf"),
+        pytest.param(corporate_convertible_price, (CORPORATE, 5e5, _NAN), id="corporate-r-nan"),
+    ])
+    def test_refused(self, pricer, args):
+        with pytest.raises(ValueError, match="finite"):
+            pricer(*args)

@@ -1,8 +1,10 @@
 """Module boundaries inside ``src/numerkit``: no module reads an underscore
 name of another numerkit module, by attribute (``ratecurve._b``) or by
 import (``from .ratecurve import _b``).  A decision that two modules need
-belongs behind a public name of one of them.  Tests and the benchmark are
-outside this rule."""
+belongs behind a public name of one of them.  Likewise only ``pde`` imports
+``scipy.integrate``: every time integral goes through ``pde.integral``, so
+no second integrator can disagree with it.  Tests and the benchmark are
+outside these rules."""
 
 import ast
 from pathlib import Path
@@ -61,3 +63,37 @@ def test_guard_sees_every_form_of_read():
         (3, "ratecurve._b"), (4, "montecarlo._psd_root"),
         (5, "ratecurve._INT_B"), (5, "ratecurve._series"),
         (6, "products._private")]
+
+
+def _integrate_imports(source: str) -> list:
+    """(line, name) of each import of scipy.integrate or of a name in it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        out += [(node.lineno, name) for name in names
+                if name == "scipy.integrate" or name.startswith("scipy.integrate.")]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_only_pde_imports_scipy_integrate(path):
+    found = _integrate_imports(path.read_text())
+    assert bool(found) == (path.stem == "pde"), found
+
+
+def test_integrate_guard_sees_every_form_of_import():
+    source = "\n".join([
+        "import scipy.integrate",
+        "import scipy.integrate as si, numpy",
+        "from scipy import integrate, linalg",
+        "from scipy.integrate import quad",
+        "from scipy.linalg import solve",
+    ])
+    assert _integrate_imports(source) == [
+        (1, "scipy.integrate"), (2, "scipy.integrate"),
+        (3, "scipy.integrate"), (4, "scipy.integrate.quad")]

@@ -153,6 +153,14 @@ class TestBondPrice:
         with pytest.raises(ValueError, match="maturity"):
             mc_bond_price(VAS, maturity, McSpec(paths=1000))
 
+    def test_long_maturity_never_exponentiates_the_asset(self):
+        # over a million years the integral of r is about 5e4, so the unused
+        # asset leg e^{integral of r} would overflow (a RuntimeWarning, an
+        # error under the suite's filter); the bond is e^{-5e4}, zero
+        res = mc_bond_price(VasicekModel(0.5, 0.05, 0.01, 0.0, 0.03), 1e6,
+                            McSpec(256))
+        assert (res.estimate, res.std_error) == (0.0, 0.0)
+
     @pytest.mark.parametrize("field,value", [
         ("theta", -1.0), ("theta", 0.0), ("sigma_r", -0.01), ("r0", math.nan),
     ])
@@ -170,8 +178,9 @@ class TestJointLaw:
 
     @staticmethod
     def _mean(model, sigma_a, rho, horizon, payoff_fn, seed):
-        payoff, shape = _rate_asset_sampler(model, sigma_a, rho, 1.0, horizon,
-                                            payoff_fn)
+        # payoff_fn of the asset at spot one, e^{ln S_T/S_0}
+        payoff, shape = _rate_asset_sampler(
+            model, sigma_a, rho, horizon, lambda g, r: payoff_fn(np.exp(g), r))
         return _accumulate(payoff, shape, McSpec(paths=200_000, seed=seed))
 
     @pytest.mark.parametrize("model,sigma_a,rho", [

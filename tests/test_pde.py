@@ -1,7 +1,6 @@
 """Finite-difference solvers: accuracy against closed forms, structural
 exactness on linear data, convergence order, and the reduction-gap diagnostic."""
 
-import dataclasses
 import math
 import tracemalloc
 
@@ -12,7 +11,12 @@ from hypothesis import strategies as st
 
 from numerkit import pde, products, ratecurve, verify
 from numerkit.analytic import bs_call
-from numerkit.errors import GridExtrapolationError, PricingError, ReductionError
+from numerkit.errors import (
+    DegenerateCovarianceError,
+    GridExtrapolationError,
+    PricingError,
+    ReductionError,
+)
 from numerkit.pde import (
     GridSpec,
     Pde1Spec,
@@ -25,11 +29,9 @@ from numerkit.pde import (
 
 
 def _call_spec_1d(sigma=0.2, rate=0.05, strike=1.0, maturity=1.0):
-    return Pde1Spec(
-        coefficients=lambda t: (sigma * sigma, rate, rate),
-        terminal=lambda z: np.maximum(z - strike, 0.0),
-        maturity=maturity,
-    )
+    return Pde1Spec(variance=sigma * sigma * maturity, drift=rate * maturity,
+                    discount=rate * maturity,
+                    terminal=lambda z: np.maximum(z - strike, 0.0))
 
 
 def _exchange_spec_2d(rate=0.03):
@@ -225,15 +227,12 @@ class TestTimeGrid:
 
 class TestSolve1D:
     def test_constant_preserved(self):
-        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.0),
-                        terminal=lambda z: np.ones_like(z), maturity=1.0)
+        spec = Pde1Spec(0.04, 0.0, 0.0, terminal=lambda z: np.ones_like(z))
         sol = solve_1d(spec, GridSpec(64, 16))
         assert sol(1.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_linear_exact_when_drift_equals_discount(self):
-        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.05, 0.05),
-                        terminal=lambda z: np.asarray(z, dtype=float),
-                        maturity=1.0)
+        spec = Pde1Spec(0.04, 0.05, 0.05, terminal=lambda z: np.asarray(z, dtype=float))
         sol = solve_1d(spec, GridSpec(100, 50))
         for z in (0.7, 1.0, 1.4):
             assert sol(z) == pytest.approx(z, rel=1e-12)
@@ -248,27 +247,27 @@ class TestSolve1D:
     def test_piecewise_diffusion_with_breakpoint(self):
         # variance accumulates piecewise: the breakpoint cuts its integral
         t_switch = 0.4
-        spec = Pde1Spec(
-            coefficients=lambda t: (0.09 if t < t_switch else 0.01, 0.0, 0.0),
-            terminal=lambda z: np.maximum(z - 1.0, 0.0),
-            maturity=1.0, breakpoints=(t_switch,))
+        spec = derive_reduced(Pde2Spec(
+            diffusion=lambda t: (0.09 if t < t_switch else 0.01, 0.0, 0.0),
+            rate=lambda t, x, y: 0.0, terminal=lambda x, y: np.maximum(x - y, 0.0),
+            maturity=1.0, breakpoints=(t_switch,)))
+        var = 0.09 * t_switch + 0.01 * (1.0 - t_switch)
+        assert spec.variance == pytest.approx(var, rel=1e-13)
         sol = solve_1d(spec, GridSpec(400, 200))
-        vol = math.sqrt(0.09 * t_switch + 0.01 * (1.0 - t_switch))
+        vol = math.sqrt(var)
         for z in (0.8, 1.0, 1.2):
             ref = bs_call(z, 1.0, 0.0, 0.0, vol, 1.0)
             assert sol(z) == pytest.approx(ref, rel=1e-3)
 
     def test_discounting(self):
-        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.07),
-                        terminal=lambda z: np.ones_like(z), maturity=2.0)
+        spec = Pde1Spec(0.08, 0.0, 0.14, terminal=lambda z: np.ones_like(z))
         sol = solve_1d(spec, GridSpec(64, 32))
         # the discount is taken out exactly and the heat march keeps a constant
         assert sol(1.0) == pytest.approx(math.exp(-0.14), rel=1e-5)
 
     def test_bounded_terminal_stays_bounded(self):
-        spec = Pde1Spec(coefficients=lambda t: (0.09, 0.0, 0.0),
-                        terminal=lambda z: (np.asarray(z) > 1.0).astype(float),
-                        maturity=1.0)
+        spec = Pde1Spec(0.09, 0.0, 0.0,
+                        terminal=lambda z: (np.asarray(z) > 1.0).astype(float))
         sol = solve_1d(spec, GridSpec(100, 50))
         assert sol.values.min() >= -1e-9
         assert sol.values.max() <= 1.0 + 1e-9
@@ -277,9 +276,7 @@ class TestSolve1D:
         ref = bs_call(1.0, 1.0, 0.0, 0.0, 0.2, 1.0)
 
         def error(nodes, steps):
-            spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, 0.0),
-                            terminal=lambda z: np.maximum(z - 1.0, 0.0),
-                            maturity=1.0)
+            spec = Pde1Spec(0.04, 0.0, 0.0, terminal=lambda z: np.maximum(z - 1.0, 0.0))
             return abs(solve_1d(spec, GridSpec(nodes, steps))(1.0) - ref)
 
         e_coarse = error(50, 25)
@@ -289,10 +286,9 @@ class TestSolve1D:
         assert e_mid / e_fine > 3.0
 
     def test_large_discount_growth_priced(self):
-        # c = -700 grows the value by e^700 (about 1.01e304) to 8.1e302,
-        # which a double holds, so it is priced
-        spec = Pde1Spec(coefficients=lambda t: (0.04, 0.0, -700.0),
-                        terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0)
+        # a discount of -700 grows the value by e^700 (about 1.01e304) to
+        # 8.1e302, which a double holds, so it is priced
+        spec = Pde1Spec(0.04, 0.0, -700.0, terminal=lambda z: np.maximum(z - 1.0, 0.0))
         ref = bs_call(1.0, 1.0, -700.0, 0.0, 0.2, 1.0)
         assert solve_1d(spec, GridSpec(400, 200))(1.0) == pytest.approx(ref, rel=5e-4)
 
@@ -302,12 +298,19 @@ class TestSolve1D:
         (0.04, -1e308, 0.0), (0.04, math.nan, 0.0), (math.nan, 0.0, 0.0),
         (1e308, 0.0, 0.0)], ids=lambda abc: "a=%g,b=%g,c=%g" % abc)
     def test_stiff_or_non_finite_coefficients_refused(self, coefficients):
-        # an integral, e^B, e^{-C} or the discounted solution (at c = -709,
-        # e^709 times the top node's payoff) leaves double precision: refused,
-        # never an OverflowError, an inf or NaN, or a RuntimeWarning
-        spec = Pde1Spec(coefficients=lambda t: coefficients,
-                        terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0)
+        # over [0, 1] the integrals (var, B, C) are the rates (a, b, c): one
+        # of them, e^B, e^{-C} or the discounted solution (at C = -709,
+        # e^709 times the top node's payoff) leaves double precision:
+        # refused, never an OverflowError, an inf or NaN, or a RuntimeWarning
+        spec = Pde1Spec(*coefficients, terminal=lambda z: np.maximum(z - 1.0, 0.0))
         with pytest.raises(PricingError):
+            solve_1d(spec, GridSpec(100, 50))
+
+    @pytest.mark.parametrize("variance", [-1e-300, -0.04, -math.inf])
+    def test_negative_variance_refused(self, variance):
+        # as the quadrature route refuses it, before any grid is built
+        spec = Pde1Spec(variance, 0.0, 0.0, terminal=lambda z: np.maximum(z - 1.0, 0.0))
+        with pytest.raises(DegenerateCovarianceError, match="non-negative"):
             solve_1d(spec, GridSpec(100, 50))
 
     def test_grid_extrapolation_guard(self):
@@ -320,25 +323,27 @@ class TestSolve1D:
 
 class TestClocks:
     """The 1-D solve takes its drift and discount out exactly and marches
-    the heat equation in variance time: a diffusion, drift and discount that
-    vary in t enter only through their integrals, and nothing steps where
-    nothing diffuses."""
+    the heat equation in variance time: a diffusion that varies in t enters
+    only through its integral, taken once by ``derive_reduced``, and nothing
+    steps where nothing diffuses."""
 
-    # a(t) = s^2 (1 + k sin(w t + phi)) with constant drift b and discount c
-    # is a call on a lognormal of variance V = integral of a over [0, T],
-    # forward e^{bT} and discount factor e^{-cT}; at GridSpec(200, 100) the
-    # undiscounted solve e^{cT} U at the spot lies within 2e-4 of the
-    # undiscounted closed form
+    # the quotient of a diffusion axx(t) = s^2 (1 + k sin(w t + phi)) with
+    # yields (c - b, c) is a call on a lognormal of variance V = integral of
+    # axx over [0, T], forward e^{bT} and discount factor e^{-cT}; at
+    # GridSpec(200, 100) the undiscounted solve e^{cT} U at the spot lies
+    # within 2e-4 of the undiscounted closed form
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(s=st.floats(0.1, 0.5), k=st.floats(0.0, 0.9), w=st.floats(0.5, 8.0),
            phi=st.floats(0.0, 6.3), maturity=st.floats(0.25, 2.0),
            strike=st.floats(0.8, 1.25), b=st.floats(-0.1, 0.1), c=st.floats(-50.0, 50.0))
     def test_time_varying_diffusion_matches_black_scholes(self, s, k, w, phi,
                                                           maturity, strike, b, c):
-        spec = Pde1Spec(
-            coefficients=lambda t: (s * s * (1.0 + k * math.sin(w * t + phi)), b, c),
-            terminal=lambda z: np.maximum(z - strike, 0.0), maturity=maturity)
+        spec = derive_reduced(Pde2Spec(
+            diffusion=lambda t: (s * s * (1.0 + k * math.sin(w * t + phi)), 0.0, 0.0),
+            rate=lambda t, x, y: 0.0, yields=(c - b, c),
+            terminal=lambda x, y: np.maximum(x - strike * y, 0.0), maturity=maturity))
         var = s * s * (maturity + k * (math.cos(phi) - math.cos(w * maturity + phi)) / w)
+        assert spec.variance == pytest.approx(var, rel=1e-12)
         ref = bs_call(1.0, strike, c, b, math.sqrt(var / maturity), maturity)
         error = abs(solve_1d(spec, GridSpec(200, 100))(1.0) - ref)
         assert error <= 2e-4 * math.exp(-c * maturity)
@@ -346,22 +351,18 @@ class TestClocks:
     @pytest.mark.parametrize("diffusion_after", [0.0, 0.04])
     def test_vanishing_diffusion_transports_and_discounts(self, monkeypatch,
                                                           diffusion_after):
-        # a = 0 on [0, 0.5) with drift b and discount c, then a diffusing
-        # segment without either (or the same transport again): a linear
-        # payoff g has U(z, 0) = e^{-c t} g(z e^{b t}) for t the time a = 0,
-        # taken out exactly, and the heat march keeps linear data; with no
-        # diffusion at all nothing is factored
+        # a = 0 for a span with drift b and discount c, and a diffusing
+        # span of 0.5 without either (or none): a linear payoff g has
+        # U(z, 0) = e^{-c t} g(z e^{b t}) for t the time a = 0, taken out
+        # exactly, and the heat march keeps linear data; with no diffusion
+        # at all nothing is factored
         b, c = 0.03, 0.05
-
-        def coefficients(t):
-            return (0.0, b, c) if t < 0.5 or not diffusion_after else (diffusion_after, 0.0, 0.0)
-
-        spec = Pde1Spec(coefficients=coefficients, terminal=lambda z: 2.0 * z + 1.0,
-                        maturity=1.0, breakpoints=(0.5,))
+        span = 0.5 if diffusion_after else 1.0
+        spec = Pde1Spec(0.5 * diffusion_after, b * span, c * span,
+                        terminal=lambda z: 2.0 * z + 1.0)
         factors = _counted(monkeypatch, "dgttrf")
         sol = solve_1d(spec, GridSpec(100, 50))
         assert len(factors) == (1 if diffusion_after else 0)
-        span = 0.5 if diffusion_after else 1.0
         for z in (0.98, 1.0, 1.01):
             exact = math.exp(-c * span) * (2.0 * z * math.exp(b * span) + 1.0)
             assert sol(z) == pytest.approx(exact, rel=1e-6)
@@ -380,27 +381,21 @@ class TestClocks:
     @pytest.mark.parametrize("label", ["esop", "fx_gbp", "savings", "convertible",
                                        "corporate", "breakpoint"])
     def test_vasicek_quotient_factors_once(self, monkeypatch, label):
-        # one operator, s2, in variance time whatever a, b and c do in t: one
-        # factorisation per solve of a default quotient or of a call whose
-        # coefficients all jump at a breakpoint, and the coefficients are read
-        # only by the midpoint integrals of each breakpoint segment
+        # one operator, s2, in variance time whatever the diffusion does in
+        # t: one factorisation per solve of a default quotient or of an
+        # exchange whose diffusion jumps at a breakpoint
         if label == "breakpoint":
-            spec = Pde1Spec(
-                coefficients=lambda t: (0.09, 0.02, 0.05) if t < 0.4 else (0.01, -0.01, 0.03),
-                terminal=lambda z: np.maximum(z - 1.0, 0.0), maturity=1.0,
-                breakpoints=(0.4,))
+            spec = derive_reduced(Pde2Spec(
+                diffusion=lambda t: (0.09, 0.02, 0.05) if t < 0.4 else (0.01, -0.01, 0.03),
+                rate=lambda t, x, y: 0.04, yields=(0.01, 0.03),
+                terminal=lambda x, y: np.maximum(x - y, 0.0), maturity=1.0,
+                breakpoints=(0.4,)))
         else:
             f = next(f for f in _formulations() if f.label == label)
             spec = derive_reduced(products.numeraire_on_y(f).pde2)
-        reads = []
-        coefficients = spec.coefficients
-        spec = dataclasses.replace(
-            spec, coefficients=lambda t: reads.append(t) or coefficients(t))
         factors = _counted(monkeypatch, "dgttrf")
         solve_1d(spec, GridSpec())
         assert len(factors) == 1
-        segments = len(pde._cuts(spec.maturity, spec.breakpoints)) - 1
-        assert len(reads) == pde._HALF_WIDTH_POINTS * segments
 
 
 class TestSolve2D:
@@ -569,14 +564,15 @@ class TestDefaultFormulations2D:
 
 class TestDeriveReduced:
     # the reduced solve at the anchor on GridSpec(100, 50), as computed since
-    # the drift and discount are taken out exactly and the heat equation is
-    # marched in equal steps of variance time
+    # the drift and discount are taken out exactly, the heat equation is
+    # marched in equal steps of variance time and the variance is one
+    # adaptive integral of the quotient diffusion
     PINNED = {
-        "esop": 0.20864042328205815,
-        "fx_gbp": 16.00958390887294,
+        "esop": 0.2086404232820577,
+        "fx_gbp": 16.00958390887296,
         "savings": 0.26202582553843423,
-        "convertible": 1.1477199193815601,
-        "corporate": 1.125863481397475,
+        "convertible": 1.1477199192619214,
+        "corporate": 1.1258634815168687,
     }
 
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
@@ -586,24 +582,22 @@ class TestDeriveReduced:
         assert solve_1d(spec, GridSpec(100, 50))(spec.anchor) == self.PINNED[f.label]
 
     def test_exchange_coefficients(self):
+        # over [0, 1] the integrals are the constant rates
         red = derive_reduced(_exchange_spec_2d(rate=0.03))
-        diffusion, drift, discount = red.coefficients(0.3)
-        assert diffusion == pytest.approx(0.04 - 0.02 + 0.09, abs=1e-15)
-        assert drift == pytest.approx(0.0, abs=1e-15)
-        assert discount == pytest.approx(0.0, abs=1e-15)
-        assert red.maturity == 1.0
+        assert red.variance == pytest.approx(0.04 - 0.02 + 0.09, abs=1e-15)
+        assert red.drift == pytest.approx(0.0, abs=1e-15)
+        assert red.discount == pytest.approx(0.0, abs=1e-15)
         assert red.terminal(np.array([1.4]))[0] == pytest.approx(0.4)
 
     def test_one_rate_read_per_evaluation(self, monkeypatch):
         # the bond-implied short rate of the default convertible drops out
-        # of the quotient, so an evaluation never reads it
+        # of the quotient, so the reduction never reads it
         f = next(f for f in _formulations() if f.label == "convertible")
-        red = derive_reduced(f.pde2)
         calls = []
         log_affine = ratecurve.log_affine
         monkeypatch.setattr(ratecurve, "log_affine",
                             lambda *a: calls.append(a) or log_affine(*a))
-        red.coefficients(0.3)
+        derive_reduced(f.pde2)
         assert len(calls) == 0
 
     def test_inhomogeneous_terminal_rejected(self):
@@ -644,5 +638,5 @@ class TestReductionGap:
             raise AssertionError("the reduction read the short rate")
 
         red = derive_reduced(self._state_rate_spec(rate))
-        for t in (0.0, 0.5, 0.999):
-            assert red.coefficients(t) == (pytest.approx(0.04 - 0.02 + 0.09), 0.01, 0.02)
+        assert (red.variance, red.drift, red.discount) == (
+            pytest.approx(0.04 - 0.02 + 0.09), pytest.approx(0.01), pytest.approx(0.02))

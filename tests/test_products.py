@@ -1,5 +1,6 @@
 """Product descriptions: what they may depend on, and the quadrature and
-reduced PDE they derive against the closed forms on random valid specs."""
+reduced PDE priced from their quotient against the closed forms on random
+valid specs."""
 
 import ast
 import math
@@ -66,15 +67,16 @@ class TestFormulations:
                       spot=100.0, fx=1.3, maturity=1.0)
         usd = products.formulations(fx)[0]
         assert usd.numeraire_axis is None
-        with pytest.raises(PricingError):
-            products.quadrature_problem(usd)
+        with pytest.raises(PricingError, match="no numeraire"):
+            products.numeraire_on_y(usd)
 
 
 class TestIntegral:
-    @pytest.mark.parametrize("method", ["quadrature", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["quadrature", "pde_reduced", "monte_carlo"])
     def test_non_finite_integrand_refused(self, method):
-        # sigma^2 overflows: the ratio's variance integrand is inf - inf and
-        # the simulated law's inf; both are refused before quad sees them
+        # sigma^2 overflows: the quotient's variance integrand, which both
+        # reduced routes read, is inf - inf and the simulated law's inf; the
+        # one integrator, pde.integral, refuses both before quad sees them
         esop = Esop(beta=0.85, t_reset=0.5, maturity=1.0, sigma=1e308,
                     rate=0.05, spot=100.0)
         with pytest.raises(PricingError, match="integrand is not finite"):
