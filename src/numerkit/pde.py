@@ -38,7 +38,8 @@ Time stepping:
   * the 1-D march is Crank-Nicolson; the 2-D scheme is a Craig-Sneyd
     predictor-corrector with the mixed derivative treated explicitly,
     theta = 1/2, and each step factors I - (dt/2) L once per axis
-    (``_Tridiag``),
+    (``_Tridiag``): a matrix its lines share by a Thomas sweep, a matrix per
+    line (the Vasicek x axis) by one LAPACK factorisation of all the lines,
   * every 2-D plane is C-ordered and every operator runs along its rows: the
     y axis works on a transposed copy kept current, so no plane operation
     pays a strided sweep or a per-element Python loop,
@@ -177,8 +178,8 @@ def _cuts(maturity: float, breakpoints) -> list:
 def _span(var: float, shift: float) -> float:
     """Log-space grid half-width: _SPAN_SIGMAS standard deviations of the
     integrated diffusion ``var`` plus the integrated log drift ``shift``, at
-    least 1e-2."""
-    return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 1e-2)
+    least 0.05."""
+    return max(_SPAN_SIGMAS * math.sqrt(max(var, 0.0)) + abs(shift), 0.05)
 
 
 def integral(fn: Callable[[float], float], maturity: float, breakpoints=()) -> float:
@@ -330,21 +331,14 @@ def _apply(bands, v, out=None):
 _SINGULAR = "singular or non-finite tridiagonal system"
 
 
-def _check_pivots(pivots) -> None:
-    """Refuse a factorisation with a zero, infinite or NaN pivot, or inverse
-    pivot: from a singular system or coefficients that are not finite, it
-    would solve to NaNs or (an infinite diagonal) to a wrong answer."""
-    if not (np.isfinite(pivots).all() and pivots.all()):
-        raise np.linalg.LinAlgError(_SINGULAR)
-
-
 def _factor_line(lower, diag, upper):
     """LAPACK ``gttrf`` factors of I - hL for one line, from the bands of
-    hL, for ``gttrs`` to solve with; refused as ``_check_pivots`` refuses,
-    but LAPACK's info already flags an exactly zero pivot, so only
-    finiteness is tested.  The three bands of
-    I - hL are temporaries, so LAPACK factors them in place (the flags are
-    positional: f2py parses keywords slowly)."""
+    hL, for ``gttrs`` to solve with.  LinAlgError at a zero pivot (LAPACK's
+    info) or a pivot that is not finite: from a singular system or
+    coefficients that are not finite, it would solve to NaNs or (an infinite
+    diagonal) to a wrong answer.  The three bands of I - hL are temporaries,
+    so LAPACK factors them in place (the flags are positional: f2py parses
+    keywords slowly)."""
     *lu, info = dgttrf(-lower[1:], 1.0 - diag, -upper[:-1], 1, 1, 1)
     if info or not np.isfinite(lu[1]).all():  # lu[1]: U's diagonal
         raise np.linalg.LinAlgError(_SINGULAR)
@@ -360,20 +354,20 @@ class _Tridiag:
     against it.  Two cases:
 
       * a matrix every line shares: a Thomas factorisation on Python floats,
-        swept with one BLAS ``daxpy`` per row of the plane;
-      * one matrix per line: a Thomas factorisation vectorised over the
-        lines, written into ``work`` (a (3, n, m) array) when given, and
-        swept with two ufuncs per row into one reused row buffer.
+        swept with one BLAS ``daxpy`` per row of a C-ordered copy of the
+        plane (``daxpy`` given a strided row updates a copy of it);
+      * one matrix per line: the m lines laid end to end as the diagonal
+        blocks of one tridiagonal system, no band coupling two blocks,
+        factored by one ``_factor_line`` and solved by one LAPACK ``gttrs``
+        on the plane's transpose, C-ordered, whose row j is line j.
 
-    A plane is swept along its rows, which must be contiguous (``daxpy``
-    given a strided row returns an updated copy and leaves the row as it
-    was), so ``solve`` works on a C-ordered plane.  Every factorisation
-    serves any number of solves.
+    Every factorisation serves any number of solves.
     """
 
-    def __init__(self, lower, diag, upper, h: float, work=None):
+    def __init__(self, lower, diag, upper, h: float):
         shape = np.broadcast_shapes(lower.shape, diag.shape, upper.shape)
         n = shape[0]
+        self._lu = None
         if shape[1] == 1:
             lo, up = (-h * lower).ravel().tolist(), (-h * upper).ravel().tolist()
             di = (1.0 - h * diag).ravel().tolist()
@@ -385,48 +379,33 @@ class _Tridiag:
                     inv[i] = 1.0 / (di[i] - lo[i] * cp[i - 1])
                     cp[i] = up[i] * inv[i]
             except ZeroDivisionError:
-                raise np.linalg.LinAlgError("singular tridiagonal system") from None
+                raise np.linalg.LinAlgError(_SINGULAR) from None
+            if not (np.isfinite(inv).all() and all(inv)):  # as _factor_line refuses
+                raise np.linalg.LinAlgError(_SINGULAR)
             # solve: scale the rhs by inv, then add fwd[i] row[i-1] to
             # row[i] going down and back[i] row[i+1] to row[i] going up
             self._sweep = ([-a * b for a, b in zip(inv, lo)], [-c for c in cp],
                            np.array(inv)[:, None])
         else:
-            # in place: lo becomes inv lo, up becomes cp and di becomes inv
-            lo, up, di = np.empty((3, *shape)) if work is None else work
-            np.multiply(lower, -h, out=lo)
-            np.multiply(upper, -h, out=up)
-            np.multiply(diag, -h, out=di)
-            di += 1.0
-            buf = np.empty(shape[1:])
-            with np.errstate(all="ignore"):  # _check_pivots refuses a zero pivot
-                np.divide(1.0, di[0], out=di[0])
-                up[0] *= di[0]
-                for lo_i, cp_prev, cp_i, inv_i in zip(lo[1:], up, up[1:], di[1:]):
-                    np.subtract(inv_i, np.multiply(lo_i, cp_prev, out=buf), out=inv_i)
-                    np.divide(1.0, inv_i, out=inv_i)
-                    cp_i *= inv_i
-                lo *= di
-            self._sweep = (lo, up, di)
-        _check_pivots(self._sweep[2])  # the inverse pivots
+            lo, di, up = (np.ascontiguousarray(np.broadcast_to(h * b, shape).T).ravel()
+                          for b in (lower, diag, upper))
+            lo[::n] = up[n - 1::n] = 0.0  # no band couples two lines
+            self._lu = _factor_line(lo, di, up)
 
     def solve(self, rhs):
         """u with (I - h L) u = rhs; rhs may be overwritten."""
+        if self._lu is not None:
+            lines = np.ascontiguousarray(rhs.T)
+            return dgttrs(*self._lu, lines.ravel(), overwrite_b=1)[0].reshape(lines.shape).T
         rhs = np.ascontiguousarray(rhs)
         fwd, back, inv = self._sweep
         rhs *= inv
         rows = list(rhs)
-        if isinstance(fwd, list):
-            m = rhs.shape[1]  # positional arguments: f2py parses keywords slowly
-            for a, prev, row in zip(fwd[1:], rows, rows[1:]):
-                daxpy(prev, row, m, a)
-            for a, prev, row in zip(back[-2::-1], rows[:0:-1], rows[-2::-1]):
-                daxpy(prev, row, m, a)
-            return rhs
-        buf = np.empty(rhs.shape[1:])
-        for f, prev, row in zip(fwd[1:], rows, rows[1:]):
-            np.subtract(row, np.multiply(f, prev, out=buf), out=row)
-        for c, prev, row in zip(back[-2::-1], rows[:0:-1], rows[-2::-1]):
-            np.subtract(row, np.multiply(c, prev, out=buf), out=row)
+        m = rhs.shape[1]  # positional arguments: f2py parses keywords slowly
+        for a, prev, row in zip(fwd[1:], rows, rows[1:]):
+            daxpy(prev, row, m, a)
+        for a, prev, row in zip(back[-2::-1], rows[:0:-1], rows[-2::-1]):
+            daxpy(prev, row, m, a)
         return rhs
 
 
@@ -459,9 +438,11 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     takes ``time_steps`` equal steps in tau, Crank-Nicolson after a damped
     top step of two implicit half steps (Rannacher), all with one
     factorisation of I - hL; where var is zero it takes none.
-    DegenerateCovarianceError when var is negative or not finite;
-    PricingError when B or C is not finite, when e^B or e^{-C} is not a
-    finite float, or when the solution is not finite.
+    The grid spans W's own log drift, -var/2: B only moves the point where
+    the terminal is read.  DegenerateCovarianceError when var is negative or
+    not finite; PricingError when B or C is not finite, when e^B is not a
+    positive normal float or e^{-C} not a finite one, or when the solution
+    is not finite.
     """
     n, steps = grid.nodes_per_axis, grid.time_steps
     _check_budget(_words_1d(n, steps), "a 1-D solve")
@@ -471,12 +452,13 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
             f"reduced variance must be finite and non-negative: {var:.3e}")
     with np.errstate(all="ignore"):  # refused below
         factors = np.exp([drift, -discount])
-    if not np.isfinite([drift, discount, *factors]).all():
+    if not (np.isfinite([drift, discount, *factors]).all()
+            and factors[0] >= np.finfo(float).tiny):
         raise PricingError(
             f"the integrated drift {drift:g} and discount {discount:g} do not "
-            "give finite double precision factors")
+            "give double precision factors e^B (positive and normal) and e^-C")
     growth, df = factors.tolist()
-    z, s2, _ = _log_grid(spec.anchor, _span(var, drift - 0.5 * var), n)
+    z, s2, _ = _log_grid(spec.anchor, _span(var, 0.5 * var), n)
     with np.errstate(all="ignore"):  # a solution that is not finite is refused
         w = _cell_average_1d(lambda zeta: spec.terminal(growth * zeta), z)
         if var > 0.0:
@@ -527,8 +509,7 @@ class _CraigSneyd:
     current.  Holds the grid's scaled stencils z^2 D2 / 2 and z D1 per axis
     and the work planes every stage reuses.  A stage freezes the
     coefficients at one time and factors I - h L along each axis once for
-    the predictor and the corrector, into storage the next stage overwrites,
-    so no two stages' operators are alive at once.
+    the predictor and the corrector (``_operator``).
     """
 
     def __init__(self, spec: Pde2Spec, x_axis, y_axis, w: np.ndarray):
@@ -540,7 +521,7 @@ class _CraigSneyd:
             np.empty(w.shape) for _ in range(5))
         self._a2t = np.empty(self._wt.shape)
         self._inner_t = np.zeros(self._wt.shape)  # its boundary rows stay zero
-        self._work = [None, None]  # per axis: the bands and the factors
+        self._bands = [None, None]  # per axis
 
     def stage(self, t_mid: float, h: float, explicit: float, corrected: bool):
         """Advance w: the explicit predictor (step ``explicit``), then the
@@ -581,19 +562,20 @@ class _CraigSneyd:
             self._correct(op1, op2, y, a2t)
 
     def _operator(self, axis, a, b, c, h):
-        """(bands, _Tridiag) of L = a s2 + b s1 - c along ``axis``, written
-        into arrays kept for the next stage: planes freed and allocated
-        again at every stage are returned to the system and faulted back in
-        (about 690k page faults in one 400 x 200 Vasicek solve)."""
+        """(bands, _Tridiag) of L = a s2 + b s1 - c along ``axis``, the bands
+        written into an array kept per axis for the next stage: planes freed
+        and allocated again at every stage are returned to the system and
+        faulted back in (about 690k page faults in one 400 x 200 Vasicek
+        solve)."""
         s2, s1 = (self.sx, self.sy)[axis]
         shape = np.broadcast_shapes(s1.shape, (1, *np.shape(b)), (1, *np.shape(c)))
-        if self._work[axis] is None or self._work[axis].shape[1:] != shape:
-            self._work[axis] = np.empty((2, *shape))
-        bands, factors = self._work[axis]
+        if self._bands[axis] is None or self._bands[axis].shape != shape:
+            self._bands[axis] = np.empty(shape)
+        bands = self._bands[axis]
         np.multiply(b, s1, out=bands)
         bands += a * s2
         bands[1] -= c
-        return bands, _Tridiag(*bands, h, work=factors)
+        return bands, _Tridiag(*bands, h)
 
     def _correct(self, op1, op2, rhs, ha2t):
         """The implicit corrections of rhs = y - h A1 w along x, then along

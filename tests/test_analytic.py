@@ -5,6 +5,7 @@ quadrature of the defining integrals and are frozen here as decimals.
 """
 
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from numerkit.analytic import (
     savings_domestic,
     savings_foreign,
 )
-from numerkit.errors import TimeDomainError
+from numerkit.errors import TimeDomainError, ValidationFailure
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
 from numerkit.ratecurve import VasicekModel, bond_price, integrated_variance
 
@@ -353,3 +354,46 @@ class TestNonFiniteInputs:
     def test_refused(self, pricer, args):
         with pytest.raises(ValueError, match="finite"):
             pricer(*args)
+
+
+def _spec_fields(spec):
+    """The name of every number of ``spec``, its Vasicek block's as
+    ``vasicek.<field>``."""
+    names = [f.name for f in fields(spec) if f.name != "vasicek"]
+    if hasattr(spec, "vasicek"):
+        names += [f"vasicek.{f.name}" for f in fields(spec.vasicek)]
+    return names
+
+
+def _with(spec, name, value):
+    if name.startswith("vasicek."):
+        return replace(spec, vasicek=replace(spec.vasicek, **{name[8:]: value}))
+    return replace(spec, **{name: value})
+
+
+_PRICERS = [
+    ("esop", esop_price, ESOP, ()),
+    ("esop_after_reset", esop_price_after_reset, ESOP, (100.0, 110.0, 0.75)),
+    ("esop_generalized", esop_price_generalized, ESOP, (100.0, 110.0, 0.0)),
+    ("fx_usd", fx_option_usd, FX, (100.0, 1.3)),
+    ("fx_gbp", fx_option_gbp, FX, (100.0, 0.75)),
+    ("savings_domestic", savings_domestic, SAVINGS, (4.0, 1.0)),
+    ("savings_foreign", savings_foreign, SAVINGS, (0.25, 1.0)),
+    ("convertible", convertible_price, CONVERTIBLE, (1.0, 0.03)),
+    ("corporate", corporate_convertible_price, CORPORATE, (5e5, 0.03)),
+]
+
+
+class TestNonFiniteSpec:
+    """A NaN or infinite field of the spec, its Vasicek block's included, is
+    refused with ValidationFailure by every product-level pricer, which would
+    otherwise price it (esop_price returns nan at sigma = nan)."""
+
+    @pytest.mark.parametrize("pricer, spec, args, name", [
+        pytest.param(pricer, spec, args, name, id=f"{label}-{name}")
+        for label, pricer, spec, args in _PRICERS for name in _spec_fields(spec)])
+    def test_refused(self, pricer, spec, args, name):
+        assert math.isfinite(pricer(spec, *args))
+        for bad in (_NAN, _INF, -_INF):
+            with pytest.raises(ValidationFailure):
+                pricer(_with(spec, name, bad), *args)

@@ -10,6 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from numerkit import analytic
 from numerkit.errors import PricingError, ValidationFailure
@@ -233,6 +235,24 @@ class TestJointLaw:
         res = price_mc(spec, McSpec(paths=100_000, seed=7))
         assert math.isfinite(res.estimate) and res.std_error > 0.0
         assert abs(res.estimate - reference(spec)) < 4.0 * res.std_error
+
+    @settings(derandomize=True, max_examples=30, deadline=None)
+    @given(log_theta=st.floats(math.log(0.02), math.log(50.0)),
+           corporate=st.booleans())
+    @example(log_theta=math.log(0.02), corporate=False)
+    @example(log_theta=math.log(50.0), corporate=True)
+    def test_any_mean_reversion_prices(self, log_theta, corporate):
+        # the rate law is exact at every theta, from nearly a random walk to
+        # a rate pinned to its mean within days
+        vasicek = replace(VAS, theta=math.exp(log_theta))
+        if corporate:
+            spec = replace(CORPORATE, firm_value=3.0e6, vasicek=vasicek)
+            ref = analytic.corporate_convertible_price(spec, spec.firm_value, VAS.r0)
+        else:
+            spec = replace(CONVERTIBLE, vasicek=vasicek)
+            ref = analytic.convertible_price(spec, spec.spot, VAS.r0)
+        res = price_mc(spec, McSpec(paths=100_000, seed=7))
+        assert abs(res.estimate - ref) < 4.0 * res.std_error
 
 
 class TestLognormalLaw:

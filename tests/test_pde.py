@@ -285,6 +285,22 @@ class TestSolve1D:
         assert e_coarse / e_mid > 3.0
         assert e_mid / e_fine > 3.0
 
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(b=st.floats(-4.0, 4.0))
+    def test_drift_only_moves_where_the_terminal_is_read(self, b):
+        # the at-the-forward call of strike e^b is e^b times the b = 0 call:
+        # the grid spans the heat equation's own drift, not b, so the error
+        # is flat in b (a grid widened by |b| coarsens the nodes about the
+        # anchor: 3.4e-2 at b = 4)
+        def error(drift):
+            strike = math.exp(drift)
+            spec = Pde1Spec(0.04, drift, 0.0, terminal=lambda z: np.maximum(z - strike, 0.0))
+            ref = bs_call(1.0, strike, 0.0, drift, 0.2, 1.0)
+            return solve_1d(spec, GridSpec(100, 50))(1.0) / ref - 1.0
+
+        assert abs(error(b)) <= 2e-3
+        assert error(b) == pytest.approx(error(0.0), rel=1e-9)
+
     def test_large_discount_growth_priced(self):
         # a discount of -700 grows the value by e^700 (about 1.01e304) to
         # 8.1e302, which a double holds, so it is priced
@@ -528,6 +544,16 @@ class TestDefaultFormulations2D:
         assert sol(*f.anchor) == pytest.approx(self.PINNED[f.label], rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
+    def test_lines_of_their_own_factored_once_per_stage(self, monkeypatch, f):
+        # the Vasicek rate varies along the bond axis, so the x axis has a
+        # matrix per line: all of them are one LAPACK factorisation per
+        # Craig-Sneyd stage (50 steps: 49 and the damped top step's two
+        # halves); an axis whose lines share a matrix calls LAPACK never
+        factors = _counted(monkeypatch, "dgttrf")
+        solve_2d(f.pde2, GridSpec(100, 50))
+        assert len(factors) == (51 if f.label in ("convertible", "corporate") else 0)
+
+    @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
     def test_cell_average_matches_one_array(self, f):
         xg = np.geomspace(0.3, 3.0, 41) * f.anchor[0]
         yg = np.geomspace(0.5, 2.0, 37) * f.anchor[1]
@@ -565,12 +591,13 @@ class TestDefaultFormulations2D:
 class TestDeriveReduced:
     # the reduced solve at the anchor on GridSpec(100, 50), as computed since
     # the drift and discount are taken out exactly, the heat equation is
-    # marched in equal steps of variance time and the variance is one
-    # adaptive integral of the quotient diffusion
+    # marched in equal steps of variance time on a grid that spans the heat
+    # equation's own log drift, and the variance is one adaptive integral of
+    # the quotient diffusion
     PINNED = {
         "esop": 0.2086404232820577,
-        "fx_gbp": 16.00958390887296,
-        "savings": 0.26202582553843423,
+        "fx_gbp": 16.009992841277597,
+        "savings": 0.26202458861362454,
         "convertible": 1.1477199192619214,
         "corporate": 1.1258634815168687,
     }
