@@ -5,7 +5,7 @@ corresponding two-factor problem collapses to once prices are quoted in the
 natural numeraire (the employer stock at the reset date, the foreign bank
 account, the zero-coupon bond, the diluted firm value).  In that numeraire
 each claim is one exchange option (Margrabe), so every pricer below reduces
-to its input checks (the spec's by ``model.require_valid``, the state's by
+to its input checks (the spec and time by ``_check_spec``, the state by
 one policy, ``_require``) plus one call of the shared kernel ``_exchange``.
 The finite-difference and Monte Carlo engines verify these.
 """
@@ -15,8 +15,8 @@ from __future__ import annotations
 import math
 
 from . import ratecurve
-from .errors import TimeDomainError
-from .model import Convertible, Corporate, Esop, FxStrike, Savings, require_valid
+from .errors import TimeDomainError, ValidationFailure
+from .model import Convertible, Corporate, Esop, FxStrike, Savings
 
 _EPS_VOL = 1e-12
 
@@ -54,7 +54,17 @@ def _require(message: str, *values, low: float = -math.inf,
         raise ValueError(message)
 
 
-def _check_time(t: float, lo: float, hi: float, window: str = "") -> None:
+def _check_spec(spec, t: float, lo: float, hi: float, window: str = "") -> None:
+    """ValidationFailure naming each number of the product spec, its Vasicek
+    block's included, that is not finite (only that: the closed forms price
+    limits ``model.validate`` refuses, a correlation of +-1 and a reset on the
+    maturity); then TimeDomainError unless lo <= t <= hi."""
+    named = dict(vars(spec))
+    if "vasicek" in named:
+        named.update((f"vasicek.{k}", v) for k, v in vars(named.pop("vasicek")).items())
+    bad = [f"{k} must be finite" for k, v in named.items() if not math.isfinite(v)]
+    if bad:
+        raise ValidationFailure(bad)
     if not lo <= t <= hi:
         raise TimeDomainError(f"t={t} outside {window}[{lo}, {hi}]")
 
@@ -85,8 +95,7 @@ def esop_price(spec: Esop, t: float = 0.0) -> float:
     calendar-spread option struck at the reset-date price; the spot drops out
     of the moneyness, so the price is proportional to the current stock.
     """
-    require_valid(spec, closed=True)
-    _check_time(t, 0.0, spec.t_reset, "the pre-reset window ")
+    _check_spec(spec, t, 0.0, spec.t_reset, "the pre-reset window ")
     gap = spec.maturity - spec.t_reset
     option = _exchange(1.0, math.exp(-spec.rate * gap), spec.sigma ** 2 * gap)
     return spec.spot * (1.0 - spec.beta + spec.beta * option)
@@ -94,8 +103,7 @@ def esop_price(spec: Esop, t: float = 0.0) -> float:
 
 def esop_price_after_reset(spec: Esop, s_reset: float, s: float, t: float) -> float:
     """Plan value after the strike has been fixed at the reset-date stock price."""
-    require_valid(spec, closed=True)
-    _check_time(t, spec.t_reset, spec.maturity, "the post-reset window ")
+    _check_spec(spec, t, spec.t_reset, spec.maturity, "the post-reset window ")
     _require("stock prices must be positive and finite", s_reset, s, low=0.0)
     tau = spec.maturity - t
     call = bs_call(s, s_reset, spec.rate, spec.rate, spec.sigma, tau)
@@ -108,8 +116,7 @@ def esop_price_generalized(spec: Esop, s: float, s0: float, t: float) -> float:
     ``s0`` is the coordinate that becomes the reset price; on the diagonal
     s0 = s this agrees with ``esop_price``.
     """
-    require_valid(spec, closed=True)
-    _check_time(t, 0.0, spec.t_reset, "the pre-reset window ")
+    _check_spec(spec, t, 0.0, spec.t_reset, "the pre-reset window ")
     _require("stock prices must be positive and finite", s, s0, low=0.0)
     gap = spec.maturity - spec.t_reset
     strike = s0 * math.exp(-spec.rate * gap)
@@ -134,8 +141,7 @@ def fx_option_usd(spec: FxStrike, s: float, x: float, t: float = 0.0) -> float:
 
     ``s`` is the stock in pounds, ``x`` the dollar price of one pound.
     """
-    require_valid(spec, closed=True)
-    _check_time(t, 0.0, spec.maturity)
+    _check_spec(spec, t, 0.0, spec.maturity)
     _require("stock and exchange rate must be positive and finite", s, x, low=0.0)
     strike, var = _fx_strike_and_var(spec, t)
     return _exchange(s * x, strike, var)
@@ -146,8 +152,7 @@ def fx_option_gbp(spec: FxStrike, s: float, y: float, t: float = 0.0) -> float:
 
     Satisfies x * fx_option_gbp(s, 1/x) = fx_option_usd(s, x) identically.
     """
-    require_valid(spec, closed=True)
-    _check_time(t, 0.0, spec.maturity)
+    _check_spec(spec, t, 0.0, spec.maturity)
     _require("stock and exchange rate must be positive and finite", s, y, low=0.0)
     strike, var = _fx_strike_and_var(spec, t)
     return _exchange(s, strike * y, var)
@@ -164,8 +169,7 @@ def savings_domestic(spec: Savings, x: float, i: float, t: float = 0.0) -> float
     Terminal claim: the better of the domestically compounded deposit and the
     foreign-compounded deposit translated at maturity.
     """
-    require_valid(spec, closed=True)
-    _check_time(t, 0.0, spec.maturity)
+    _check_spec(spec, t, 0.0, spec.maturity)
     _require("exchange rate and price level must be positive and finite", x, i,
              low=0.0)
     lead_i = i * math.exp(spec.r_d * t)
@@ -196,8 +200,7 @@ def convertible_price(spec: Convertible, s: float, r_short: float,
     is the bond plus an exchange option, priced with the variance of the
     stock/bond ratio integrated over the remaining life.
     """
-    require_valid(spec, closed=True)
-    _check_time(t, 0.0, spec.conv_date, "the pre-conversion window ")
+    _check_spec(spec, t, 0.0, spec.conv_date, "the pre-conversion window ")
     _require("stock price must be positive and finite", s, low=0.0)
     _require("short rate must be finite", r_short)
     p = ratecurve.bond_price(spec.vasicek, r_short, t, spec.bond_maturity)
@@ -214,8 +217,7 @@ def corporate_convertible_price(spec: Corporate, v: float, r_short: float,
     bondholders take the better of the face amount and the diluted share of
     the firm.  ``spec.dilution`` is conv_rate / (shares + bonds * conv_rate).
     """
-    require_valid(spec, closed=True)
-    _check_time(t, 0.0, spec.maturity)
+    _check_spec(spec, t, 0.0, spec.maturity)
     _require("firm value must be positive and finite", v, low=0.0)
     _require("short rate must be finite", r_short)
     strike = spec.face * ratecurve.bond_price(spec.vasicek, r_short, t,

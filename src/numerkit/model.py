@@ -221,23 +221,20 @@ _RULES = {
 _PRECEDES = {"maturity": "t_reset", "bond_maturity": "conv_date"}
 
 
-def validate(spec: ProductSpec, closed: bool = False) -> list[str]:
+def validate(spec: ProductSpec) -> list[str]:
     """Return all constraint violations for a product spec (empty if valid).
 
     Fields are checked in declaration order, each by its rule in ``_RULES``.
-    ``closed`` admits the limits of the valid specs that the closed forms
-    price: a correlation of +-1 and a date on the date it must follow.
     """
     if type(spec) not in _TYPE_TAGS:
         raise TypeError(f"not a product spec: {type(spec).__name__}")
     out: list[str] = []
     for f in fields(spec):
         value = getattr(spec, f.name)
-        if not (closed and f.name == "rho" and abs(value) == 1.0):
-            _RULES.get(f.name, _positive)(f.name, value, out)
+        _RULES.get(f.name, _positive)(f.name, value, out)
         earlier = _PRECEDES.get(f.name)
-        if earlier is not None and hasattr(spec, earlier) and (
-                getattr(spec, earlier) > value if closed else getattr(spec, earlier) >= value):
+        if earlier is not None and hasattr(spec, earlier) \
+                and getattr(spec, earlier) >= value:
             out.append(f"{earlier} must precede {f.name}")
     return out
 
@@ -249,9 +246,9 @@ def validate_vasicek(model: VasicekModel) -> list[str]:
     return out
 
 
-def require_valid(spec: ProductSpec, closed: bool = False) -> None:
-    """Raise ValidationFailure carrying every ``validate`` violation of ``spec``."""
-    violations = validate(spec, closed)
+def require_valid(spec: ProductSpec) -> None:
+    """Raise ValidationFailure carrying every violation of ``spec``."""
+    violations = validate(spec)
     if violations:
         raise ValidationFailure(violations)
 

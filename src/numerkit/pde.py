@@ -583,7 +583,10 @@ class _CraigSneyd:
         y1 = op1.solve(rhs)
         np.copyto(self._wt, y1.T)
         self._wt -= ha2t
-        np.copyto(self.w, op2.solve(self._wt).T)  # solved in place: wt stays w.T
+        wt = op2.solve(self._wt)
+        if wt is not self._wt:  # a per-line solve returns a new array
+            np.copyto(self._wt, wt)
+        np.copyto(self.w, wt.T)
 
     def _apply_mixed(self, kx, out):
         """axy x y V_xy of the current w into out, zero on the boundary rows

@@ -74,17 +74,6 @@ class TestValidate:
                       r_p=0.03, spot=100.0, fx=1.3, maturity=1.0)
         assert validate(ok) == []
 
-    @pytest.mark.parametrize("rho", [-1.0, 1.0])
-    def test_closed_admits_the_limits_the_closed_forms_price(self, rho):
-        # a correlation of +-1 and a reset on the maturity are admitted, and
-        # nothing past them
-        edge = [_corporate(rho=rho), _esop(t_reset=1.0, maturity=1.0)]
-        past = [_corporate(rho=1.01 * rho), _esop(t_reset=1.01, maturity=1.0),
-                _corporate(rho=math.nan)]
-        assert all(validate(spec) for spec in edge + past)
-        assert all(validate(spec, closed=True) == [] for spec in edge)
-        assert all(validate(spec, closed=True) for spec in past)
-
     def test_corporate_zero_face_and_zero_bonds_allowed(self):
         assert validate(_corporate(face=0.0)) == []
         assert validate(_corporate(bonds=0)) == []

@@ -653,12 +653,15 @@ class TestReductionGap:
 
     def test_state_dependent_rate_drops_out(self):
         # r (x V_x + y V_y - V) = 0 for a degree-one V (Euler), so a short
-        # rate that moves with y still leaves the quotient exact
-        spec = self._state_rate_spec(lambda t, x, y: 0.03 + 0.02 * y / (1.0 + y))
-        coarse = reduction_gap(spec, GridSpec(100, 50))
-        fine = reduction_gap(spec, GridSpec(200, 100))
-        assert fine < coarse
-        assert fine < 1e-3
+        # rate that moves with y, or with x, still leaves the quotient exact;
+        # a rate in x gives the y axis one matrix per line
+        for rate in (lambda t, x, y: 0.03 + 0.02 * y / (1.0 + y),
+                     lambda t, x, y: 0.03 + 0.02 * x / (1.0 + x)):
+            spec = self._state_rate_spec(rate)
+            coarse = reduction_gap(spec, GridSpec(100, 50))
+            fine = reduction_gap(spec, GridSpec(200, 100))
+            assert fine < coarse
+            assert fine < 1e-3
 
     def test_reduced_coefficients_never_read_the_rate(self):
         def rate(t, x, y):
