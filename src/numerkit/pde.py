@@ -27,8 +27,9 @@ with its terminal are all its t = 0 solution depends on.  One integrator,
 
 Time stepping:
   * the 1-D equation is the heat equation in variance time once its drift
-    and discount are taken out exactly (``solve_1d``): one operator and one
-    factorisation serve every step,
+    and discount are taken out exactly (``solve_1d``): (I - hL)/2 is factored
+    once and every step is one LAPACK solve with it, since
+    (I - hL)^-1 (I + hL) = 2 (I - hL)^-1 - I,
   * the 2-D solver marches in physical time on ``_plan``'s steps: each
     breakpoint segment takes steps in proportion to its length, with the
     coefficients frozen at each step's midpoint (never the terminal time,
@@ -297,30 +298,19 @@ def _cell_average_2d(payoff, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _windows(weights, v, out):
+def _windows(weights, windows, out):
     """out[i] = weights[0, i] v[i-1] + weights[1, i] v[i] + weights[2, i]
-    v[i+1], summed in that order, on the interior rows of a C-ordered plane:
-    one einsum over a view of v's 3-row windows."""
-    np.einsum("kij,ijk->ij", weights[:, 1:-1], sliding_window_view(v, 3, axis=0),
-              out=out[1:-1])
+    v[i+1], summed in that order, on the interior rows of a C-ordered plane
+    v: one einsum over ``windows``, v's 3-row ``sliding_window_view``."""
+    np.einsum("kij,ijk->ij", weights[:, 1:-1], windows, out=out[1:-1])
 
 
-def _apply(bands, v, out=None):
-    """The tridiagonal matrix of ``bands`` times v, along axis 0.
-
-    A plane, which must be C-ordered, takes its interior rows from
-    ``_windows`` (the same products summed in the same order); a vector
-    keeps three ufuncs, cheaper at its size than einsum's set-up.
-    """
+def _apply(bands, v, windows, out):
+    """The tridiagonal matrix of ``bands`` times the C-ordered plane v, along
+    axis 0, into out: the interior rows from ``_windows`` on v's window view
+    ``windows``, the two boundary rows by hand."""
     lower, diag, upper = bands
-    if v.ndim == 1:
-        out = diag * v
-        tmp = lower[1:] * v[:-1]
-        out[1:] += tmp
-        out[:-1] += np.multiply(upper[:-1], v[1:], out=tmp)
-        return out
-    out = np.empty(v.shape) if out is None else out
-    _windows(np.asarray(bands), v, out)
+    _windows(np.asarray(bands), windows, out)
     np.multiply(diag[0], v[0], out=out[0])
     out[0] += upper[0] * v[1]
     np.multiply(diag[-1], v[-1], out=out[-1])
@@ -436,8 +426,11 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     W_tau = (1/2) z^2 W_zz in variance time tau = integral of a dt from
     W(z, 0) = terminal(z e^B) (Wilmott, Howison & Dewynne 1995, ch. 5).  W
     takes ``time_steps`` equal steps in tau, Crank-Nicolson after a damped
-    top step of two implicit half steps (Rannacher), all with one
-    factorisation of I - hL; where var is zero it takes none.
+    top step of two implicit half steps (Rannacher).  (I - hL)/2 is
+    factored once, so one LAPACK ``gttrs`` returns 2 (I - hL)^-1 w: a
+    Crank-Nicolson step is that less w, since (I - hL)^-1 (I + hL) =
+    2 (I - hL)^-1 - I, and the damped step a quarter of two solves.  Where
+    var is zero it takes none.
     The grid spans W's own log drift, -var/2: B only moves the point where
     the terminal is read.  DegenerateCovarianceError when var is negative or
     not finite; PricingError when B or C is not finite, when e^B is not a
@@ -462,11 +455,13 @@ def solve_1d(spec: Pde1Spec, grid: GridSpec) -> Solution1D:
     with np.errstate(all="ignore"):  # a solution that is not finite is refused
         w = _cell_average_1d(lambda zeta: spec.terminal(growth * zeta), z)
         if var > 0.0:
-            hl = s2 * (0.5 * (var / steps))
-            lu = _factor_line(*hl)  # I - hL
-            hl[1] += 1.0  # I + hL
-            for k in range(steps + 1):
-                w = dgttrs(*lu, w if k < 2 else _apply(hl, w), overwrite_b=1)[0]
+            lu = _factor_line(*(s2 * (0.5 * (var / steps))))  # I - hL
+            for band in lu[1:4]:  # halving U's bands factors (I - hL)/2, exactly
+                band *= 0.5
+            w = 0.25 * dgttrs(*lu, dgttrs(*lu, w)[0])[0]
+            for _ in range(steps - 1):
+                x = dgttrs(*lu, w)[0]
+                w = np.subtract(x, w, out=x)
         u = df * w
     if not np.isfinite(u).all():
         raise PricingError("the 1-D solution is not finite in double precision")
@@ -506,10 +501,11 @@ class _CraigSneyd:
 
     Every operator runs along axis 0 of a C-ordered plane, so the y axis
     works on ``wt``, a C-ordered copy of w transposed that every stage keeps
-    current.  Holds the grid's scaled stencils z^2 D2 / 2 and z D1 per axis
-    and the work planes every stage reuses.  A stage freezes the
-    coefficients at one time and factors I - h L along each axis once for
-    the predictor and the corrector (``_operator``).
+    current.  Holds the grid's scaled stencils z^2 D2 / 2 and z D1 per axis,
+    the work planes every stage reuses and, built once, the 3-row window
+    views of the planes the stencils read.  A stage freezes the coefficients
+    at one time and factors I - h L along each axis once for the predictor
+    and the corrector (``_operator``).
     """
 
     def __init__(self, spec: Pde2Spec, x_axis, y_axis, w: np.ndarray):
@@ -521,6 +517,8 @@ class _CraigSneyd:
             np.empty(w.shape) for _ in range(5))
         self._a2t = np.empty(self._wt.shape)
         self._inner_t = np.zeros(self._wt.shape)  # its boundary rows stay zero
+        self._win, self._win_t, self._win_inner = (  # views follow their data
+            sliding_window_view(p, 3, axis=0) for p in (w, self._wt, self._inner))
         self._bands = [None, None]  # per axis
 
     def stage(self, t_mid: float, h: float, explicit: float, corrected: bool):
@@ -539,8 +537,8 @@ class _CraigSneyd:
         # stencil and y into the y stencil
         kx = axy * self.sx[1] if axy != 0.0 else None
 
-        a1 = _apply(bands1, w, out=self._a1)
-        a2t = _apply(bands2, wt, out=self._a2t)
+        a1 = _apply(bands1, w, self._win, self._a1)
+        a2t = _apply(bands2, wt, self._win_t, self._a2t)
         y0 = self._y0
         if kx is None:
             np.copyto(y0, a1)
@@ -591,9 +589,9 @@ class _CraigSneyd:
     def _apply_mixed(self, kx, out):
         """axy x y V_xy of the current w into out, zero on the boundary rows
         and columns: the y stencil on wt's rows, then the x stencil."""
-        _windows(self.sy[1], self._wt, self._inner_t)
+        _windows(self.sy[1], self._win_t, self._inner_t)
         np.copyto(self._inner, self._inner_t.T)
-        _windows(kx, self._inner, out)
+        _windows(kx, self._win_inner, out)
         out[[0, -1]] = 0.0
         return out
 

@@ -126,7 +126,6 @@ class TestTridiagKernel:
         ref = np.linalg.solve(self._shifted(bands), rhs)
         solve = self._solver(*bands)
         assert np.max(np.abs(solve(rhs.copy()) - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.allclose(pde._apply(bands, rhs), _dense(*bands) @ rhs, rtol=1e-13, atol=0.0)
 
     def test_shared_matrix_many_right_hand_sides(self):
         bands = tuple(b[:, None] for b in self._bands())
@@ -191,15 +190,15 @@ class TestTridiagKernel:
             self._solver(lower, diag, upper)
 
     @pytest.mark.parametrize("batch", [(1,), (7,)])
-    def test_plane_apply_matches_vector_apply(self, batch):
-        # one einsum over 3-row windows sums the same products in the same
-        # order as the three ufuncs of the vector path
+    def test_plane_apply_matches_dense(self, batch):
+        # one einsum over 3-row windows, and the two boundary rows, against
+        # the dense matrix of each column's bands
         bands = np.array(self._bands(*batch))
         v = self.RNG.normal(size=(self.N, self.M))
-        got = pde._apply(bands, v)
+        got = pde._apply(bands, v, pde.sliding_window_view(v, 3, axis=0), np.empty(v.shape))
         for j in range(self.M):
             col = bands[..., j if batch[0] > 1 else 0]
-            assert np.array_equal(got[:, j], pde._apply(col, v[:, j].copy()))
+            assert np.allclose(got[:, j], _dense(*col) @ v[:, j], rtol=1e-13, atol=0.0)
 
 
 class TestTimeGrid:
@@ -329,6 +328,25 @@ class TestSolve1D:
         with pytest.raises(DegenerateCovarianceError, match="non-negative"):
             solve_1d(spec, GridSpec(100, 50))
 
+    @pytest.mark.parametrize("variance", [0.01, 0.09, 0.5])
+    @pytest.mark.parametrize("terminal", [lambda z: z * z, lambda z: np.maximum(z - 1.0, 0.0)],
+                             ids=["smooth", "kinked"])
+    def test_march_matches_dense_crank_nicolson(self, variance, terminal):
+        # the same grid and cell-averaged terminal marched by dense solves
+        # with I -/+ hL, h half a step: two implicit half steps, then
+        # Crank-Nicolson; the solve's march agrees to rounding
+        steps = 16
+        sol = solve_1d(Pde1Spec(variance, 0.0, 0.0, terminal), GridSpec(60, steps))
+        d2 = pde._stencils(sol.z)[1]
+        hl = (0.5 * variance / steps) * _dense(*(0.5 * sol.z * sol.z * d2))
+        eye = np.eye(sol.z.size)
+        w = pde._cell_average_1d(terminal, sol.z)
+        for _ in range(2):
+            w = np.linalg.solve(eye - hl, w)
+        for _ in range(steps - 1):
+            w = np.linalg.solve(eye - hl, (eye + hl) @ w)
+        assert np.max(np.abs(sol.values - w)) <= 1e-13 * np.max(np.abs(w))
+
     def test_grid_extrapolation_guard(self):
         sol = solve_1d(_call_spec_1d(), GridSpec(64, 16))
         with pytest.raises(GridExtrapolationError):
@@ -441,6 +459,17 @@ class TestSolve2D:
         payoff = np.maximum(x[:, None] - y[None, :], 0.0)
         assert far.sum() > 500
         assert np.allclose(plane[far], payoff[far], rtol=1e-12, atol=1e-15)
+
+    def test_window_views_built_once_per_plane(self, monkeypatch):
+        # a 3-row window view follows its plane's data, so each plane the
+        # stencils read (w, its transpose and the mixed term's inner plane)
+        # gets one per solve, however many steps the solve takes
+        counts = []
+        for grid in (GridSpec(16, 8), GridSpec(32, 16)):
+            views = _counted(monkeypatch, "sliding_window_view")
+            solve_2d(_exchange_spec_2d(), grid)
+            counts.append(len(views))
+        assert counts == [3, 3]
 
     def test_domain_guards(self):
         sol = solve_2d(_exchange_spec_2d(), GridSpec(64, 16))
@@ -592,14 +621,14 @@ class TestDeriveReduced:
     # the reduced solve at the anchor on GridSpec(100, 50), as computed since
     # the drift and discount are taken out exactly, the heat equation is
     # marched in equal steps of variance time on a grid that spans the heat
-    # equation's own log drift, and the variance is one adaptive integral of
-    # the quotient diffusion
+    # equation's own log drift, the variance is one adaptive integral of
+    # the quotient diffusion, and a Crank-Nicolson step is 2 (I - hL)^-1 w - w
     PINNED = {
-        "esop": 0.2086404232820577,
-        "fx_gbp": 16.009992841277597,
-        "savings": 0.26202458861362454,
-        "convertible": 1.1477199192619214,
-        "corporate": 1.1258634815168687,
+        "esop": 0.20864042328205795,
+        "fx_gbp": 16.00999284127758,
+        "savings": 0.2620245886136244,
+        "convertible": 1.1477199192619216,
+        "corporate": 1.1258634815168667,
     }
 
     @pytest.mark.parametrize("f", [f for f in _formulations() if f.numeraire_axis is not None],
