@@ -37,8 +37,8 @@ Time stepping:
   * the first step after the terminal date, and in 2-D after every
     breakpoint, is damped: two implicit half-steps (Rannacher),
   * the 1-D march is Crank-Nicolson; the 2-D scheme is a Craig-Sneyd
-    predictor-corrector with the mixed derivative treated explicitly,
-    theta = 1/2, and each step factors I - (dt/2) L once per axis
+    predictor-corrector, mixed derivative explicit, theta = 1/2, that
+    factors I - (dt/2) L along an axis only when its coefficients change
     (``_Tridiag``): a matrix its lines share by a Thomas sweep, a matrix per
     line (the Vasicek x axis) by one LAPACK factorisation of all the lines,
   * every 2-D plane is C-ordered and every operator runs along its rows: the
@@ -55,7 +55,9 @@ leaving linear payoffs untouched.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
@@ -345,7 +347,8 @@ class _Tridiag:
 
       * a matrix every line shares: a Thomas factorisation on Python floats,
         swept with one BLAS ``daxpy`` per row of a C-ordered copy of the
-        plane (``daxpy`` given a strided row updates a copy of it);
+        plane (``daxpy`` given a strided row updates a copy of it), each
+        sweep's loop run in C by ``map`` over the rows' views;
       * one matrix per line: the m lines laid end to end as the diagonal
         blocks of one tridiagonal system, no band coupling two blocks,
         factored by one ``_factor_line`` and solved by one LAPACK ``gttrs``
@@ -372,30 +375,30 @@ class _Tridiag:
                 raise np.linalg.LinAlgError(_SINGULAR) from None
             if not (np.isfinite(inv).all() and all(inv)):  # as _factor_line refuses
                 raise np.linalg.LinAlgError(_SINGULAR)
-            # solve: scale the rhs by inv, then add fwd[i] row[i-1] to
-            # row[i] going down and back[i] row[i+1] to row[i] going up
-            self._sweep = ([-a * b for a, b in zip(inv, lo)], [-c for c in cp],
-                           np.array(inv)[:, None])
+            # solve: scale the rhs by inv, then add each row times fwd to the
+            # next going down and times back to the one before going up
+            self._sweep = ([-a * b for a, b in zip(inv[1:], lo[1:])],
+                           [-c for c in cp[-2::-1]], np.array(inv)[:, None])
         else:
             lo, di, up = (np.ascontiguousarray(np.broadcast_to(h * b, shape).T).ravel()
                           for b in (lower, diag, upper))
             lo[::n] = up[n - 1::n] = 0.0  # no band couples two lines
             self._lu = _factor_line(lo, di, up)
 
-    def solve(self, rhs):
-        """u with (I - h L) u = rhs; rhs may be overwritten."""
+    def solve(self, rhs, rows=None):
+        """u with (I - h L) u = rhs; rhs may be overwritten.  ``rows``, a
+        C-ordered rhs's row views built once by the caller, spare a shared
+        matrix's sweep building them."""
         if self._lu is not None:
             lines = np.ascontiguousarray(rhs.T)
             return dgttrs(*self._lu, lines.ravel(), overwrite_b=1)[0].reshape(lines.shape).T
         rhs = np.ascontiguousarray(rhs)
         fwd, back, inv = self._sweep
         rhs *= inv
-        rows = list(rhs)
-        m = rhs.shape[1]  # positional arguments: f2py parses keywords slowly
-        for a, prev, row in zip(fwd[1:], rows, rows[1:]):
-            daxpy(prev, row, m, a)
-        for a, prev, row in zip(back[-2::-1], rows[:0:-1], rows[-2::-1]):
-            daxpy(prev, row, m, a)
+        rows = list(rhs) if rows is None else rows
+        m = repeat(rhs.shape[1])  # positional arguments: f2py parses keywords slowly
+        deque(map(daxpy, rows, rows[1:], m, fwd), maxlen=0)  # no bytecode per row
+        deque(map(daxpy, rows[:0:-1], rows[-2::-1], m, back), maxlen=0)
         return rhs
 
 
@@ -503,9 +506,10 @@ class _CraigSneyd:
     works on ``wt``, a C-ordered copy of w transposed that every stage keeps
     current.  Holds the grid's scaled stencils z^2 D2 / 2 and z D1 per axis,
     the work planes every stage reuses and, built once, the 3-row window
-    views of the planes the stencils read.  A stage freezes the coefficients
-    at one time and factors I - h L along each axis once for the predictor
-    and the corrector (``_operator``).
+    views of the planes the stencils read and the row views of the planes
+    the sweeps solve in.  A stage freezes the coefficients at one time, and
+    its predictor and corrector share one I - h L per axis, factored again
+    only when those coefficients change (``_operator``).
     """
 
     def __init__(self, spec: Pde2Spec, x_axis, y_axis, w: np.ndarray):
@@ -519,7 +523,8 @@ class _CraigSneyd:
         self._inner_t = np.zeros(self._wt.shape)  # its boundary rows stay zero
         self._win, self._win_t, self._win_inner = (  # views follow their data
             sliding_window_view(p, 3, axis=0) for p in (w, self._wt, self._inner))
-        self._bands = [None, None]  # per axis
+        self._rows, self._rows_y, self._rows_t = map(list, (w, self._y, self._wt))
+        self._held = [None, None]  # per axis: (a, h), (b, c), bands, _Tridiag
 
     def stage(self, t_mid: float, h: float, explicit: float, corrected: bool):
         """Advance w: the explicit predictor (step ``explicit``), then the
@@ -550,38 +555,42 @@ class _CraigSneyd:
         y0 += w
         a1 *= h  # both corrections subtract h A1 w and h A2 w
         a2t *= h
-        self._correct(op1, op2, np.subtract(y0, a1, out=w), a2t)
+        self._correct(op1, op2, np.subtract(y0, a1, out=w), self._rows, a2t)
         if corrected and kx is not None:
             y = self._apply_mixed(kx, out=self._y)
             y -= a0
             y *= h
             y += y0
             y -= a1
-            self._correct(op1, op2, y, a2t)
+            self._correct(op1, op2, y, self._rows_y, a2t)
 
     def _operator(self, axis, a, b, c, h):
-        """(bands, _Tridiag) of L = a s2 + b s1 - c along ``axis``, the bands
-        written into an array kept per axis for the next stage: planes freed
-        and allocated again at every stage are returned to the system and
-        faulted back in (about 690k page faults in one 400 x 200 Vasicek
-        solve)."""
+        """(bands, _Tridiag) of L = a s2 + b s1 - c along ``axis``, held per
+        axis and built again only when a stage's (a, b, c, h) differ, exactly,
+        from those they were built from: once per breakpoint segment for
+        constant coefficients, at every stage for a rate that moves with t.
+        A build writes the bands into the held array: planes freed and
+        allocated again at every stage are returned to the system and faulted
+        back in (about 690k page faults in one 400 x 200 Vasicek solve)."""
+        held = self._held[axis]
+        if held and held[0] == (a, h) and all(map(np.array_equal, held[1], (b, c))):
+            return held[2:]
         s2, s1 = (self.sx, self.sy)[axis]
         shape = np.broadcast_shapes(s1.shape, (1, *np.shape(b)), (1, *np.shape(c)))
-        if self._bands[axis] is None or self._bands[axis].shape != shape:
-            self._bands[axis] = np.empty(shape)
-        bands = self._bands[axis]
+        bands = held[2] if held and held[2].shape == shape else np.empty(shape)
         np.multiply(b, s1, out=bands)
         bands += a * s2
         bands[1] -= c
-        return bands, _Tridiag(*bands, h)
+        self._held[axis] = (a, h), (b, c), bands, _Tridiag(*bands, h)
+        return self._held[axis][2:]
 
-    def _correct(self, op1, op2, rhs, ha2t):
+    def _correct(self, op1, op2, rhs, rows, ha2t):
         """The implicit corrections of rhs = y - h A1 w along x, then along
-        y, into w and wt; rhs is overwritten."""
-        y1 = op1.solve(rhs)
-        np.copyto(self._wt, y1.T)
-        self._wt -= ha2t
-        wt = op2.solve(self._wt)
+        y, into w and wt, with the stage's held operators; rhs, whose row
+        views are ``rows``, is overwritten."""
+        y1 = op1.solve(rhs, rows)
+        np.subtract(y1.T, ha2t, out=self._wt)
+        wt = op2.solve(self._wt, self._rows_t)
         if wt is not self._wt:  # a per-line solve returns a new array
             np.copyto(self._wt, wt)
         np.copyto(self.w, wt.T)
@@ -649,9 +658,9 @@ def solve_2d(spec: Pde2Spec, grid: GridSpec) -> Solution2D:
     nodes and the other its share of the n - 1 intervals, rounded, plus
     one, at least _MIN_NODES.  The memory budget is charged for those two
     counts before any plane is allocated.  Every segment marches in
-    physical time on ``_plan``'s steps.  Each stage factors I - (dt/2) L
-    along each axis once and uses that factorisation for the predictor and
-    the corrector.
+    physical time on ``_plan``'s steps.  A stage factors I - (dt/2) L along
+    an axis only when the axis' frozen coefficients differ from the last
+    stage's, and its predictor and corrector share that factorisation.
     """
     n, bps = grid.nodes_per_axis, spec.breakpoints
     half = _characteristic_spans(spec)

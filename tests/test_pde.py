@@ -3,6 +3,7 @@ exactness on linear data, convergence order, and the reduction-gap diagnostic.""
 
 import math
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -86,11 +87,17 @@ class TestGridBudget:
 
 
 def _counted(monkeypatch, name):
-    """A list that grows by one at each call of ``pde.<name>``."""
+    """A list that grows by each call of ``pde.<name>``'s positional
+    arguments."""
     calls = []
     fn = getattr(pde, name)
-    monkeypatch.setattr(pde, name, lambda *a, **k: calls.append(1) or fn(*a, **k))
+    monkeypatch.setattr(pde, name, lambda *a, **k: calls.append(a) or fn(*a, **k))
     return calls
+
+
+def _builds(calls):
+    """Counted ``_Tridiag`` builds per axis, by the axis' node count."""
+    return Counter(lower.shape[0] for lower, *_ in calls)
 
 
 def _dense(lower, diag, upper):
@@ -154,6 +161,16 @@ class TestTridiagKernel:
         op = pde._Tridiag(*bands, self.H)
         first = op.solve(rhs.copy())
         assert np.array_equal(op.solve(rhs.copy()), first)
+        # the sweeps of a plane whose row views are held across solves are
+        # the sweeps without them, and solve in place
+        plane = np.empty_like(rhs)
+        rows = list(plane)
+        ref = np.linalg.solve(self._shifted(bands, 0), rhs)
+        for _ in range(2):
+            plane[...] = rhs
+            assert op.solve(plane, rows) is plane
+            assert np.array_equal(plane, first)
+            assert np.max(np.abs(plane - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("view", ["transposed", "strided"])
     def test_non_contiguous_plane(self, view):
@@ -471,6 +488,23 @@ class TestSolve2D:
             counts.append(len(views))
         assert counts == [3, 3]
 
+    def test_coefficients_moving_with_t_rebuild_every_stage(self, monkeypatch):
+        # diffusion and rate move smoothly in t with no breakpoint to mark
+        # it, so an operator held past its stage would go stale: the price is
+        # Margrabe's at the integrated variance, and each of the 81 stages
+        # (79 steps and the damped top step's two halves) builds both axes
+        k, om = 0.5, 3.0
+        f = lambda t: 1.0 + k * math.sin(om * t)
+        spec = Pde2Spec(diffusion=lambda t: (0.04 * f(t), 0.01 * f(t), 0.09 * f(t)),
+                        rate=lambda t, x, y: 0.03 * f(t),
+                        terminal=lambda x, y: np.maximum(x - y, 0.0), maturity=1.0)
+        calls = _counted(monkeypatch, "_Tridiag")
+        sol = solve_2d(spec, GridSpec(160, 80))
+        var = 0.11 * (1.0 + k * (1.0 - math.cos(om)) / om)
+        ref = bs_call(1.0, 1.0, 0.0, 0.0, math.sqrt(var), 1.0)
+        assert sol(1.0, 1.0) == pytest.approx(ref, rel=2e-3)
+        assert _builds(calls) == {sol.x.size: 81, sol.y.size: 81}
+
     def test_domain_guards(self):
         sol = solve_2d(_exchange_spec_2d(), GridSpec(64, 16))
         with pytest.raises(GridExtrapolationError):
@@ -581,6 +615,20 @@ class TestDefaultFormulations2D:
         factors = _counted(monkeypatch, "dgttrf")
         solve_2d(f.pde2, GridSpec(100, 50))
         assert len(factors) == (51 if f.label in ("convertible", "corporate") else 0)
+
+    # _Tridiag builds on (x, y) in one solve: an axis builds again only when
+    # its frozen coefficients change, which the esop reset does on y alone
+    # (it moves axy and ayy, and both segments take the same step); the
+    # Vasicek rate moves with t, so both axes build at each of the 51 stages
+    BUILDS = {"esop": (1, 2), "fx_usd": (1, 1), "fx_gbp": (1, 1), "savings": (1, 1),
+              "convertible": (51, 51), "corporate": (51, 51)}
+
+    @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
+    def test_operators_built_when_coefficients_change(self, monkeypatch, f):
+        calls = _counted(monkeypatch, "_Tridiag")
+        sol = solve_2d(f.pde2, GridSpec(100, 50))
+        nx, ny = self.BUILDS[f.label]
+        assert _builds(calls) == Counter({sol.x.size: nx}) + Counter({sol.y.size: ny})
 
     @pytest.mark.parametrize("f", _formulations(), ids=lambda f: f.label)
     def test_cell_average_matches_one_array(self, f):
