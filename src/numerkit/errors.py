@@ -20,6 +20,9 @@ class ValidationFailure(PricingError):
         self.violations = list(violations)
         super().__init__("; ".join(self.violations))
 
+    def __reduce__(self):  # rebuilt from the list, not the joined message
+        return type(self), (self.violations,)
+
 
 class ReductionError(PricingError):
     """Payoff is not homogeneous of degree one; reduction is invalid."""

@@ -86,10 +86,10 @@ _MIN_NODES = 16  # fewest nodes on any axis
 _PROBE_LOG = 2.0 ** -20
 _PROBE = np.array([[0.0, _PROBE_LOG, 0.0], [0.0, 0.0, _PROBE_LOG]])
 
-# Largest footprint a solve may allocate, checked from its GridSpec before
-# any array is built: the _VECTORS_1D working vectors of a 1-D solve
-# (``_words_1d``) or the _PLANES_2D working nx x ny planes of a 2-D one,
-# plus _STEP_WORDS per step.
+# Largest footprint one solve may allocate (``verify.run_suite`` runs up to
+# one solve per worker at a time), checked from its GridSpec before any array
+# is built: the _VECTORS_1D working vectors of a 1-D solve (``_words_1d``) or
+# the _PLANES_2D working nx x ny planes of a 2-D one, plus _STEP_WORDS per step.
 _BUDGET_BYTES = 2 ** 30
 _VECTORS_1D = 48
 _STEP_WORDS = 10  # per step: its frozen times as float64s and list floats
@@ -563,6 +563,7 @@ class _CraigSneyd:
             y += y0
             y -= a1
             self._correct(op1, op2, y, self._rows_y, a2t)
+        np.copyto(w, wt.T)
 
     def _operator(self, axis, a, b, c, h):
         """(bands, _Tridiag) of L = a s2 + b s1 - c along ``axis``, held per
@@ -586,14 +587,13 @@ class _CraigSneyd:
 
     def _correct(self, op1, op2, rhs, rows, ha2t):
         """The implicit corrections of rhs = y - h A1 w along x, then along
-        y, into w and wt, with the stage's held operators; rhs, whose row
-        views are ``rows``, is overwritten."""
+        y, into wt (``stage`` copies it into w after its last correction),
+        with the stage's held operators; rhs, viewed as ``rows``, is overwritten."""
         y1 = op1.solve(rhs, rows)
         np.subtract(y1.T, ha2t, out=self._wt)
         wt = op2.solve(self._wt, self._rows_t)
         if wt is not self._wt:  # a per-line solve returns a new array
             np.copyto(self._wt, wt)
-        np.copyto(self.w, wt.T)
 
     def _apply_mixed(self, kx, out):
         """axy x y V_xy of the current w into out, zero on the boundary rows

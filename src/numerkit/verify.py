@@ -19,7 +19,10 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
+import os
 import sys
+from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -238,13 +241,24 @@ def run_suite(products: Optional[Sequence] = None,
               methods: Sequence[str] = ALL_METHODS) -> dict:
     """Verify a list of products and collect a JSON-ready summary; refuses
     the methods and tol that ``verify_product`` refuses, even with no
-    products."""
+    products.  Products are verified concurrently in forked workers, one per
+    available CPU, with byte-identical output; a dead worker is a PricingError."""
     _check_run(tol, methods)
     products = default_suite() if products is None else list(products)
     grid = grid or GridSpec()
     mc = mc or McSpec()
-    reports = [verify_product(p, grid=grid, mc=mc, tol=tol, methods=methods)
-               for p in products]
+    check = partial(verify_product, grid=grid, mc=mc, tol=tol, methods=methods)
+    workers = min(len(products), len(os.sched_getaffinity(0))
+                  if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
+    # fork: a spawned worker would import numpy and scipy again, about 0.6 s
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        reports = list(map(check, products))
+    else:
+        try:
+            with ProcessPoolExecutor(workers, multiprocessing.get_context("fork")) as pool:
+                reports = list(pool.map(check, products))
+        except BrokenExecutor as exc:  # a worker died, so no result is coming
+            raise PricingError(f"a verify worker died: {exc}") from exc
     worst_gap = max((r.max_rel_gap_deterministic for r in reports), default=0.0)
     z_scores = [r.mc_z_score for r in reports if r.mc_z_score is not None]
     return {

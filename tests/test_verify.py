@@ -3,13 +3,15 @@ agreement reports, and suite serialization."""
 
 import json
 import math
+import multiprocessing
+import os
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from numerkit import ratecurve
+from numerkit import cli, ratecurve, verify
 from numerkit.errors import PricingError, ValidationFailure
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
 from numerkit.montecarlo import McSpec, mc_bond_price, price_mc
@@ -267,6 +269,61 @@ class TestRunSuite:
         suite = run_suite([_esop_plain(beta=0.0)], grid=COARSE,
                           methods=("analytic",))
         assert json.loads(suite_to_json(suite)) == suite
+
+
+def _exit_on_fx(product, **kwargs):
+    """verify_product, but the process ends mid-suite on an FxStrike; at
+    module level, so the pool can pickle it."""
+    if isinstance(product, FxStrike):
+        os._exit(1)
+    return verify_product(product, **kwargs)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """run_suite sees two CPUs, so two or more products go to a pool of
+    two forked workers whatever the host."""
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("run_suite forks its workers")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+
+
+class TestPooledSuite:
+    """run_suite verifies products in forked workers: the same bytes and the
+    same exceptions as in one process, and no worker left behind."""
+
+    def test_same_bytes_as_one_cpu(self, two_cpus, monkeypatch):
+        def one_run():
+            suite = run_suite(grid=COARSE, mc=McSpec(paths=2_000, seed=3))
+            assert multiprocessing.active_children() == []
+            return suite_to_json(suite), suite_to_csv(suite)
+
+        pooled = one_run()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert one_run() == pooled
+
+    def test_first_invalid_product_raises_its_violations(self, two_cpus):
+        bad, worse = _esop_plain(beta=2.0), replace(_fx(), sigma_s=-1.0, rho=2.0)
+        with pytest.raises(ValidationFailure) as expected:
+            verify_product(bad, grid=COARSE)
+        with pytest.raises(ValidationFailure) as raised:
+            run_suite([_esop_plain(), bad, worse], grid=COARSE,
+                      methods=DETERMINISTIC_METHODS)
+        assert multiprocessing.active_children() == []
+        assert raised.value.violations == expected.value.violations
+        assert str(raised.value) == str(expected.value)
+
+    def test_dead_worker_is_a_pricing_error(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(verify, "verify_product", _exit_on_fx)
+        with pytest.raises(PricingError, match="verify worker died"):
+            run_suite([_esop_plain(), _fx()], grid=COARSE,
+                      methods=DETERMINISTIC_METHODS)
+        assert multiprocessing.active_children() == []
+        assert cli.main(["verify", "--grid-nodes", "16", "--time-steps", "8",
+                         "--paths", "2000"]) == 3
+        assert multiprocessing.active_children() == []
 
 
 def _limit_cases():
