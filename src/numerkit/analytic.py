@@ -16,7 +16,7 @@ import math
 
 from . import ratecurve
 from .errors import TimeDomainError, ValidationFailure
-from .model import Convertible, Corporate, Esop, FxStrike, Savings
+from .model import VASICEK_FIELDS, Convertible, Corporate, Esop, FxStrike, Savings
 
 _EPS_VOL = 1e-12
 
@@ -55,13 +55,16 @@ def _require(message: str, *values, low: float = -math.inf,
 
 
 def _check_spec(spec, t: float, lo: float, hi: float, window: str = "") -> None:
-    """ValidationFailure naming each number of the product spec, its Vasicek
-    block's included, that is not finite (only that: the closed forms price
-    limits ``model.validate`` refuses, a correlation of +-1 and a reset on the
-    maturity); then TimeDomainError unless lo <= t <= hi."""
+    """ValidationFailure naming each number of the product spec that is not
+    finite, its Vasicek block's included under their JSON keys (only that:
+    the closed forms price limits ``model.validate`` refuses, a correlation of
+    +-1 and a reset on the maturity); then TimeDomainError unless
+    lo <= t <= hi."""
     named = dict(vars(spec))
     if "vasicek" in named:
-        named.update((f"vasicek.{k}", v) for k, v in vars(named.pop("vasicek")).items())
+        block = named.pop("vasicek")
+        named.update((f"vasicek.{key}", getattr(block, attr))
+                     for attr, (key, _) in VASICEK_FIELDS.items())
     bad = [f"{k} must be finite" for k, v in named.items() if not math.isfinite(v)]
     if bad:
         raise ValidationFailure(bad)

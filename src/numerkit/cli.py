@@ -31,7 +31,7 @@ from .model import (
     product_from_dict,
     product_to_dict,
     quote_to_dict,
-    validate_vasicek,
+    require_valid,
     vasicek_from_dict,
 )
 from .montecarlo import McSpec
@@ -39,6 +39,7 @@ from .numeraire import certify_psd, reduce as reduce_problem
 from .pde import GridSpec
 from .verify import (
     ALL_METHODS,
+    TOL,
     build_engines,
     price_with_method,
     run_suite,
@@ -58,17 +59,19 @@ commands:
 """
 
 
+# the library's defaults, so that each is written once
+_GRID, _MC = GridSpec(), McSpec()
 _FLAGS = {
     "--input": dict(default=None),
     "--method": dict(default="analytic", choices=list(ALL_METHODS)),
     "--output": dict(default=None),
     "--format": dict(default="json", choices=["json", "csv"]),
-    "--seed": dict(type=int, default=0),
-    "--paths": dict(type=int, default=100_000),
-    "--grid-nodes": dict(type=int, default=400,
+    "--seed": dict(type=int, default=_MC.seed),
+    "--paths": dict(type=int, default=_MC.paths),
+    "--grid-nodes": dict(type=int, default=_GRID.nodes_per_axis,
                          help="nodes of the 1-D axis and of the widest 2-D axis"),
-    "--time-steps": dict(type=int, default=200),
-    "--tol": dict(type=float, default=1e-3),
+    "--time-steps": dict(type=int, default=_GRID.time_steps),
+    "--tol": dict(type=float, default=TOL),
 }
 
 
@@ -100,34 +103,27 @@ def _load_json(path: Optional[str]) -> dict:
     return data
 
 
-def _cmd_price(args) -> int:
+def _specs(args) -> dict:
+    """The ``grid`` and ``mc`` keyword arguments that the flags ask for."""
+    return dict(grid=GridSpec(nodes_per_axis=args.grid_nodes, time_steps=args.time_steps),
+                mc=McSpec(paths=args.paths, seed=args.seed))
+
+
+def _cmd_price(args) -> tuple:
     product = product_from_dict(_load_json(args.input))
-    grid = GridSpec(nodes_per_axis=args.grid_nodes, time_steps=args.time_steps)
-    mc = McSpec(paths=args.paths, seed=args.seed)
-    quote = price_with_method(product, args.method, grid=grid, mc=mc)
-    if args.format == "csv":
-        report = {"label": build_engines(product)[0].label,
-                  "quotes": {quote.method: quote_to_dict(quote)}}
-        _emit(suite_to_csv({"reports": [report]}), args.output)
-    else:
-        payload = {"product": product_to_dict(product),
-                   "quote": quote_to_dict(quote)}
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
+    quote = quote_to_dict(price_with_method(product, args.method, **_specs(args)))
+    payload = {"product": product_to_dict(product), "quote": quote}
+    report = {"label": build_engines(product)[0].label,
+              "quotes": {quote["method"]: quote}}
+    return json.dumps(payload, indent=2) + "\n", suite_to_csv({"reports": [report]}), 0
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     products = None
     if args.input is not None:
         products = [product_from_dict(_load_json(args.input))]
-    grid = GridSpec(nodes_per_axis=args.grid_nodes, time_steps=args.time_steps)
-    mc = McSpec(paths=args.paths, seed=args.seed)
-    suite = run_suite(products, grid=grid, mc=mc, tol=args.tol)
-    if args.format == "csv":
-        _emit(suite_to_csv(suite), args.output)
-    else:
-        _emit(suite_to_json(suite), args.output)
-    return 0 if suite["all_passed"] else 3
+    suite = run_suite(products, tol=args.tol, **_specs(args))
+    return suite_to_json(suite), suite_to_csv(suite), 0 if suite["all_passed"] else 3
 
 
 def _array(name: str, values, depth: int = 1) -> list:
@@ -170,7 +166,7 @@ def _registry_payoff(cfg: dict, dim: int):
     return lambda s: float(np.max(s))
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> tuple:
     cfg = _load_json(args.input)
     if "loadings" in cfg:
         rows = _array("loadings", cfg["loadings"], depth=2)
@@ -198,24 +194,17 @@ def _cmd_reduce(args) -> int:
         "psd": bool(certify_psd(b)),
         "maturity": maturity,
     }
-    if args.format == "csv":
-        lines = ["i,j,b"]
-        for i, row in enumerate(b):
-            lines.extend("%d,%d,%.17g" % (i, j, v) for j, v in enumerate(row))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return 0
+    lines = ["i,j,b"] + ["%d,%d,%.17g" % (i, j, v)
+                         for i, row in enumerate(b) for j, v in enumerate(row)]
+    return json.dumps(payload, indent=2) + "\n", "\n".join(lines) + "\n", 0
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args) -> tuple:
     cfg = _load_json(args.input)
     if "vasicek" not in cfg:
         raise ValueError("input must provide a 'vasicek' block")
     model = vasicek_from_dict(cfg["vasicek"])
-    violations = validate_vasicek(model)
-    if violations:
-        raise ValidationFailure(violations)
+    require_valid(model)
     maturities = _array("maturities",
                         cfg.get("maturities", [1.0, 2.0, 5.0, 10.0]))
     if not all(m > 0.0 and math.isfinite(m) for m in maturities):
@@ -229,17 +218,13 @@ def _cmd_curve(args) -> int:
         })
         if not all(map(math.isfinite, rows[-1].values())):
             raise PricingError(f"curve at maturity {m:g} is not finite")
-    if args.format == "csv":
-        lines = ["maturity,bond_price,sigma_p"]
-        for row in rows:
-            lines.append("%.17g,%.17g,%.17g" % (
-                row["maturity"], row["bond_price"], row["sigma_p"]))
-        _emit("\n".join(lines) + "\n", args.output)
-    else:
-        _emit(json.dumps({"curve": rows}, indent=2) + "\n", args.output)
-    return 0
+    lines = ["maturity,bond_price,sigma_p"] + [
+        "%.17g,%.17g,%.17g" % tuple(row.values()) for row in rows]
+    return json.dumps({"curve": rows}, indent=2) + "\n", "\n".join(lines) + "\n", 0
 
 
+# each command returns its output as JSON text, as CSV text and its exit
+# code; ``main`` writes the one --format chose
 _COMMANDS = {
     "price": _cmd_price,
     "verify": _cmd_verify,
@@ -263,7 +248,9 @@ def main(argv: Optional[list] = None) -> int:
         # argparse already printed its message (help exits 0)
         return 0 if exc.code == 0 else 2
     try:
-        return _COMMANDS[command](args)
+        json_text, csv_text, code = _COMMANDS[command](args)
+        _emit(csv_text if args.format == "csv" else json_text, args.output)
+        return code
     except ValidationFailure as exc:
         for violation in exc.violations:
             sys.stderr.write(violation + "\n")

@@ -203,12 +203,17 @@ def _count(least: int, kind: str):
     return rule
 
 
+# each VasicekModel attribute, in declaration order -> its JSON key, its rule
+VASICEK_FIELDS = {
+    "theta": ("theta", _positive), "mu_r": ("mu_r", _finite),
+    "sigma_r": ("sigma_r", _nonnegative), "lam": ("lambda", _finite),
+    "r0": ("r0", _finite),
+}
+
+
 def _vasicek(name, v: VasicekModel, out):
-    _positive(f"{name}.theta", v.theta, out)
-    _finite(f"{name}.mu_r", v.mu_r, out)
-    _nonnegative(f"{name}.sigma_r", v.sigma_r, out)
-    _finite(f"{name}.lambda", v.lam, out)
-    _finite(f"{name}.r0", v.r0, out)
+    for attr, (key, rule) in VASICEK_FIELDS.items():
+        rule(f"{name}.{key}", getattr(v, attr), out)
 
 
 # the rule of each field, by name; every other field must be positive
@@ -239,16 +244,14 @@ def validate(spec: ProductSpec) -> list[str]:
     return out
 
 
-def validate_vasicek(model: VasicekModel) -> list[str]:
-    """Constraint violations of a Vasicek block on its own (empty if valid)."""
-    out: list[str] = []
-    _vasicek("vasicek", model, out)
-    return out
-
-
-def require_valid(spec: ProductSpec) -> None:
-    """Raise ValidationFailure carrying every violation of ``spec``."""
-    violations = validate(spec)
+def require_valid(spec: Union[ProductSpec, VasicekModel]) -> None:
+    """Raise ValidationFailure carrying every violation of a product spec, or
+    of a Vasicek block on its own (named as in a spec, ``vasicek.theta``)."""
+    if isinstance(spec, VasicekModel):
+        violations: list[str] = []
+        _vasicek("vasicek", spec, violations)
+    else:
+        violations = validate(spec)
     if violations:
         raise ValidationFailure(violations)
 
@@ -276,15 +279,8 @@ def product_to_dict(spec: ProductSpec) -> dict:
     for f in fields(spec):
         v = getattr(spec, f.name)
         if isinstance(v, VasicekModel):
-            out[f.name] = {
-                "theta": v.theta,
-                "mu_r": v.mu_r,
-                "sigma_r": v.sigma_r,
-                "lambda": v.lam,
-                "r0": v.r0,
-            }
-        else:
-            out[f.name] = v
+            v = {key: getattr(v, attr) for attr, (key, _) in VASICEK_FIELDS.items()}
+        out[f.name] = v
     return out
 
 
@@ -313,20 +309,17 @@ def vasicek_from_dict(vd) -> VasicekModel:
     """
     if not isinstance(vd, dict):
         raise ValueError(f"vasicek must be a JSON object, got {type(vd).__name__}")
-    return VasicekModel(
-        theta=json_number("vasicek.theta", vd["theta"]),
-        mu_r=json_number("vasicek.mu_r", vd["mu_r"]),
-        sigma_r=json_number("vasicek.sigma_r", vd["sigma_r"]),
-        lam=json_number("vasicek.lambda", vd.get("lambda", 0.0)),
-        r0=json_number("vasicek.r0", vd["r0"]),
-    )
+    return VasicekModel(**{
+        attr: json_number(f"vasicek.{key}", vd.get(key, 0.0) if attr == "lam" else vd[key])
+        for attr, (key, _) in VASICEK_FIELDS.items()})
 
 
 def product_from_dict(data: dict) -> ProductSpec:
     """Inverse of product_to_dict; raises ValueError or KeyError on bad shapes.
 
     Decoding is strict: numeric fields take JSON numbers only (not booleans
-    or strings), and ``shares`` and ``bonds`` take integral values only.
+    or strings), and the counts, the fields declared ``int`` (``shares`` and
+    ``bonds``), integral values only.
     """
     if not isinstance(data, dict):
         raise ValueError(f"product must be a JSON object, got {type(data).__name__}")
@@ -342,12 +335,9 @@ def product_from_dict(data: dict) -> ProductSpec:
         if f.name not in d:
             raise ValueError(f"missing field {f.name!r} for product {tag!r}")
         v = d.pop(f.name)
-        if f.name in ("shares", "bonds"):
-            kwargs[f.name] = json_number(f.name, v, integral=True)
-        elif f.name == "vasicek":
-            kwargs[f.name] = v
-        else:
-            kwargs[f.name] = json_number(f.name, v)
+        # a count is a field declared ``int`` (a string: annotations are postponed)
+        kwargs[f.name] = v if f.name == "vasicek" else json_number(
+            f.name, v, integral=f.type == "int")
     if d:
         raise ValueError(f"unexpected fields for product {tag!r}: {sorted(d)}")
     return cls(**kwargs)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratecurve
-from .errors import ValidationFailure
-from .model import require_integers, validate_vasicek
+from .model import require_integers, require_valid
 from .pde import integral
 from .products import Formulation, VasicekBond, formulations
 
@@ -219,9 +218,7 @@ def mc_bond_price(model: ratecurve.VasicekModel, maturity: float,
     """
     if not (maturity > 0.0 and math.isfinite(maturity)):
         raise ValueError("maturity must be positive and finite")
-    violations = validate_vasicek(model)
-    if violations:
-        raise ValidationFailure(violations)
+    require_valid(model)
     payoff, shape = _rate_asset_sampler(model, 0.0, 0.0, maturity,
                                         lambda growth, r_end: 1.0)
     return _accumulate(payoff, shape, mc)

@@ -388,18 +388,19 @@ class _Tridiag:
     def solve(self, rhs, rows=None):
         """u with (I - h L) u = rhs; rhs may be overwritten.  ``rows``, a
         C-ordered rhs's row views built once by the caller, spare a shared
-        matrix's sweep building them."""
+        matrix's sweep building them; any other rhs is swept as a C-ordered
+        copy, on the copy's own rows."""
         if self._lu is not None:
             lines = np.ascontiguousarray(rhs.T)
             return dgttrs(*self._lu, lines.ravel(), overwrite_b=1)[0].reshape(lines.shape).T
-        rhs = np.ascontiguousarray(rhs)
+        plane = np.ascontiguousarray(rhs)
         fwd, back, inv = self._sweep
-        rhs *= inv
-        rows = list(rhs) if rows is None else rows
-        m = repeat(rhs.shape[1])  # positional arguments: f2py parses keywords slowly
+        plane *= inv
+        rows = list(plane) if rows is None or plane is not rhs else rows
+        m = repeat(plane.shape[1])  # positional arguments: f2py parses keywords slowly
         deque(map(daxpy, rows, rows[1:], m, fwd), maxlen=0)  # no bytecode per row
         deque(map(daxpy, rows[:0:-1], rows[-2::-1], m, back), maxlen=0)
-        return rhs
+        return plane
 
 
 # ---------------------------------------------------------------------------

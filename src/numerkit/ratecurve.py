@@ -25,7 +25,7 @@ class VasicekModel:
     theta: float    # mean-reversion speed, > 0
     mu_r: float     # long-run level
     sigma_r: float  # absolute rate volatility, >= 0
-    lam: float = 0.0  # market price of risk (JSON key "lambda")
+    lam: float = 0.0  # market price of risk (JSON key: model.VASICEK_FIELDS)
     r0: float = 0.0   # current short rate
 
 

@@ -47,6 +47,7 @@ from .products import formulations, numeraire_on_y
 DETERMINISTIC_METHODS = ("analytic", "pde_full", "pde_reduced", "quadrature")
 ALL_METHODS = DETERMINISTIC_METHODS + ("monte_carlo",)
 _ROUNDING = 1e-12  # relative floor of the Monte Carlo z-score's denominator
+TOL = 1e-3  # default bound on every deterministic route's gap to the closed form
 
 
 # closed form of each formulation at (x, y), t = 0, by label; a bond
@@ -172,7 +173,7 @@ def price_with_method(product, method: str, grid: Optional[GridSpec] = None,
 
 
 def verify_product(product, grid: Optional[GridSpec] = None,
-                   mc: Optional[McSpec] = None, tol: float = 1e-3,
+                   mc: Optional[McSpec] = None, tol: float = TOL,
                    methods: Sequence[str] = ALL_METHODS) -> AgreementReport:
     """Price one product along every requested route and compare.
 
@@ -237,7 +238,7 @@ def default_suite() -> list:
 def run_suite(products: Optional[Sequence] = None,
               grid: Optional[GridSpec] = None,
               mc: Optional[McSpec] = None,
-              tol: float = 1e-3,
+              tol: float = TOL,
               methods: Sequence[str] = ALL_METHODS) -> dict:
     """Verify a list of products and collect a JSON-ready summary; refuses
     the methods and tol that ``verify_product`` refuses, even with no

@@ -24,7 +24,7 @@ from numerkit.analytic import (
     savings_foreign,
 )
 from numerkit.errors import TimeDomainError, ValidationFailure
-from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
+from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings, validate
 from numerkit.ratecurve import VasicekModel, bond_price, integrated_variance
 
 ESOP = Esop(beta=0.85, t_reset=0.5, maturity=1.0, sigma=0.2, rate=0.05,
@@ -397,3 +397,13 @@ class TestNonFiniteSpec:
         for bad in (_NAN, _INF, -_INF):
             with pytest.raises(ValidationFailure):
                 pricer(_with(spec, name, bad), *args)
+
+    @pytest.mark.parametrize("pricer, spec, args", [
+        pytest.param(pricer, spec, args, id=label)
+        for label, pricer, spec, args in _PRICERS if hasattr(spec, "vasicek")])
+    def test_vasicek_field_named_by_its_json_key(self, pricer, spec, args):
+        # ``lam`` is "lambda" in every input, so in every refusal too
+        bad = _with(spec, "vasicek.lam", _NAN)
+        with pytest.raises(ValidationFailure) as exc:
+            pricer(bad, *args)
+        assert exc.value.violations == validate(bad) == ["vasicek.lambda must be finite"]

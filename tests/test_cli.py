@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, output formats, and file handling."""
 
+import inspect
 import json
 import math
 import os
@@ -11,9 +12,18 @@ from pathlib import Path
 import pytest
 
 import numerkit
-from numerkit import analytic, ratecurve
+from numerkit import analytic, cli, ratecurve, verify
 from numerkit.cli import main
-from numerkit.model import Corporate, Esop, product_from_dict, product_to_dict
+from numerkit.model import (
+    Corporate,
+    Esop,
+    PriceQuote,
+    product_from_dict,
+    product_to_dict,
+    validate,
+)
+from numerkit.montecarlo import McSpec
+from numerkit.pde import GridSpec
 from numerkit.verify import default_suite
 
 VASICEK_CFG = {"vasicek": {"theta": 0.5, "mu_r": 0.05, "sigma_r": 0.01,
@@ -230,6 +240,33 @@ class TestVerify:
         assert main(["verify", "--input", spec, *self.FAST]) == 2
 
 
+class TestDefaults:
+    """A command given no grid, path or tolerance flag runs at the library's
+    defaults, ``GridSpec()``, ``McSpec()`` and ``verify.TOL``, so no second
+    copy of them can drift from the first."""
+
+    def test_price_and_verify_run_at_the_library_defaults(self, tmp_path, capsys,
+                                                          monkeypatch):
+        seen = {}
+
+        def price(product, method, grid, mc):
+            seen["price"] = grid, mc
+            return PriceQuote(value=1.0, method=method)
+
+        def suite(products, grid, mc, tol):
+            seen["verify"] = grid, mc, tol
+            return {"all_passed": True, "reports": []}
+
+        monkeypatch.setattr(cli, "price_with_method", price)
+        monkeypatch.setattr(cli, "run_suite", suite)
+        assert main(["price", "--input", _write(tmp_path, "esop.json", _esop_dict())]) == 0
+        assert main(["verify"]) == 0
+        assert seen == {"price": (GridSpec(), McSpec()),
+                        "verify": (GridSpec(), McSpec(), verify.TOL)}
+        for fn in (verify.verify_product, verify.run_suite):
+            assert inspect.signature(fn).parameters["tol"].default == verify.TOL
+
+
 class TestReduce:
     def test_loadings_exchange(self, tmp_path, capsys):
         cfg = {"loadings": [[0.2], [0.3]], "maturity": 2.0,
@@ -273,6 +310,16 @@ class TestReduce:
                "payoff": {"kind": "exchange", "asset": 5}}
         path = _write(tmp_path, "problem.json", cfg)
         assert main(["reduce", "--input", path]) == 2
+
+    def test_forward_payoff(self, tmp_path, capsys):
+        cfg = {"loadings": [[0.2, 0.0], [0.1, 0.25], [0.3, -0.1]],
+               "payoff": {"kind": "forward", "asset": 1, "strike_ratio": 1.0}}
+        path = _write(tmp_path, "problem.json", cfg)
+        assert main(["reduce", "--input", path]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        # b_00 = a_00 - 2 a_01 + a_11 = 0.04 - 2 * 0.02 + 0.0725
+        assert payload["b_matrix"][0][0] == pytest.approx(0.0725, abs=1e-15)
+        assert payload["psd"] is True
 
     def test_missing_matrix(self, tmp_path, capsys):
         path = _write(tmp_path, "problem.json", {"payoff": {"kind": "max"}})
@@ -389,6 +436,14 @@ class TestCurve:
         cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=0.0))
         assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 2
         assert "vasicek.theta must be positive" in capsys.readouterr().err
+
+    def test_violations_one_per_line_as_validate_lists_them(self, tmp_path, capsys):
+        block = dict(VASICEK_CFG["vasicek"], theta=-0.5, sigma_r=-0.01)
+        cfg = dict(VASICEK_CFG, vasicek=block)
+        assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 2
+        spec = product_from_dict(dict(_corporate_dict(), vasicek=block))
+        assert capsys.readouterr().err.splitlines() == validate(spec) == [
+            "vasicek.theta must be positive", "vasicek.sigma_r must be nonnegative"]
 
     def test_null_theta_subprocess(self, tmp_path):
         cfg = dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], theta=None))

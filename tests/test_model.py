@@ -15,6 +15,7 @@ from numerkit.model import (
     Savings,
     covariance,
     covariance_from_loadings,
+    json_number,
     product_from_dict,
     product_to_dict,
     quote_to_dict,
@@ -107,6 +108,10 @@ class TestCovariance:
         with pytest.raises(DimensionError):
             covariance_from_loadings([[0.2], [0.1, 0.3]])
 
+    def test_assets_without_loadings_rejected(self):
+        with pytest.raises(DimensionError, match="needs at least one"):
+            covariance_from_loadings([[], []])
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
             covariance([[0.04, 0.02], [0.03, 0.09]])
@@ -160,6 +165,14 @@ class TestJsonCodec:
     def test_unknown_type(self):
         with pytest.raises(ValueError):
             product_from_dict({"type": "swaption"})
+
+    def test_encoding_refuses_what_is_not_a_spec(self):
+        with pytest.raises(TypeError, match="not a product spec"):
+            product_to_dict(object())
+
+    def test_integer_past_the_float_range_refused(self):
+        with pytest.raises(ValueError, match="out of the floating-point range"):
+            json_number("x", 10 ** 400)
 
     def test_missing_field(self):
         d = product_to_dict(_esop())

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from numerkit import analytic
 from numerkit.errors import PricingError, ValidationFailure
-from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
+from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings, validate
 from numerkit.montecarlo import (
     McSpec,
     _accumulate,
@@ -170,6 +170,15 @@ class TestBondPrice:
         with pytest.raises(ValidationFailure, match=field):
             mc_bond_price(replace(VAS, **{field: value}), 2.0,
                           McSpec(paths=1000))
+
+    def test_refusal_lists_the_violations_of_the_block_in_a_spec(self):
+        bad = replace(VAS, theta=0.0, lam=math.nan)
+        with pytest.raises(ValidationFailure) as exc:
+            mc_bond_price(bad, 2.0, McSpec(paths=1000))
+        spec = Convertible(sigma_s=0.25, rho=0.2, conv_date=1.0, bond_maturity=2.0,
+                           spot=1.0, vasicek=bad)
+        assert exc.value.violations == validate(spec) == [
+            "vasicek.theta must be positive", "vasicek.lambda must be finite"]
 
 
 PRICED = VasicekModel(theta=0.6, mu_r=0.045, sigma_r=0.02, lam=0.25, r0=0.03)

@@ -106,6 +106,10 @@ class TestCertifyPsd:
         with pytest.raises(DimensionError):
             certify_psd(np.zeros((2, 3)))
 
+    def test_nan_entry_raises(self):
+        with pytest.raises(DimensionError, match="finite"):
+            certify_psd(np.array([[0.07, math.nan], [math.nan, 0.02]]))
+
     def test_random_reductions_all_certify(self):
         rng = np.random.default_rng(31)
         for _ in range(100):

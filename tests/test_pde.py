@@ -1,6 +1,7 @@
 """Finite-difference solvers: accuracy against closed forms, structural
 exactness on linear data, convergence order, and the reduction-gap diagnostic."""
 
+import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -145,6 +146,18 @@ class TestTridiagKernel:
             assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
             # the one factorisation serves a second solve
             assert np.array_equal(op.solve(rhs.copy(order=order)), got)
+
+    def test_shared_matrix_rows_of_a_plane_that_is_not_c_ordered(self):
+        """Row views handed in with an F-ordered plane are views of that
+        plane, not of the C-ordered copy that is swept, so the copy is swept
+        on its own rows."""
+        bands = tuple(b[:, None] for b in self._bands())
+        rhs = self.RNG.normal(size=(self.N, self.M))
+        op = pde._Tridiag(*bands, self.H)
+        ref = np.linalg.solve(self._shifted(bands, 0), rhs)
+        plane = rhs.copy(order="F")
+        got = op.solve(plane, list(plane))
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
     def test_one_matrix_per_column(self):
         bands = self._bands(self.M)
@@ -364,6 +377,13 @@ class TestSolve1D:
             w = np.linalg.solve(eye - hl, (eye + hl) @ w)
         assert np.max(np.abs(sol.values - w)) <= 1e-13 * np.max(np.abs(w))
 
+    @pytest.mark.parametrize("anchor", [0.0, -1.0, math.nan])
+    def test_anchor_must_be_positive(self, anchor):
+        spec = Pde1Spec(0.04, 0.0, 0.0, terminal=lambda z: np.maximum(z - 1.0, 0.0),
+                        anchor=anchor)
+        with pytest.raises(ValueError, match="grid anchor must be positive"):
+            solve_1d(spec, GridSpec(64, 16))
+
     def test_grid_extrapolation_guard(self):
         sol = solve_1d(_call_spec_1d(), GridSpec(64, 16))
         with pytest.raises(GridExtrapolationError):
@@ -560,6 +580,18 @@ class TestAxisSizes:
         # = 42 intervals
         sol = solve_2d(_exchange_spec_2d(), GridSpec(64, 16))
         assert (sol.x.size, sol.y.size) == (43, 64)
+
+    @pytest.mark.parametrize("anchor", [(0.0, 1.0), (1.0, -1.0), (math.nan, 1.0)],
+                             ids=["zero_x", "negative_y", "nan_x"])
+    def test_anchor_must_be_positive(self, anchor):
+        spec = dataclasses.replace(_exchange_spec_2d(), anchor=anchor)
+        with pytest.raises(ValueError, match="grid anchor must be positive"):
+            solve_2d(spec, GridSpec(64, 16))
+
+    def test_infinite_rate_refused(self):
+        # the characteristic runs away: no half-width is a finite float
+        with pytest.raises(PricingError, match="not representable"):
+            solve_2d(_exchange_spec_2d(rate=math.inf), GridSpec(64, 16))
 
     def test_budget_charges_the_rectangle(self, monkeypatch):
         charged = []
