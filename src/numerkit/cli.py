@@ -28,6 +28,7 @@ from .model import (
     covariance,
     covariance_from_loadings,
     json_number,
+    json_object,
     product_from_dict,
     product_to_dict,
     quote_to_dict,
@@ -93,14 +94,11 @@ def _emit(text: str, path: Optional[str]) -> None:
             fh.write(text)
 
 
-def _load_json(path: Optional[str]) -> dict:
+def _load_json(path: Optional[str]):
     if path is None:
         raise ValueError("--input is required for this command")
     with open(path) as fh:
-        data = json.load(fh)
-    if not isinstance(data, dict):
-        raise ValueError(f"input must be a JSON object, got {type(data).__name__}")
-    return data
+        return json.load(fh)
 
 
 def _specs(args) -> dict:
@@ -119,9 +117,7 @@ def _cmd_price(args) -> tuple:
 
 
 def _cmd_verify(args) -> tuple:
-    products = None
-    if args.input is not None:
-        products = [product_from_dict(_load_json(args.input))]
+    products = None if args.input is None else [product_from_dict(_load_json(args.input))]
     suite = run_suite(products, tol=args.tol, **_specs(args))
     return suite_to_json(suite), suite_to_csv(suite), 0 if suite["all_passed"] else 3
 
@@ -138,7 +134,7 @@ def _array(name: str, values, depth: int = 1) -> list:
 _PAYOFF_KINDS = ("exchange", "relative_call", "forward", "max")
 
 
-def _registry_payoff(cfg: dict, dim: int):
+def _registry_payoff(cfg, dim: int):
     """Homogeneous payoffs addressable from JSON input.
 
     exchange:       max(S_i - S_j, 0)
@@ -146,14 +142,14 @@ def _registry_payoff(cfg: dict, dim: int):
     forward:        S_i - k S_0
     max:            max_i S_i
     """
-    if not isinstance(cfg, dict):
-        raise ValueError(f"payoff must be a JSON object, got {type(cfg).__name__}")
-    kind = cfg.get("kind")
+    cfg = json_object("payoff", cfg, ("kind",),
+                      {"asset": 1, "against": 0, "strike_ratio": 1.0})
+    kind = cfg["kind"]
     if kind not in _PAYOFF_KINDS:
         raise ValueError(f"payoff kind must be one of {_PAYOFF_KINDS}")
-    i = json_number("payoff.asset", cfg.get("asset", 1), integral=True)
-    j = json_number("payoff.against", cfg.get("against", 0), integral=True)
-    k = json_number("payoff.strike_ratio", cfg.get("strike_ratio", 1.0))
+    i = json_number("payoff.asset", cfg["asset"], integral=True)
+    j = json_number("payoff.against", cfg["against"], integral=True)
+    k = json_number("payoff.strike_ratio", cfg["strike_ratio"])
     for idx, name in ((i, "asset"), (j, "against")):
         if not 0 <= idx < dim:
             raise ValueError(f"{name} index {idx} out of range for {dim} assets")
@@ -166,28 +162,29 @@ def _registry_payoff(cfg: dict, dim: int):
     return lambda s: float(np.max(s))
 
 
+_ABSENT = object()  # the default of a key that may be left out: no JSON decodes to it
+
+
 def _cmd_reduce(args) -> tuple:
-    cfg = _load_json(args.input)
-    if "loadings" in cfg:
-        rows = _array("loadings", cfg["loadings"], depth=2)
-        a = covariance_from_loadings(rows)
-        mismatch = "spots and loadings must have the same length"
-    elif "covariance" in cfg:
-        values = _array("covariance", cfg["covariance"], depth=2)
-        a = covariance(values)
-        mismatch = "spots must match the covariance dimension"
+    cfg = json_object("input", _load_json(args.input), ("payoff",),
+                      {"loadings": _ABSENT, "covariance": _ABSENT,
+                       "spots": _ABSENT, "maturity": 1.0})
+    if (cfg["loadings"] is _ABSENT) == (cfg["covariance"] is _ABSENT):
+        raise ValueError("input must provide exactly one of 'covariance' or 'loadings'")
+    if cfg["loadings"] is not _ABSENT:
+        a = covariance_from_loadings(_array("loadings", cfg["loadings"], depth=2))
     else:
-        raise ValueError("input must provide 'covariance' or 'loadings'")
+        a = covariance(_array("covariance", cfg["covariance"], depth=2))
     # spots are checked, not read: the quotient does not depend on them
-    spots = _array("spots", cfg.get("spots", [1.0] * len(a)))
+    spots = [1.0] * len(a) if cfg["spots"] is _ABSENT else _array("spots", cfg["spots"])
     if len(spots) != len(a):
-        raise ValueError(mismatch)
+        raise ValueError(f"spots must give one spot for each of the {len(a)} assets")
     if not all(0.0 < s < math.inf for s in spots):
         raise ValueError("asset spot must be positive and finite")
-    maturity = json_number("maturity", cfg.get("maturity", 1.0))
-    if not maturity > 0.0:
-        raise ValueError("maturity must be positive")
-    b = reduce_problem(a, _registry_payoff(cfg.get("payoff", {}), len(a)))
+    maturity = json_number("maturity", cfg["maturity"])
+    if not 0.0 < maturity < math.inf:
+        raise ValueError("maturity must be positive and finite")
+    b = reduce_problem(a, _registry_payoff(cfg["payoff"], len(a)))
     payload = {
         "dim": len(b),
         "b_matrix": [list(map(float, row)) for row in b],
@@ -200,13 +197,11 @@ def _cmd_reduce(args) -> tuple:
 
 
 def _cmd_curve(args) -> tuple:
-    cfg = _load_json(args.input)
-    if "vasicek" not in cfg:
-        raise ValueError("input must provide a 'vasicek' block")
+    cfg = json_object("input", _load_json(args.input), ("vasicek",),
+                      {"maturities": [1.0, 2.0, 5.0, 10.0]})
     model = vasicek_from_dict(cfg["vasicek"])
     require_valid(model)
-    maturities = _array("maturities",
-                        cfg.get("maturities", [1.0, 2.0, 5.0, 10.0]))
+    maturities = _array("maturities", cfg["maturities"])
     if not all(m > 0.0 and math.isfinite(m) for m in maturities):
         raise ValueError("maturities must be positive and finite")
     rows = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -301,52 +301,56 @@ def json_number(name: str, value, integral: bool = False):
     return int(number) if integral else number
 
 
+def json_object(name: str, data, required=(), defaults=None) -> dict:
+    """The JSON object ``data`` as a new dict, each key of ``required`` present
+    and each missing key of ``defaults`` at its default; any other key is
+    refused (ValueError).  A tagged object gives ``required`` as a dict from
+    each value of its "type" key to its keys, and is named ``name 'tag'``."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(data).__name__}")
+    if isinstance(required, dict):
+        tag = data.get("type")
+        if not isinstance(tag, str) or tag not in required:
+            raise ValueError(f"unknown {name} type: {tag!r}")
+        name, required = f"{name} {tag!r}", required[tag]
+    defaults = defaults or {}
+    for key in required:
+        if key not in data:
+            raise ValueError(f"missing field {key!r} for {name}")
+    extra = data.keys() - set(required) - defaults.keys()
+    if extra:
+        raise ValueError(f"unexpected fields for {name}: {sorted(extra)}")
+    return {**defaults, **data}
+
+
 def vasicek_from_dict(vd) -> VasicekModel:
-    """Strict decoding of a "vasicek" block; ``lambda`` defaults to 0.
-
-    Raises ValueError on a non-object block or a non-number field, KeyError
-    on a missing one.
-    """
-    if not isinstance(vd, dict):
-        raise ValueError(f"vasicek must be a JSON object, got {type(vd).__name__}")
-    return VasicekModel(**{
-        attr: json_number(f"vasicek.{key}", vd.get(key, 0.0) if attr == "lam" else vd[key])
-        for attr, (key, _) in VASICEK_FIELDS.items()})
+    """Strict decoding of a "vasicek" block; ``lambda`` defaults to 0.  A
+    block that is not an object or a missing, unknown or non-number key is a
+    ValueError."""
+    vd = json_object("vasicek", vd, ("theta", "mu_r", "sigma_r", "r0"), {"lambda": 0.0})
+    return VasicekModel(**{attr: json_number(f"vasicek.{key}", vd[key])
+                           for attr, (key, _) in VASICEK_FIELDS.items()})
 
 
-def product_from_dict(data: dict) -> ProductSpec:
-    """Inverse of product_to_dict; raises ValueError or KeyError on bad shapes.
+# each product's keys, by its type tag: the tag, then its fields
+_PRODUCT_KEYS = {tag: ("type", *(f.name for f in fields(cls)))
+                 for cls, tag in _TYPE_TAGS.items()}
+
+
+def product_from_dict(data) -> ProductSpec:
+    """Inverse of product_to_dict; raises ValueError on bad shapes.
 
     Decoding is strict: numeric fields take JSON numbers only (not booleans
     or strings), and the counts, the fields declared ``int`` (``shares`` and
     ``bonds``), integral values only.
     """
-    if not isinstance(data, dict):
-        raise ValueError(f"product must be a JSON object, got {type(data).__name__}")
-    d = dict(data)
-    tag = d.pop("type", None)
-    cls = _TAG_TYPES.get(tag) if isinstance(tag, str) else None
-    if cls is None:
-        raise ValueError(f"unknown product type: {tag!r}")
-    if "vasicek" in d:
-        d["vasicek"] = vasicek_from_dict(d["vasicek"])
-    kwargs = {}
-    for f in fields(cls):
-        if f.name not in d:
-            raise ValueError(f"missing field {f.name!r} for product {tag!r}")
-        v = d.pop(f.name)
-        # a count is a field declared ``int`` (a string: annotations are postponed)
-        kwargs[f.name] = v if f.name == "vasicek" else json_number(
-            f.name, v, integral=f.type == "int")
-    if d:
-        raise ValueError(f"unexpected fields for product {tag!r}: {sorted(d)}")
-    return cls(**kwargs)
+    d = json_object("product", data, _PRODUCT_KEYS)
+    cls = _TAG_TYPES[d["type"]]
+    # a count is a field declared ``int`` (a string: annotations are postponed)
+    return cls(**{f.name: vasicek_from_dict(d[f.name]) if f.name == "vasicek"
+                  else json_number(f.name, d[f.name], integral=f.type == "int")
+                  for f in fields(cls)})
 
 
 def quote_to_dict(quote: PriceQuote) -> dict:
-    out = {"value": quote.value, "method": quote.method}
-    if quote.std_error is not None:
-        out["std_error"] = quote.std_error
-    if quote.seed is not None:
-        out["seed"] = quote.seed
-    return out
+    return {key: v for key, v in asdict(quote).items() if v is not None}

@@ -325,6 +325,22 @@ class TestReduce:
         path = _write(tmp_path, "problem.json", {"payoff": {"kind": "max"}})
         assert main(["reduce", "--input", path]) == 2
 
+    def test_loadings_and_covariance_together_exit_two(self, tmp_path, capsys):
+        cfg = {"loadings": [[0.2], [0.3]], "covariance": [[0.04, 0.0], [0.0, 0.09]],
+               "payoff": {"kind": "max"}}
+        assert main(["reduce", "--input", _write(tmp_path, "p.json", cfg)]) == 2
+        assert capsys.readouterr() == (
+            "", "input must provide exactly one of 'covariance' or 'loadings'\n")
+
+    @pytest.mark.parametrize("maturity", ["1e999", "Infinity", "-Infinity", "NaN"])
+    def test_non_finite_maturity_exits_two(self, tmp_path, capsys, maturity):
+        # Python's json reads each of these as a float that is not finite
+        path = tmp_path / "p.json"
+        path.write_text('{"loadings": [[0.2], [0.3]], "maturity": %s, '
+                        '"payoff": {"kind": "max"}}' % maturity)
+        assert main(["reduce", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", "maturity must be positive and finite\n")
+
     @pytest.mark.parametrize("cfg", [
         {"covariance": [[0.04, 0.0], [0.0, 0.09]],
          "payoff": {"kind": "exchange", "asset": None}},
@@ -401,6 +417,15 @@ class TestCurve:
         path = _write(tmp_path, "curve.json", {"maturities": [1.0]})
         assert main(["curve", "--input", path]) == 2
 
+    @pytest.mark.parametrize("command", ["price", "curve"])
+    def test_missing_vasicek_key_is_named(self, tmp_path, capsys, command):
+        block = dict(VASICEK_CFG["vasicek"])
+        del block["r0"]
+        cfg = dict(_corporate_dict() if command == "price" else VASICEK_CFG,
+                   vasicek=block)
+        assert main([command, "--input", _write(tmp_path, "c.json", cfg)]) == 2
+        assert capsys.readouterr() == ("", "missing field 'r0' for vasicek\n")
+
     def test_negative_maturity(self, tmp_path, capsys):
         cfg = dict(VASICEK_CFG, maturities=[-1.0])
         path = _write(tmp_path, "curve.json", cfg)
@@ -456,6 +481,41 @@ class TestCurve:
                                              **{"lambda": 1e308}))
         assert main(["curve", "--input", _write(tmp_path, "c.json", cfg)]) == 3
         assert "Traceback" not in capsys.readouterr().err
+
+
+def _misspelt_lambda():
+    """The default corporate, its "vasicek" block spelling "lamda" and having
+    no "lambda": a reader that dropped the stray key would price it at
+    lambda = 0, and every route would agree on that wrong price."""
+    spec = product_to_dict(next(p for p in default_suite() if isinstance(p, Corporate)))
+    block = dict(spec["vasicek"], lamda=0.5)
+    del block["lambda"]
+    return dict(spec, vasicek=block)
+
+
+class TestStrayKeys:
+    """One key that no reader takes, put in each kind of JSON object numerkit
+    accepts: the run exits 2 and names that key."""
+
+    @pytest.mark.parametrize("command,payload,key", [
+        ("price", dict(_esop_dict(), strike=1.0), "strike"),
+        ("price", dict(_corporate_dict(), vasicek=dict(VASICEK_CFG["vasicek"], kappa=0.1)),
+         "kappa"),
+        ("verify", _misspelt_lambda(), "lamda"),
+        ("curve", dict(VASICEK_CFG, vasicek=dict(VASICEK_CFG["vasicek"], kappa=0.1)),
+         "kappa"),
+        ("curve", dict(VASICEK_CFG, maturity=[3.0]), "maturity"),
+        ("reduce", {"loadings": [[0.2], [0.3]], "spot": [1.0, 2.0],
+                    "payoff": {"kind": "max"}}, "spot"),
+        ("reduce", {"loadings": [[0.2], [0.3]],
+                    "payoff": {"kind": "relative_call", "strike": 1.1}}, "strike"),
+    ], ids=["product", "price_vasicek", "verify_vasicek_lamda", "curve_vasicek",
+            "curve", "reduce", "payoff"])
+    def test_stray_key_exits_two_and_is_named(self, tmp_path, capsys, command,
+                                              payload, key):
+        assert main([command, "--input", _write(tmp_path, "in.json", payload)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "unexpected fields for " in err and repr(key) in err
 
 
 # every value below replaces each field, nested field (of a Vasicek block or

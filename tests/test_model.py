@@ -16,6 +16,7 @@ from numerkit.model import (
     covariance,
     covariance_from_loadings,
     json_number,
+    json_object,
     product_from_dict,
     product_to_dict,
     quote_to_dict,
@@ -232,3 +233,36 @@ class TestJsonCodec:
         full = quote_to_dict(PriceQuote(value=1.0, method="monte_carlo",
                                         std_error=0.1, seed=7))
         assert full["std_error"] == 0.1 and full["seed"] == 7
+        assert list(full) == ["value", "method", "std_error", "seed"]
+
+
+class TestJsonObject:
+    """The one reader of every JSON object numerkit accepts."""
+
+    def test_required_kept_and_missing_default_filled(self):
+        data = {"a": 1, "b": 2}
+        out = json_object("thing", data, ("a",), {"b": 0, "c": 3})
+        assert out == {"a": 1, "b": 2, "c": 3}
+        assert data == {"a": 1, "b": 2}  # the input is not changed
+
+    @pytest.mark.parametrize("data,message", [
+        ([1], "thing must be a JSON object, got list"),
+        ({"b": 2}, "missing field 'a' for thing"),
+        ({"a": 1, "z": 0, "y": 0}, r"unexpected fields for thing: \['y', 'z'\]"),
+    ], ids=["not_an_object", "missing", "unexpected"])
+    def test_refusals(self, data, message):
+        with pytest.raises(ValueError, match=message):
+            json_object("thing", data, ("a",), {"b": 0})
+
+    @pytest.mark.parametrize("data,message", [
+        ({"type": "y"}, "unknown thing type: 'y'"),
+        ({"type": ["x"]}, r"unknown thing type: \['x'\]"),
+        ({}, "unknown thing type: None"),
+        ({"type": "x"}, "missing field 'a' for thing 'x'"),
+        ({"type": "x", "a": 1, "b": 2}, r"unexpected fields for thing 'x': \['b'\]"),
+    ], ids=["unknown_tag", "unhashable_tag", "no_tag", "missing", "unexpected"])
+    def test_tagged_object_takes_the_keys_of_its_tag(self, data, message):
+        keys = {"x": ("type", "a"), "z": ("type", "b")}
+        with pytest.raises(ValueError, match=message):
+            json_object("thing", data, keys)
+        assert json_object("thing", {"type": "z", "b": 2}, keys) == {"type": "z", "b": 2}
