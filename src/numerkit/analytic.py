@@ -6,8 +6,8 @@ natural numeraire (the employer stock at the reset date, the foreign bank
 account, the zero-coupon bond, the diluted firm value).  In that numeraire
 each claim is one exchange option (Margrabe), so every pricer below reduces
 to its input checks (the spec and time by ``_check_spec``, the state by
-one policy, ``_require``) plus one call of the shared kernel ``_exchange``.
-The finite-difference and Monte Carlo engines verify these.
+one policy, ``_require``) plus one call of the kernel ``_exchange`` or of a
+twin's pricer.  The finite-difference and Monte Carlo engines verify these.
 """
 
 from __future__ import annotations
@@ -95,13 +95,10 @@ def esop_price(spec: Esop, t: float = 0.0) -> float:
     """Plan value before the reset date (0 <= t <= t_reset).
 
     Before the reset the plan is worth a fixed fraction of the stock plus a
-    calendar-spread option struck at the reset-date price; the spot drops out
-    of the moneyness, so the price is proportional to the current stock.
+    calendar-spread option struck at the reset-date price: the two-price
+    value ``esop_price_generalized`` on its diagonal, both prices at the spot.
     """
-    _check_spec(spec, t, 0.0, spec.t_reset, "the pre-reset window ")
-    gap = spec.maturity - spec.t_reset
-    option = _exchange(1.0, math.exp(-spec.rate * gap), spec.sigma ** 2 * gap)
-    return spec.spot * (1.0 - spec.beta + spec.beta * option)
+    return esop_price_generalized(spec, spec.spot, spec.spot, t)
 
 
 def esop_price_after_reset(spec: Esop, s_reset: float, s: float, t: float) -> float:
@@ -131,14 +128,6 @@ def esop_price_generalized(spec: Esop, s: float, s0: float, t: float) -> float:
 # equity option with a currency-translated strike
 
 
-def _fx_strike_and_var(spec: FxStrike, t: float) -> tuple:
-    """Dollar strike S0*X0 discounted to t, and the variance of ln(S X)."""
-    tau = spec.maturity - t
-    var_rate = (spec.sigma_s ** 2 + 2.0 * spec.rho * spec.sigma_s * spec.sigma_x
-                + spec.sigma_x ** 2)
-    return spec.spot * spec.fx * math.exp(-spec.r_d * tau), var_rate * tau
-
-
 def fx_option_usd(spec: FxStrike, s: float, x: float, t: float = 0.0) -> float:
     """Dollar value of the call on the dollar-translated stock, strike S0*X0.
 
@@ -146,19 +135,20 @@ def fx_option_usd(spec: FxStrike, s: float, x: float, t: float = 0.0) -> float:
     """
     _check_spec(spec, t, 0.0, spec.maturity)
     _require("stock and exchange rate must be positive and finite", s, x, low=0.0)
-    strike, var = _fx_strike_and_var(spec, t)
-    return _exchange(s * x, strike, var)
+    tau = spec.maturity - t
+    var_rate = (spec.sigma_s ** 2 + 2.0 * spec.rho * spec.sigma_s * spec.sigma_x
+                + spec.sigma_x ** 2)
+    return _exchange(s * x, spec.spot * spec.fx * math.exp(-spec.r_d * tau),
+                     var_rate * tau)
 
 
 def fx_option_gbp(spec: FxStrike, s: float, y: float, t: float = 0.0) -> float:
     """Pound value of the same claim; ``y`` is the pound price of one dollar.
 
-    Satisfies x * fx_option_gbp(s, 1/x) = fx_option_usd(s, x) identically.
+    Satisfies fx_option_gbp(s, y) = y * fx_option_usd(s, 1/y) identically.
     """
-    _check_spec(spec, t, 0.0, spec.maturity)
-    _require("stock and exchange rate must be positive and finite", s, y, low=0.0)
-    strike, var = _fx_strike_and_var(spec, t)
-    return _exchange(s, strike * y, var)
+    _require("exchange rate must be positive and finite", y, low=0.0)
+    return y * fx_option_usd(spec, s, 1.0 / y, t)
 
 
 # ---------------------------------------------------------------------------

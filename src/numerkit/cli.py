@@ -150,6 +150,8 @@ def _registry_payoff(cfg, dim: int):
     i = json_number("payoff.asset", cfg["asset"], integral=True)
     j = json_number("payoff.against", cfg["against"], integral=True)
     k = json_number("payoff.strike_ratio", cfg["strike_ratio"])
+    if not math.isfinite(k):
+        raise ValueError("payoff.strike_ratio must be finite")
     for idx, name in ((i, "asset"), (j, "against")):
         if not 0 <= idx < dim:
             raise ValueError(f"{name} index {idx} out of range for {dim} assets")

@@ -2,12 +2,12 @@
 
 Pricing is under the money-market measure of each product's quote currency,
 with the law derived from the product's canonical formulation in
-:mod:`numerkit.products`.  The terminal state is drawn exactly from one
-vector of normal shocks per path, with no time stepping and no
-discretization bias: two shocks for a constant short rate, three under
-Vasicek, whose short rate, its integral and the log asset are jointly
-Gaussian (Glasserman 2004, Monte Carlo Methods in Financial Engineering,
-section 3.3).
+:mod:`numerkit.products`.  The terminal state is drawn exactly by one
+Gaussian sampler, one vector of normal shocks per path, with no time
+stepping and no discretization bias: the two log prices at a constant short
+rate, and under Vasicek the short rate, its integral and the log asset, which
+are jointly Gaussian (Glasserman 2004, Monte Carlo Methods in Financial
+Engineering, section 3.3).
 
 Determinism: streams come from Philox keyed by (seed, block index) with a
 fixed block size, so results are bit-reproducible for a given spec regardless
@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ratecurve
+from .errors import PricingError
 from .model import require_integers, require_valid
 from .pde import integral
 from .products import Formulation, VasicekBond, formulations
@@ -37,8 +38,9 @@ class McSpec:
 
     def __post_init__(self):
         require_integers(self)
-        if self.paths < 1:
-            raise ValueError("paths must be positive")
+        if self.paths < 2:
+            # one antithetic pair has no dispersion to measure
+            raise ValueError("paths must be at least 2")
         if not 0 <= self.seed < 2 ** 64:
             # the first word of the Philox key
             raise ValueError("seed must be in [0, 2**64)")
@@ -60,21 +62,26 @@ def _accumulate(payoff, shape: tuple, mc: McSpec) -> McResult:
     of ``shape``, block k from the (seed, k) stream, each draw averaged with
     its mirror -z (negated in place, so ``payoff`` must return a fresh
     array).  Block means and sums of squared deviations are merged by the
-    update of Chan, Golub & LeVeque."""
+    update of Chan, Golub & LeVeque.  PricingError on a non-finite result."""
     mean = 0.0
     m2 = 0.0
     for block, done in enumerate(range(0, mc.paths, _BLOCK_EXACT)):
         z = _rng(mc.seed, block).standard_normal(
             (min(_BLOCK_EXACT, mc.paths - done),) + shape)
         vals = payoff(z)
-        vals += payoff(np.negative(z, out=z))
-        vals *= 0.5
+        mirrored = payoff(np.negative(z, out=z))
         n = vals.size
-        block_mean = float(vals.mean())
-        vals -= block_mean
-        delta = block_mean - mean
-        mean += delta * n / (done + n)
-        m2 += float(np.dot(vals, vals)) + delta * delta * n * done / (done + n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals += mirrored
+            del mirrored  # its buffer is reused by the next block's draw
+            vals *= 0.5
+            block_mean = float(vals.mean())
+            vals -= block_mean
+            delta = block_mean - mean
+            mean += delta * n / (done + n)
+            m2 += float(np.dot(vals, vals)) + delta * delta * n * done / (done + n)
+    if not (math.isfinite(mean) and math.isfinite(m2)):
+        raise PricingError(f"non-finite Monte Carlo result: mean {mean}, dispersion {m2}")
     return McResult(estimate=mean, std_error=math.sqrt(m2) / mc.paths)
 
 
@@ -117,78 +124,63 @@ def _psd_root(cov: np.ndarray) -> np.ndarray:
     return low
 
 
-def _rate_asset_sampler(model, sigma_a, rho, horizon, payoff_fn):
-    """One draw of (r_T, integral of r, ln S_T/S_0) per path from
-    ``_vasicek_law``.
+def _gaussian_sampler(mean, cov, payoff_fn):
+    """One draw of g ~ N(``mean``, ``cov``) per path, g = mean + L z with L
+    from ``_psd_root``, handed to ``payoff_fn`` as its rows g[0], g[1], ...
 
-    ``payoff_fn(log_growth, r_T)`` is discounted by exp(-integral of r); it
-    is handed the asset's exponent, so a payoff that ignores the asset never
-    exponentiates it (over a long horizon that overflows).  The shocks are
-    L z, written out for the lower-triangular L so that no BLAS call (and
-    none of its threading) sits in the loop.
+    Each block copies its shocks into contiguous rows once, and row i is the
+    sum of L[i, j] z_j over j <= i plus its mean, written out so that no BLAS
+    call (and none of its threading) sits in the loop.
     """
-    (m_r, m_int, m_a), cov = _vasicek_law(model, sigma_a, rho, horizon)
-    (l00, _, _), (l10, l11, _), (l20, l21, l22) = _psd_root(cov)
+    low = _psd_root(np.asarray(cov, dtype=float)).tolist()
 
     def payoff(z):
-        z0, z1, z2 = z[:, 0], z[:, 1], z[:, 2]
-        rate_int = m_int + l10 * z0 + l11 * z1
-        return np.exp(-rate_int) * payoff_fn(
-            rate_int + m_a + l20 * z0 + l21 * z1 + l22 * z2, m_r + l00 * z0)
+        shocks = np.ascontiguousarray(z.T)
+        rows = []
+        for m, coeffs in zip(mean, low):
+            row = np.multiply(shocks[0], coeffs[0])
+            for coeff, shock in zip(coeffs[1:len(rows) + 1], shocks[1:]):
+                row += coeff * shock
+            row += m
+            rows.append(row)
+        return payoff_fn(rows)
 
-    return payoff, (3,)
-
-
-def _lognormal_sampler(f: Formulation):
-    """One draw of (X_T, Y_T) per path from their exact joint lognormal law
-    at a constant short rate; the payoff is discounted at that rate.
-
-    The first shock drives Y alone, the second the rest of X.  Each block
-    copies its shocks into contiguous rows once and then works in place on
-    two arrays instead of a chain of temporaries.
-    """
-    sx, sy, c, T, bps = f.sigma_x, f.sigma_y, f.corr, f.maturity, f.breakpoints
-    var_x = integral(lambda t: sx(t) * sx(t), T, bps)
-    var_y = integral(lambda t: sy(t) * sy(t), T, bps)
-    cov = integral(lambda t: c * sx(t) * sy(t), T, bps)
-    (ly, _), (lxy, lx) = _psd_root(np.array([[var_y, cov], [cov, var_x]]))
-    x0, y0 = f.anchor
-    mx = (f.rate - f.q_x) * T - 0.5 * var_x
-    my = (f.rate - f.q_y) * T - 0.5 * var_y
-    disc = math.exp(-f.rate * T)
-    terminal = f.terminal
-
-    def payoff(z):
-        z0, z1 = np.ascontiguousarray(z.T)
-        x = np.multiply(z1, lx)
-        x += lxy * z0
-        x += mx
-        np.exp(x, out=x)
-        x *= x0
-        y = np.multiply(z0, ly)
-        y += my
-        np.exp(y, out=y)
-        y *= y0
-        out = terminal(x, y)
-        out *= disc
-        return out
-
-    return payoff, (2,)
+    return payoff, (len(mean),)
 
 
 def _sampler(f: Formulation):
-    """The simulated law of a formulation: exact lognormal at a constant rate;
-    under Vasicek the joint rate draw, with the bond Y = A e^{-B r_T}."""
-    if not isinstance(f.rate, VasicekBond):
-        return _lognormal_sampler(f)
-    model, T = f.rate.model, f.maturity
-    ln_a, b_fac = ratecurve.log_affine(model, T, f.rate.maturity)
-    terminal = f.terminal
-    spot = f.anchor[0] * math.exp(-f.q_x * T)
-    return _rate_asset_sampler(
-        model, f.sigma_x(0.0), -f.corr, T,
-        lambda growth, r_end: terminal(spot * np.exp(growth),
-                                       np.exp(ln_a - b_fac * r_end)))
+    """The simulated law of a formulation, discounted by its short rate: at a
+    constant rate the exact lognormal (ln Y_T/Y_0, ln X_T/X_0), the first
+    shock driving Y alone; under Vasicek ``_vasicek_law``'s draw, with the
+    bond Y = A e^{-B r_T}."""
+    T, terminal = f.maturity, f.terminal
+    if isinstance(f.rate, VasicekBond):
+        ln_a, b_fac = ratecurve.log_affine(f.rate.model, T, f.rate.maturity)
+        spot = f.anchor[0] * math.exp(-f.q_x * T)
+
+        def vasicek_payoff(g):
+            r_end, rate_int, excess = g
+            return np.exp(-rate_int) * terminal(
+                spot * np.exp(excess + rate_int), np.exp(ln_a - b_fac * r_end))
+
+        return _gaussian_sampler(
+            *_vasicek_law(f.rate.model, f.sigma_x(0.0), -f.corr, T), vasicek_payoff)
+    sx, sy, c, bps = f.sigma_x, f.sigma_y, f.corr, f.breakpoints
+    var_x = integral(lambda t: sx(t) * sx(t), T, bps)
+    var_y = integral(lambda t: sy(t) * sy(t), T, bps)
+    cov = integral(lambda t: c * sx(t) * sy(t), T, bps)
+    (x0, y0), disc = f.anchor, math.exp(-f.rate * T)
+
+    def lognormal_payoff(g):
+        y, x = g
+        out = terminal(np.multiply(np.exp(x, out=x), x0, out=x),
+                       np.multiply(np.exp(y, out=y), y0, out=y))
+        out *= disc
+        return out
+
+    return _gaussian_sampler(
+        ((f.rate - f.q_y) * T - 0.5 * var_y, (f.rate - f.q_x) * T - 0.5 * var_x),
+        [[var_y, cov], [cov, var_x]], lognormal_payoff)
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +191,8 @@ def price_mc(product, mc: McSpec) -> McResult:
     """Discounted-payoff estimate for a product at its stored initial state,
     simulated from its canonical formulation.
 
-    Raises ValidationFailure on an invalid spec.
+    Raises ValidationFailure on an invalid spec, and PricingError on an
+    estimate or standard error that is not finite.
     """
     payoff, shape = _sampler(formulations(product)[0])
     return _accumulate(payoff, shape, mc)
@@ -219,6 +212,6 @@ def mc_bond_price(model: ratecurve.VasicekModel, maturity: float,
     if not (maturity > 0.0 and math.isfinite(maturity)):
         raise ValueError("maturity must be positive and finite")
     require_valid(model)
-    payoff, shape = _rate_asset_sampler(model, 0.0, 0.0, maturity,
-                                        lambda growth, r_end: 1.0)
+    payoff, shape = _gaussian_sampler(*_vasicek_law(model, 0.0, 0.0, maturity),
+                                      lambda g: np.exp(-g[1]))
     return _accumulate(payoff, shape, mc)

@@ -4,8 +4,8 @@
 A 2-D spec names its short rate once and gives each asset a constant yield,
 so its drifts r - q and discount r are of no-arbitrage form.  The reduction
 divides the 2-D equation by its y axis, and the rate drops out of the quotient
-by construction; which asset is y is the product description's choice
-(``products.numeraire_on_y``).
+by construction; every homogeneous product description puts its numeraire
+on y (``products.numeraire_on_y``).
 
 Both solvers use log-spaced grids.  Stencils are 3-point non-uniform
 differences in the *original* coordinates, which are exact on quadratics;

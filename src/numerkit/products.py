@@ -8,15 +8,15 @@ Every claim is written once, as two assets and a short rate,
 where r is either a constant or the Vasicek short rate read off Y when Y is
 that model's zero-coupon bond, plus a payoff of (X_T, Y_T) at the maturity.
 The pricing routes are derived from the description alone: the two-factor
-equation (:attr:`Formulation.pde2`), its quotient by the numeraire
-(``pde.derive_reduced`` of :func:`numeraire_on_y`'s equation), which both the
-reduced PDE and the quadrature price, and, in :mod:`numerkit.montecarlo`, the
-simulated law.  Nothing here reads a closed form, so the analytic route stays
-an independent check on the other four.
+equation (:attr:`Formulation.pde2`), its quotient by the numeraire Y
+(``pde.derive_reduced``), which the reduced PDE and the quadrature price,
+and, in :mod:`numerkit.montecarlo`, the simulated law.  No closed form is
+read here, so the analytic route stays an independent check on the others.
 
-Quoted in the numeraire Y, the ratio X/Y drifts at q_y - q_x and the claim
-discounts at q_y: the short rate drops out of the reduced problem (Geman, El
-Karoui & Rochet 1995, J. Appl. Prob. 32(2)).  The two-factor equation names
+A degree-one claim may be quoted in any of its assets, and each here is in
+Y: the ratio X/Y drifts at q_y - q_x and the claim discounts at q_y, so the
+short rate drops out of the reduced problem (Geman, El Karoui & Rochet 1995,
+J. Appl. Prob. 32(2)).  The two-factor equation names
 r once and the yields as constants, so it drops out by construction: the
 reduction never reads it.
 """
@@ -24,7 +24,7 @@ reduction never reads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -55,9 +55,9 @@ class Formulation:
 
     ``anchor`` is today's (X, Y).  Under a ``VasicekBond`` rate, Y is that
     bond (so q_y = 0) and sigma_x is constant.  ``terminal(x, y)`` broadcasts
-    over arrays.  ``numeraire_axis`` is the asset the claim is quoted in when
-    the payoff is homogeneous of degree one, else None; ``kink`` is where the
-    payoff of the ratio (numeraire at one) kinks, ignored when not positive;
+    over arrays.  ``numeraire_axis`` is 1, the claim quoted in Y, when the
+    payoff is homogeneous of degree one, else None; ``kink`` is where the
+    payoff of the ratio X/Y (at Y = 1) kinks, ignored when not positive;
     ``to_canonical`` converts a value into the product's quote currency.
     """
 
@@ -134,13 +134,13 @@ def _fx(spec: FxStrike) -> tuple:
 def _savings(spec: Savings) -> tuple:
     lead_i = math.exp(spec.r_d * spec.maturity)
     lead_x = spec.fx * math.exp(spec.r_f * spec.maturity)
-    # X dollars per foreign unit (the numeraire), Y the domestic price level
+    # X dollars per foreign unit, Y the domestic price level (the numeraire)
     return (Formulation(
         "savings", anchor=(1.0 / spec.fx, spec.price_level),
         sigma_x=_constant(spec.sigma_x), sigma_y=_constant(spec.sigma_i),
         corr=-spec.rho, q_x=spec.r_f, q_y=spec.r_d, rate=spec.r_d,
         terminal=lambda x, y: np.maximum(lead_i * y, lead_x * x),
-        maturity=spec.maturity, numeraire_axis=0, kink=lead_x / lead_i),)
+        maturity=spec.maturity, kink=lead_i / lead_x),)
 
 
 def _bond_numeraire(label, spec, sigma, spot, t_ex, t_bond, terminal,
@@ -199,15 +199,9 @@ def formulations(product) -> tuple:
 
 
 def numeraire_on_y(f: Formulation) -> Formulation:
-    """The same claim with its numeraire as the second asset, the one
+    """The claim itself, whose numeraire is its second asset, the one
     ``pde.derive_reduced`` divides out; PricingError when the claim has no
     numeraire (its payoff is not homogeneous of degree one)."""
-    if f.numeraire_axis == 1:
-        return f
-    if f.numeraire_axis != 0:
+    if f.numeraire_axis != 1:
         raise PricingError(f"{f.label} has no numeraire to quotient by")
-    terminal = f.terminal
-    return replace(f, anchor=f.anchor[::-1], sigma_x=f.sigma_y,
-                   sigma_y=f.sigma_x, q_x=f.q_y, q_y=f.q_x,
-                   terminal=lambda x, y: terminal(y, x), numeraire_axis=1)
-
+    return f

@@ -333,6 +333,8 @@ class TestNonFiniteInputs:
         pytest.param(bs_call, (100.0, 100.0, 0.0, -_INF, 0.2, 1.0), id="bs_call-carry-inf"),
         pytest.param(bs_call, (100.0, 100.0, 0.0, 0.0, _NAN, 1.0), id="bs_call-vol-nan"),
         pytest.param(bs_call, (100.0, 100.0, 0.0, 0.0, 0.2, _INF), id="bs_call-tau-inf"),
+        # the spot is esop_price's state, refused as the others are
+        pytest.param(esop_price, (replace(ESOP, spot=-5.0),), id="esop-spot-negative"),
         pytest.param(esop_price_generalized, (ESOP, _NAN, 100.0, 0.0), id="esop_generalized-s-nan"),
         pytest.param(esop_price_generalized, (ESOP, 100.0, _INF, 0.0), id="esop_generalized-s0-inf"),
         pytest.param(esop_price_after_reset, (ESOP, _NAN, 100.0, 0.75), id="esop_after_reset-s_reset-nan"),

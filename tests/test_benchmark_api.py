@@ -1,6 +1,7 @@
-"""The traced benchmark run wraps numerkit's entry points by name, and its
-solve timing reads ``build_engines(p)[0].pde2``: an API cut that drops either
-would break the traced run without failing any other test."""
+"""The benchmark driver reads numerkit's modules by attribute, the traced run
+wraps their entry points by name, and its solve timing reads
+``build_engines(p)[0].pde2``: an API cut that drops any of them would break
+the benchmark without failing any other test."""
 
 import ast
 import importlib
@@ -9,7 +10,9 @@ from pathlib import Path
 from numerkit import verify
 from numerkit.pde import Pde2Spec
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
+BENCHMARK = Path(__file__).resolve().parents[1] / "benchmark"
+TRACING = BENCHMARK / "tracing.py"
+RUNNER = BENCHMARK / "run.py"
 
 
 def _entry_points() -> dict:
@@ -31,3 +34,24 @@ def test_traced_entry_points_resolve():
 def test_engine_pde2_is_a_spec():
     for product in verify.default_suite():
         assert isinstance(verify.build_engines(product)[0].pde2, Pde2Spec)
+
+
+def test_runner_reads_only_what_exists():
+    # every numerkit name the driver imports or reads as module.attribute,
+    # found in its syntax tree so that the driver is never imported
+    tree = ast.parse(RUNNER.read_text())
+    modules, wanted = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "numerkit":
+            modules.update((a.asname or a.name, f"numerkit.{a.name}") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numerkit."):
+            wanted.update((node.module, a.name) for a in node.names)
+    wanted.update((modules[node.value.id], node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules)
+    assert {"cli", "model", "montecarlo", "pde", "verify"} <= set(modules)
+    assert {("numerkit.errors", "PricingError"), ("numerkit.montecarlo", "McSpec"),
+            ("numerkit.pde", "GridSpec")} <= wanted
+    missing = sorted(f"{module}.{name}" for module, name in wanted
+                     if not hasattr(importlib.import_module(module), name))
+    assert not missing

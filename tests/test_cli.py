@@ -131,6 +131,22 @@ class TestPrice:
         assert quote["seed"] == 17
         assert quote["std_error"] > 0.0
 
+    def test_one_path_exits_two(self, tmp_path, capsys):
+        # one antithetic pair printed a standard error of 0.0
+        spec = _write(tmp_path, "esop.json", _esop_dict())
+        assert main(["price", "--input", spec, "--method", "monte_carlo",
+                     "--paths", "1"]) == 2
+        assert capsys.readouterr() == ("", "paths must be at least 2\n")
+
+    def test_monte_carlo_overflow_exits_three(self, tmp_path, capsys):
+        # the payoffs are finite and their squares are not; a RuntimeWarning
+        # on the way would be an error under the suite's filter
+        spec = _write(tmp_path, "esop.json", dict(_esop_dict(), spot=1e300))
+        assert main(["price", "--input", spec, "--method", "monte_carlo",
+                     "--paths", "100"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "non-finite Monte Carlo result" in err
+
     def test_csv_format(self, tmp_path, capsys):
         spec = _write(tmp_path, "esop.json", _esop_dict())
         assert main(["price", "--input", spec, "--format", "csv"]) == 0
@@ -340,6 +356,15 @@ class TestReduce:
                         '"payoff": {"kind": "max"}}' % maturity)
         assert main(["reduce", "--input", str(path)]) == 2
         assert capsys.readouterr() == ("", "maturity must be positive and finite\n")
+
+    @pytest.mark.parametrize("ratio", ["1e999", "NaN"])
+    def test_non_finite_strike_ratio_exits_two(self, tmp_path, capsys, ratio):
+        # an infinite ratio made the payoff identically 0, a NaN one non-finite
+        path = tmp_path / "p.json"
+        path.write_text('{"loadings": [[0.2], [0.3]], "payoff": '
+                        '{"kind": "relative_call", "strike_ratio": %s}}' % ratio)
+        assert main(["reduce", "--input", str(path)]) == 2
+        assert capsys.readouterr() == ("", "payoff.strike_ratio must be finite\n")
 
     @pytest.mark.parametrize("cfg", [
         {"covariance": [[0.04, 0.0], [0.0, 0.09]],
@@ -666,8 +691,10 @@ class TestSubstitutionGrid:
         assert "bond price must be positive" in capsys.readouterr().err
 
     def test_division_by_zero_exits_three(self, tmp_path, capsys):
+        # the foreign deposit's lead e^{r_f T} underflows to 0, and the
+        # quotient's kink divides by it
         spec = product_to_dict(default_suite()[2])
-        spec["r_d"] = -1e308
+        spec["r_f"] = -1e308
         assert main(["price", "--input", _write(tmp_path, "s.json", spec)]) == 3
         assert "Traceback" not in capsys.readouterr().err
 

@@ -19,9 +19,9 @@ from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings, vali
 from numerkit.montecarlo import (
     McSpec,
     _accumulate,
-    _lognormal_sampler,
+    _gaussian_sampler,
     _psd_root,
-    _rate_asset_sampler,
+    _sampler,
     _vasicek_law,
     mc_bond_price,
     price_mc,
@@ -54,6 +54,12 @@ class TestMcSpec:
             McSpec(paths=0)
         with pytest.raises(ValueError):
             McSpec(seed=-1)
+
+    def test_one_path_refused(self):
+        # one antithetic pair has no dispersion: its standard error reads 0
+        with pytest.raises(ValueError, match="paths must be at least 2"):
+            McSpec(paths=1)
+        assert price_mc(ESOP, McSpec(paths=2)).std_error > 0.0
 
     @pytest.mark.parametrize("kwargs", [dict(paths=1000.0), dict(paths=True),
                                         dict(seed=1.5), dict(seed=False),
@@ -137,6 +143,15 @@ class TestAgreement:
         with pytest.raises(PricingError):
             price_mc(object(), McSpec(paths=16))
 
+    def test_overflowing_statistics_refused(self):
+        # each payoff is finite, but its square (the dispersion) is not: a
+        # standard error of inf, refused without a RuntimeWarning, which the
+        # suite raises as an error
+        with pytest.raises(PricingError, match="non-finite Monte Carlo result"):
+            price_mc(replace(ESOP, spot=1e300), McSpec(paths=100))
+        with pytest.raises(PricingError, match="non-finite Monte Carlo result"):
+            _accumulate(lambda z: np.full(len(z), 1e308), (1,), McSpec(paths=100))
+
 
 class TestBondPrice:
     def test_against_closed_form(self):
@@ -189,9 +204,11 @@ class TestJointLaw:
 
     @staticmethod
     def _mean(model, sigma_a, rho, horizon, payoff_fn, seed):
-        # payoff_fn of the asset at spot one, e^{ln S_T/S_0}
-        payoff, shape = _rate_asset_sampler(
-            model, sigma_a, rho, horizon, lambda g, r: payoff_fn(np.exp(g), r))
+        # payoff_fn of the asset at spot one, e^{ln S_T/S_0}, and r_T,
+        # discounted by e^{-integral of r}
+        payoff, shape = _gaussian_sampler(
+            *_vasicek_law(model, sigma_a, rho, horizon),
+            lambda g: np.exp(-g[1]) * payoff_fn(np.exp(g[1] + g[2]), g[0]))
         return _accumulate(payoff, shape, McSpec(paths=200_000, seed=seed))
 
     @pytest.mark.parametrize("model,sigma_a,rho", [
@@ -277,7 +294,7 @@ class TestLognormalLaw:
                                                         axis):
         (f,) = [g for g in formulations(product) if g.label == label]
         leg = replace(f, terminal=lambda x, y: (x, y)[axis])
-        payoff, shape = _lognormal_sampler(leg)
+        payoff, shape = _sampler(leg)
         res = _accumulate(payoff, shape, McSpec(paths=200_000, seed=31))
         ref = f.anchor[axis] * math.exp(-(f.q_x, f.q_y)[axis] * f.maturity)
         assert res.std_error > 0.0

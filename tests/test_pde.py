@@ -706,7 +706,7 @@ class TestDeriveReduced:
     PINNED = {
         "esop": 0.20864042328205795,
         "fx_gbp": 16.00999284127758,
-        "savings": 0.2620245886136244,
+        "savings": 1.0480983544544924,
         "convertible": 1.1477199192619216,
         "corporate": 1.1258634815168667,
     }

@@ -99,21 +99,15 @@ class TestPde2Spec:
 
 
 class TestNumeraireOnY:
-    def test_numeraire_axis_zero(self):
-        # savings is quoted in its first asset: the swap makes it y, so the
-        # quotient coordinate is the old y over the old x
+    def test_savings_quoted_in_price_level(self):
+        # savings is quoted in its second asset, the price level: the
+        # quotient coordinate is dollars per foreign unit over the price level
         f = products.formulations(default_suite()[2])[0]
-        assert (f.label, f.numeraire_axis) == ("savings", 0)
-        g = products.numeraire_on_y(f)
-        assert g.numeraire_axis == 1 and g.anchor == f.anchor[::-1]
-        assert (g.sigma_x, g.sigma_y, g.q_x, g.q_y) == (f.sigma_y, f.sigma_x,
-                                                          f.q_y, f.q_x)
-        red = derive_reduced(g.pde2)
+        assert (f.label, f.numeraire_axis) == ("savings", 1)
+        assert products.numeraire_on_y(f) is f
+        red = derive_reduced(f.pde2)
         for z in (0.5 * f.kink, f.kink, 2.0 * f.kink):
-            assert red.terminal(np.array([z]))[0] == f.terminal(1.0, z)
-        # unswapped, the floor and the rising leg would trade places
-        z = 0.5 * f.kink
-        assert red.terminal(np.array([z]))[0] != f.terminal(z, 1.0)
+            assert red.terminal(np.array([z]))[0] == f.terminal(z, 1.0)
 
     def test_numeraire_on_y_kept(self):
         f = products.formulations(default_suite()[3])[0]

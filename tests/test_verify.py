@@ -16,6 +16,7 @@ from numerkit.errors import PricingError, ValidationFailure
 from numerkit.model import Convertible, Corporate, Esop, FxStrike, Savings
 from numerkit.montecarlo import McSpec, mc_bond_price, price_mc
 from numerkit.pde import GridSpec
+from numerkit.products import numeraire_on_y
 from numerkit.verify import (
     ALL_METHODS,
     DETERMINISTIC_METHODS,
@@ -65,11 +66,12 @@ class TestBuildEngines:
         assert gbp.numeraire_axis == 1
         assert gbp.to_canonical == pytest.approx(1.3)
 
-    def test_savings_numeraire_is_first_axis(self):
+    def test_savings_numeraire_is_second_axis(self):
         (eng,) = build_engines(
             Savings(sigma_x=0.1, sigma_i=0.05, rho=0.2, r_d=0.04, r_f=0.02,
                     fx=0.25, price_level=1.0, maturity=1.0))
-        assert eng.numeraire_axis == 0
+        assert eng.numeraire_axis == 1
+        assert numeraire_on_y(eng) is eng
 
     def test_unknown_product(self):
         with pytest.raises(PricingError):
